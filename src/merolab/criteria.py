@@ -21,12 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import log_modulus
+from .expr import as_expr, log_modulus
 from .nevanlinna import (
     InsufficientSpanError,
     RadialProfile,
     RadiusGrid,
-    _as_expr,
     characteristic,
     growth_summary,
     log_max_modulus,
@@ -285,7 +284,7 @@ def check_L_over_r(f, grid: RadiusGrid | None = None) -> CriterionVerdict:
     the previous maximum), which keeps the record finite even when L(r)/r
     overflows the double range.
     """
-    expr = _as_expr(f)
+    expr = as_expr(f)
     g = grid if grid is not None else _DEFAULT_GRID
     radii = [float(r) for r in g.radii()]
     n_dec = int(math.floor(math.log10(radii[-1] / radii[0]) + 1e-9))
@@ -326,7 +325,7 @@ def check_main(f, params: CriterionParams) -> CriterionVerdict:
     so a verdict that holds at some alpha holds at every smaller alpha
     with identical witnesses.
     """
-    expr = _as_expr(f)
+    expr = as_expr(f)
     radii = [float(r) for r in params.grid.radii() if r >= params.warmup * (1.0 - 1e-12)]
     if not radii:
         raise ValueError("no grid radii at or beyond the warm-up threshold")
@@ -366,7 +365,7 @@ def check_L_versus_M(f, d: float, grid: RadiusGrid | None = None, warmup: float 
     this boundary, since L = M turns both sides into the same number at
     t = r^d.
     """
-    expr = _as_expr(f)
+    expr = as_expr(f)
     if not d > 1.0:
         raise ValueError("search exponent d must exceed 1")
     witnesses = []
@@ -388,7 +387,7 @@ def check_L_versus_M(f, d: float, grid: RadiusGrid | None = None, warmup: float 
 
 def check_strong(f, d: float, D: float, grid: RadiusGrid | None = None, warmup: float = 10.0) -> CriterionVerdict:
     """Somewhere in [r, r^d] the minimum modulus beats D times T(r)."""
-    expr = _as_expr(f)
+    expr = as_expr(f)
     if not d > 1.0:
         raise ValueError("search exponent d must exceed 1")
     if not D > 0.0:
@@ -457,7 +456,7 @@ def check_entire_conditions(f, profile: RadialProfile) -> list[CriterionVerdict]
     Raises NotEntireError when the pole catalog inside the profile's top
     radius is nonempty.
     """
-    expr = _as_expr(f)
+    expr = as_expr(f)
     top = profile.samples[-1].r
     catalog = poles_in_disk(expr, top)
     if catalog.entries:
@@ -569,7 +568,7 @@ def check_growth_chain(f, profile: RadialProfile, m: int, eps: float) -> ChainRe
     is out of reach; since link 1 needs the maximum to exceed a bound, a
     passing probe is sound and a failing one is flagged in the note.
     """
-    expr = _as_expr(f)
+    expr = as_expr(f)
     if m < 2:
         raise ValueError("power m must be at least 2")
     if not 0.0 < eps < 1.0:

@@ -23,8 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .expr import OVERFLOW_FLAG, POLE_FLAG, evaluate_many, poles_in_disk
-from .nevanlinna import _as_expr
+from .expr import OVERFLOW_FLAG, POLE_FLAG, as_expr, evaluate_many, poles_in_disk
 
 _ESCAPE_DEFAULT = 1e6
 _POLE_LANDING = 1e12      # |f(z)| beyond this, for a map with poles, counts
@@ -288,7 +287,7 @@ def iterate_orbit(f, z0: complex, max_steps: int = 1000, R_esc: float = _ESCAPE_
         raise ValueError("max_steps must be at least 1")
     if not R_esc >= 10.0:
         raise ValueError("escape radius must be at least 10")
-    expr = _as_expr(f)
+    expr = as_expr(f)
     classes, steps, cyc, final, pole_steps, _ = _classify_points(
         expr, np.array([z0], dtype=np.complex128), max_steps, float(R_esc)
     )
@@ -332,7 +331,7 @@ def classify_grid(f, window, resolution: int, budget: int, r_esc: float = _ESCAP
         raise ValueError("window half-width must be positive")
     if not r_esc >= 10.0:
         raise ValueError("escape radius must be at least 10")
-    expr = _as_expr(f)
+    expr = as_expr(f)
     pts = _pixel_centers(center, half_width, resolution).reshape(-1)
     classes, steps, cyc, _, _, registry = _classify_points(expr, pts, int(budget), float(r_esc))
     shape = (resolution, resolution)
@@ -500,7 +499,7 @@ def boundedness_probe(f, seed: complex, scales, resolution: int = 256, budget: i
     Raises SeedUndecidedError when the seed pixel has no component at the
     smallest scale (undecided or pole-hit).
     """
-    expr = _as_expr(f)
+    expr = as_expr(f)
     seed = complex(seed)
     hw_list = sorted(float(s) for s in scales)
     if not hw_list:

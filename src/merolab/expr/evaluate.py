@@ -17,7 +17,6 @@ Two evaluation paths are provided:
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import loggamma
@@ -29,7 +28,6 @@ from .nodes import (
     Div,
     Func,
     LacunarySeries,
-    MeroExpr,
     Mul,
     Neg,
     Node,
@@ -37,6 +35,7 @@ from .nodes import (
     Sub,
     Var,
 )
+from .parser import as_expr
 
 __all__ = [
     "POLE",
@@ -56,8 +55,6 @@ HUGE = 1e300
 LOG_HUGE = math.log(HUGE)  # 690.7755278982137
 _LOG_CAP = 1e300           # cap on the log modulus itself
 _POLE_TOL = 1e-12          # proximity at which a point counts as "at a pole"
-_GAMMA_SWITCH = 1 << 20    # factor count beyond which canonical products
-                           # evaluate through the gamma reflection instead
 
 OK_FLAG, POLE_FLAG, OVERFLOW_FLAG = 0, 1, 2
 
@@ -76,17 +73,14 @@ POLE = _Marker("POLE")
 OVERFLOW = _Marker("OVERFLOW")
 
 
-def _root(f) -> Node:
-    return f.root if isinstance(f, MeroExpr) else f
-
-
 # ---------------------------------------------------------------------------
 # plain value path
 # ---------------------------------------------------------------------------
 
 
 def _horner(coeffs, z):
-    acc = np.zeros_like(z)
+    """Polynomial value at z: a complex for a scalar z, an array for an array."""
+    acc = 0j * z
     for c in reversed(coeffs):
         acc = acc * z + c
     return acc
@@ -154,7 +148,7 @@ def evaluate_many(f, z: np.ndarray):
     Returns (values, flags) where flags is 0 for a regular value, 1 for a
     pole marker and 2 for an overflow marker (|value| > 1e300).
     """
-    root = _root(f)
+    root = as_expr(f).root
     z = np.asarray(z, dtype=np.complex128)
     with np.errstate(all="ignore"):
         vals = _values(root, z)
@@ -244,100 +238,35 @@ def _lp_cos(l, p):
     return _lp_scale(ls, ps, 0.5)
 
 
-@lru_cache(maxsize=256)
-def _canprod_tail_coeffs(power: int, k0: int, terms: int) -> tuple:
-    """Scaled tail sums T~_j = sum_{m>=0} ((k0+1)/(k0+1+m))^(j*power).
-
-    These multiply w^j with w = z/(k0+1)^power, |w| <= 1/2, so the series
-    for the tail of the log-product converges at least geometrically.
-    Small exponents relative to k0 use Euler-Maclaurin (the direct sum
-    would need ~k0 terms); large exponents decay fast enough to sum
-    directly.
-    """
-    b = float(k0 + 1)
-    out = []
-    for j in range(1, terms + 1):
-        s = float(j * power)
-        if s <= b / 8.0:
-            # Euler-Maclaurin for sum over m of (1 + m/b)^(-s); the
-            # correction terms are in powers of s/b <= 1/8
-            total = b / (s - 1.0) + 0.5 + s / (12.0 * b)
-            total -= s * (s + 1.0) * (s + 2.0) / (720.0 * b**3)
-            total += s * (s + 1) * (s + 2) * (s + 3) * (s + 4) / (30240.0 * b**5)
-            total -= (
-                s * (s + 1) * (s + 2) * (s + 3) * (s + 4) * (s + 5) * (s + 6)
-                / (1209600.0 * b**7)
-            )
-        else:
-            total = 0.0
-            m = 0
-            while True:
-                t = math.exp(-s * math.log1p(m / b))
-                total += t
-                m += 1
-                if t < 1e-20:
-                    break
-        out.append(total)
-    return tuple(out)
-
-
 def _lp_canprod(node: CanonicalProduct, z: np.ndarray):
+    """log of prod_{k>=1} (1 + z/k^p) through the gamma function.
+
+    With w over the p-th roots of -z, prod(1 + z/k^p) = prod_w 1/Gamma(1 - w):
+    the Weierstrass product of 1/Gamma (DLMF 5.8.2), whose convergence
+    factors cancel because the roots sum to zero.  Next to the zero -n^p,
+    n = max(1, rint|w|), a rounded root misses the pole of Gamma by up to
+    an ulp of n, so the factor prod_w (n - w) = n^p + z is taken from z:
+
+        log f = log(n^p + z) - sum_w [loggamma(1 - w) + log(n - w)],
+
+    with a summand regular at w = n.  z = -n^p then gives log 0 = -inf.
+    """
     p = node.power
     finite = np.isfinite(z.real) & np.isfinite(z.imag)
-    zmax = float(np.abs(z[finite]).max()) if finite.any() else 1.0
-    k0 = max(1, math.ceil((2.0 * max(zmax, 1.0)) ** (1.0 / p)))
-    log_f = np.zeros(z.shape, dtype=np.complex128)
-    use_gamma = z.size <= 16 and k0 > _GAMMA_SWITCH
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if use_gamma:
-            # astronomically large |z|: fold the whole product into gamma
-            # functions.  With w ranging over the p-th roots of -z one has
-            # prod(1 + z/k^p) = prod_w 1/Gamma(1 - w), because the roots
-            # sum to zero and the Weierstrass convergence factors cancel.
-            flat = log_f.reshape(-1)
-            zf = z.reshape(-1)
-            rot = np.exp(2.0j * math.pi * np.arange(p) / p)
-            for idx in range(zf.size):
-                w = (-zf[idx]) ** (1.0 / p) * rot
-                total = -loggamma(1.0 - w).sum()
-                if not (np.isfinite(total.real) and np.isfinite(total.imag)):
-                    # loggamma hit a pole of Gamma: z sits on a product zero
-                    total = complex(-math.inf, 0.0)
-                flat[idx] = total
-            log_f = flat.reshape(z.shape)
-        elif z.size <= 16:
-            # few points: vectorize over the factor index instead,
-            # which keeps large k0 (very large |z|) feasible
-            flat = log_f.reshape(-1)
-            zf = z.reshape(-1)
-            chunk = 1 << 20
-            for start in range(1, k0 + 1, chunk):
-                k = np.arange(start, min(start + chunk, k0 + 1), dtype=np.float64)
-                kp = k**p
-                for idx in range(zf.size):
-                    flat[idx] += np.log(1.0 + zf[idx] / kp).sum()
-            log_f = flat.reshape(z.shape)
-        else:
-            for k in range(1, k0 + 1):
-                log_f = log_f + np.log(1.0 + z / float(k) ** p)
-        if not use_gamma:
-            w = z / float(k0 + 1) ** p
-            terms = 64
-            coeffs = _canprod_tail_coeffs(p, k0, terms)
-            wj = np.ones_like(z)
-            tail = np.zeros_like(z)
-            for j in range(1, terms + 1):
-                wj = wj * w
-                contrib = ((-1) ** (j + 1) / j) * wj * coeffs[j - 1]
-                tail = tail + contrib
-                if float(np.abs(contrib).max(initial=0.0)) < 1e-18:
-                    break
-            log_f = log_f + tail
-    logmod = np.clip(np.real(log_f), -np.inf, _LOG_CAP)
-    phase = np.exp(1j * np.imag(log_f))
-    # exact zeros at z = -k^p give log(0) = -inf + nan phase; repair phase
-    phase = np.where(np.isnan(phase.real), 1.0 + 0j, phase)
-    return logmod, phase
+    zf = np.where(finite, z, 0j)
+    rho = np.abs(zf) ** (1.0 / p) * np.exp(1j * np.angle(-zf) / p)
+    w = rho[..., None] * np.exp(2j * math.pi * np.arange(p) / p)
+    n = np.maximum(np.rint(np.abs(rho)), 1.0)
+    # n^p + z halved p times: exact scaling, finite up to the largest double
+    head = np.log((0.5 * n) ** p + zf * 0.5**p) + math.log(2.0**p)
+    log_f = head - (loggamma(1.0 - w) + np.log(n[..., None] - w)).sum(axis=-1)
+    # a non-finite log at a finite point is a zero: z = -n^p exactly, or a
+    # root that rounded onto the pole of Gamma
+    zero = ~(np.isfinite(log_f.real) & np.isfinite(log_f.imag))
+    logmod = np.where(zero, -np.inf, log_f.real)
+    phase = np.where(zero, 1.0 + 0j, np.exp(1j * log_f.imag))
+    # non-finite input gets the NaN pole marker (its zf = 0 keeps phase 1)
+    return np.where(finite, logmod, np.nan), phase
 
 
 def _lp_lacunary(node: LacunarySeries, z: np.ndarray):
@@ -414,7 +343,7 @@ def log_polar(f, z: np.ndarray):
     point where even the rescaled arithmetic lost the value; callers
     treat it like a pole marker.
     """
-    root = _root(f)
+    root = as_expr(f).root
     z = np.asarray(z, dtype=np.complex128)
     with np.errstate(all="ignore"):
         return _lp(root, z)

@@ -130,12 +130,8 @@ class LacunarySeries(Node):
 class CanonicalProduct(Node):
     """The entire product prod_{k>=1} (1 + z / k^power), integer power >= 2.
 
-    Evaluation multiplies explicit factors for k <= K0 with K0 chosen so
-    |z| / (K0+1)^power <= 1/2, and sums the remaining log-factors as a
-    power series in z with tail coefficients accumulated directly.  The
-    series terms fall at least geometrically with ratio 1/2, so stopping
-    once a term drops below 1e-18 of the accumulated log keeps the
-    relative error of the product under about 1e-15 on the evaluated set.
+    Evaluation goes through the 1/Gamma identity over the power-th roots
+    of -z (see merolab.expr.evaluate), one loggamma call per root.
     """
 
     power: int

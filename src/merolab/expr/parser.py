@@ -31,7 +31,7 @@ from .nodes import (
     Var,
 )
 
-__all__ = ["parse", "ParseError"]
+__all__ = ["parse", "as_expr", "ParseError"]
 
 _IDENTIFIERS = {"exp", "sin", "cos", "tan", "lacunary", "canprod", "fatou"}
 
@@ -233,3 +233,10 @@ def parse(text: str) -> MeroExpr:
     identifiers, non-integer exponents and invalid builtin parameters.
     """
     return MeroExpr(_Parser(text).parse(), source=text)
+
+
+def as_expr(f) -> MeroExpr:
+    """Coerce source text, an expression tree or a MeroExpr to a MeroExpr."""
+    if isinstance(f, str):
+        return parse(f)
+    return f if isinstance(f, MeroExpr) else MeroExpr(f)

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .evaluate import log_polar
+from .evaluate import _horner, log_polar
 from .nodes import (
     Add,
     CanonicalProduct,
@@ -33,6 +33,7 @@ from .nodes import (
     Sub,
     polynomial_coefficients,
 )
+from .parser import as_expr
 
 __all__ = [
     "SingularityList",
@@ -166,13 +167,6 @@ def winding_count(f, box, n_start: int = 256, n_cap: int = 2**17) -> int:
 # ---------------------------------------------------------------------------
 # exact catalogs
 # ---------------------------------------------------------------------------
-
-
-def _horner(coeffs, z: complex) -> complex:
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
 
 
 def _poly_roots(coeffs) -> list:
@@ -467,9 +461,7 @@ def poles_in_disk(f, radius: float) -> SingularityList:
     """
     if not radius > 0:
         raise ValueError("radius must be positive")
-    if not isinstance(f, MeroExpr):
-        f = MeroExpr(f)
-    bucket = _catalog_at(f, _bucket_radius(radius))
+    bucket = _catalog_at(as_expr(f), _bucket_radius(radius))
     entries = tuple(
         e for e in bucket.entries if abs(e[0]) <= radius * (1 + 1e-12) + _MERGE_TOL
     )

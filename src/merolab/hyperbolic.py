@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import linregress
 
-from .expr import OVERFLOW_FLAG, POLE_FLAG, evaluate_many
-from .nevanlinna import _as_expr, characteristic
+from .expr import OVERFLOW_FLAG, POLE_FLAG, as_expr, evaluate_many
+from .nevanlinna import characteristic
 
 _CONTRACTION_TOL = 1e-9
 _MAP_SAMPLES = 1000
@@ -459,7 +459,7 @@ def distortion_check(f, sample_set, n_max: int, r_esc: float = 1e6,
     """
     from .dynamics import OrbitClass, iterate_orbit
 
-    expr = _as_expr(f)
+    expr = as_expr(f)
     pts = np.asarray([complex(z) for z in sample_set], dtype=np.complex128)
     if pts.size == 0:
         raise ValueError("sample set must be nonempty")
@@ -584,7 +584,7 @@ def trace_radius_recursion(alpha: float, d: float, D: float, K: float = 24.0,
     if f is not None:
         if not r0 > 0:
             raise ValueError("starting radius must be positive")
-        expr = _as_expr(f)
+        expr = as_expr(f)
         for _ in range(n_max):
             exponent = K * characteristic(expr, 3.0 * radii[-1])
             if exponent >= _EXP_OVERFLOW:
@@ -594,7 +594,7 @@ def trace_radius_recursion(alpha: float, d: float, D: float, K: float = 24.0,
 
     steps: list = []
     if curve is not None and f is not None:
-        expr = _as_expr(f)
+        expr = as_expr(f)
         pts = np.asarray([complex(z) for z in curve], dtype=np.complex128)
         if pts.size < 2:
             raise ValueError("curve needs at least two samples")

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .expr import MeroExpr, log_modulus, parse, poles_in_disk
+from .expr import MeroExpr, as_expr, log_modulus, poles_in_disk
 
 __all__ = [
     "RadiusGrid",
@@ -59,12 +59,6 @@ class CircleBoundSearchError(ArithmeticError):
     so reaching this error signals a numerical defect (or an unsupported
     function), never a counterexample.
     """
-
-
-def _as_expr(f) -> MeroExpr:
-    if isinstance(f, str):
-        return parse(f)
-    return f if isinstance(f, MeroExpr) else MeroExpr(f)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +195,7 @@ def _logplus_samples(f, r: float, theta: np.ndarray) -> np.ndarray:
 
 def _proximity_detail(f, r: float):
     """(value, nodes, converged) for the adaptive circle average."""
-    f = _as_expr(f)
+    f = as_expr(f)
     n = _QUAD_START
     theta = 2.0 * math.pi * np.arange(n) / n
     total = float(_logplus_samples(f, r, theta).sum())
@@ -245,7 +239,7 @@ def counting(f, r: float) -> float:
     """
     if not r > 0:
         raise ValueError("radius must be positive")
-    catalog = poles_in_disk(_as_expr(f), r)
+    catalog = poles_in_disk(as_expr(f), r)
     n0 = catalog.multiplicity_at_origin()
     total = n0 * math.log(r)
     for b, mult in catalog.entries:
@@ -261,7 +255,7 @@ def _characteristic_cached(f: MeroExpr, r: float) -> float:
 
 def characteristic(f, r: float) -> float:
     """T(r, f) = m(r, f) + N(r, f)."""
-    return _characteristic_cached(_as_expr(f), float(r))
+    return _characteristic_cached(as_expr(f), float(r))
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +308,7 @@ def _modulus_extremum(f, r: float, want_max: bool) -> float:
     only when the catalog confirms a pole modulus within 1e-9 of r;
     otherwise the marker samples are dropped and the scan stands.
     """
-    f = _as_expr(f)
+    f = as_expr(f)
     theta = 2.0 * math.pi * np.arange(_SCAN_NODES) / _SCAN_NODES
     lm = log_modulus(f, r * np.exp(1j * theta))
     sign = -1.0 if want_max else 1.0
@@ -346,14 +340,14 @@ def log_min_modulus(f, r: float) -> float:
     """log L(r, f); -inf when a zero or cataloged pole sits on the circle."""
     if not r > 0:
         raise ValueError("radius must be positive")
-    return _extremum_cached(_as_expr(f), float(r), False)
+    return _extremum_cached(as_expr(f), float(r), False)
 
 
 def log_max_modulus(f, r: float) -> float:
     """log M(r, f); +inf when a cataloged pole sits on the circle."""
     if not r > 0:
         raise ValueError("radius must be positive")
-    return _extremum_cached(_as_expr(f), float(r), True)
+    return _extremum_cached(as_expr(f), float(r), True)
 
 
 def min_modulus(f, r: float) -> float:
@@ -395,7 +389,7 @@ def build_profile(f, grid: RadiusGrid | None = None, function_id: str = "") -> R
     are nudged up by ratio^(1/16) (repeatedly if needed, up to 8 times)
     and the original grid radius is recorded on the sample.
     """
-    f = _as_expr(f)
+    f = as_expr(f)
     if grid is None:
         grid = RadiusGrid()
     pole_moduli = [abs(b) for b, _ in poles_in_disk(f, grid.r_max * 2.0).entries]
@@ -508,7 +502,7 @@ def circle_bound_witness(f, R: float):
     """
     if not R > 0:
         raise ValueError("R must be positive")
-    f = _as_expr(f)
+    f = as_expr(f)
     bound = 24.0 * characteristic(f, 3.0 * R)
     pole_moduli = [abs(b) for b, _ in poles_in_disk(f, 2.0 * R).entries]
     for i in range(64):

@@ -1,0 +1,31 @@
+"""A point's log-polar value must not depend on the batch around it."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from merolab import parse  # noqa: E402
+from merolab.expr import log_polar  # noqa: E402
+
+_COORD = st.floats(min_value=-1e8, max_value=1e8, allow_nan=False, allow_infinity=False)
+_POINT = st.builds(complex, _COORD, _COORD)
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["canprod(2)", "canprod(3)", "canprod(4)", "canprod(5)", "lacunary(2)",
+     "exp(z)+canprod(2)", "tan(z)"],
+)
+@settings(derandomize=True, database=None, deadline=None)
+@given(point=_POINT, others=st.lists(_POINT, max_size=40), where=st.integers(0, 40))
+def test_log_polar_is_batch_independent(source, point, others, where):
+    f = parse(source)
+    where = min(where, len(others))
+    batch = np.array(others[:where] + [point] + others[where:], dtype=np.complex128)
+    alone = log_polar(f, np.array([point]))
+    inside = log_polar(f, batch)
+    for a, b in zip(alone, inside):
+        assert a.tobytes() == b[where : where + 1].tobytes()

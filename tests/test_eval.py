@@ -1,16 +1,11 @@
 import cmath
-import importlib
 import math
 
 import numpy as np
 import pytest
 
 from merolab import evaluate, parse
-from merolab.expr import OVERFLOW, POLE, evaluate_many, log_modulus, log_polar
-
-# the package re-exports the evaluate *function* under the same name as the
-# submodule, so reach the module itself through importlib
-ev = importlib.import_module("merolab.expr.evaluate")
+from merolab.expr import OVERFLOW, POLE, evaluate_many, log_modulus, log_polar, poles_in_disk
 
 
 def test_plain_values():
@@ -96,18 +91,34 @@ def test_canprod_small_radius_oracle(canprod4):
         assert got == pytest.approx(oracle, abs=1e-10)
 
 
-def test_canprod_zero_on_negative_axis(canprod4):
-    assert evaluate(canprod4, -16.0 + 0j) == 0
-    lm = log_modulus(canprod4, np.array([-16.0 + 0j, -81.0 + 0j]))
-    assert np.isneginf(lm).all()
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_canprod_zero_on_negative_axis(p):
+    # every -k^p below is an exact double; the p-th root of 27 rounds to
+    # 3.0000000000000004, which still has to land on the zero
+    f = parse(f"canprod({p})")
+    zeros = np.array([-float(k**p) for k in (1, 2, 3, 7, 10)], dtype=np.complex128)
+    assert evaluate(f, complex(-(2**p))) == 0
+    assert np.isneginf(log_modulus(f, zeros)).all()
 
 
-def test_canprod_gamma_route_agrees_with_factor_route(canprod4, monkeypatch):
+@pytest.mark.parametrize("z", [1.0 + 0j, 3.0 + 4.0j, 1.0e-3 + 0j])
+def test_canprod2_closed_form(z):
+    # prod(1 + z/k^2) = sinh(pi sqrt z) / (pi sqrt z)
+    s = math.pi * cmath.sqrt(z)
+    assert evaluate(parse("canprod(2)"), z) == pytest.approx(cmath.sinh(s) / s, rel=1e-13)
+
+
+def test_canprod_gamma_route_agrees_with_factor_route(canprod4):
+    # independent oracle: explicit factors to k=300, then the zeta tail;
+    # the dropped z^2 tail term is below 1e-10 at |z| = 1e4
+    zeta4 = math.pi**4 / 90.0
+    ks = np.arange(1, 301, dtype=np.float64)
     pts = np.array([1.0e4 + 0j, 8000.0 + 6000.0j, -9999.5 + 11.0j])
-    factor_route = log_modulus(canprod4, pts).copy()
-    monkeypatch.setattr(ev, "_GAMMA_SWITCH", 8)
-    gamma_route = log_modulus(canprod4, pts)
-    assert np.allclose(gamma_route, factor_route, rtol=0, atol=1e-8)
+    oracle = [
+        (np.log(1.0 + z / ks**4).sum() + z * (zeta4 - float((ks**-4).sum()))).real
+        for z in pts
+    ]
+    assert np.allclose(log_modulus(canprod4, pts), oracle, rtol=0, atol=1e-8)
 
 
 def test_canprod_asymptotic_slope(canprod4):
@@ -123,3 +134,46 @@ def test_canprod_gamma_route_zero(canprod4):
     z = -(2.0**80)
     lm = float(log_modulus(canprod4, np.array([z + 0j]))[0])
     assert lm == -math.inf
+
+
+def _canprod_log_oracle(mpmath, p, z):
+    # 30-digit log prod(1 + z/k^p): nprod's extrapolation only up to
+    # |z| = 100 (it drifts beyond), the loggamma form of the identity
+    # prod(1 + z/k^p) = prod_{w^p = -z} 1/Gamma(1 - w) past that
+    z = mpmath.mpc(z)
+    if abs(z) <= 100:
+        return mpmath.log(mpmath.nprod(lambda k: 1 + z / k**p, [1, mpmath.inf]))
+    rho = abs(z) ** (mpmath.mpf(1) / p) * mpmath.expj(mpmath.arg(-z) / p)
+    roots = (rho * mpmath.expj(2 * mpmath.pi * j / p) for j in range(p))
+    return -mpmath.fsum(mpmath.loggamma(1 - w) for w in roots)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_canprod_mpmath_oracle(p):
+    mpmath = pytest.importorskip("mpmath")
+    pts = [
+        r * cmath.exp(1j * t)
+        for r in (1e-3, 0.7, 10.0, 100.0, 1e3, 1e6, 1e12, 1e24)
+        for t in (0.0, 1.0, 2.5, -3.0)
+    ]
+    # within 1e-6 of the zeros -k^p
+    pts += [-float(k**p) + d for k in (1, 2, 3, 10) for d in (1e-6, -1e-6, 1e-6j, -7e-7j)]
+    lm, phase = log_polar(parse(f"canprod({p})"), np.array(pts))
+    with mpmath.workdps(30):
+        for z, got_l, got_phase in zip(pts, lm, phase):
+            ref = _canprod_log_oracle(mpmath, p, z)
+            ref_phase = complex(mpmath.expj(ref.imag))
+            err = complex(got_l - float(ref.real), cmath.phase(got_phase / ref_phase))
+            assert abs(err) <= 1e-12 * max(1.0, float(abs(ref))), z
+
+
+def test_source_text_accepted_everywhere():
+    src = "1/(exp(z)-2)"
+    f = parse(src)
+    pts = np.array([0.5 + 0.5j, 3.0 - 2.0j, math.log(2.0) + 0j])
+    assert poles_in_disk(src, 16.0) == poles_in_disk(f, 16.0)
+    assert evaluate("z^2", 3) == evaluate(parse("z^2"), 3)
+    for call in (evaluate_many, log_polar):
+        for got, want in zip(call(src, pts), call(f, pts)):
+            assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(log_modulus(src, pts), log_modulus(f, pts))
