@@ -252,20 +252,19 @@ def _lp_canprod(node: CanonicalProduct, z: np.ndarray):
     with a summand regular at w = n.  z = -n^p then gives log 0 = -inf.
     """
     p = node.power
-    finite = np.isfinite(z.real) & np.isfinite(z.imag)
-    zf = np.where(finite, z, 0j)
-    rho = np.abs(zf) ** (1.0 / p) * np.exp(1j * np.angle(-zf) / p)
+    rho = np.abs(z) ** (1.0 / p) * np.exp(1j * np.angle(-z) / p)
     w = rho[..., None] * np.exp(2j * math.pi * np.arange(p) / p)
     n = np.maximum(np.rint(np.abs(rho)), 1.0)
     # n^p + z halved p times: exact scaling, finite up to the largest double
-    head = np.log((0.5 * n) ** p + zf * 0.5**p) + math.log(2.0**p)
+    head = np.log((0.5 * n) ** p + z * 0.5**p) + math.log(2.0**p)
     log_f = head - (loggamma(1.0 - w) + np.log(n[..., None] - w)).sum(axis=-1)
     # a non-finite log at a finite point is a zero: z = -n^p exactly, or a
     # root that rounded onto the pole of Gamma
     zero = ~(np.isfinite(log_f.real) & np.isfinite(log_f.imag))
     logmod = np.where(zero, -np.inf, log_f.real)
     phase = np.where(zero, 1.0 + 0j, np.exp(1j * log_f.imag))
-    # non-finite input gets the NaN pole marker (its zf = 0 keeps phase 1)
+    # non-finite input gets the NaN pole marker
+    finite = np.isfinite(z.real) & np.isfinite(z.imag)
     return np.where(finite, logmod, np.nan), phase
 
 

@@ -239,7 +239,7 @@ def counting(f, r: float) -> float:
     """
     if not r > 0:
         raise ValueError("radius must be positive")
-    catalog = poles_in_disk(as_expr(f), r)
+    catalog = poles_in_disk(f, r)
     n0 = catalog.multiplicity_at_origin()
     total = n0 * math.log(r)
     for b, mult in catalog.entries:

@@ -101,6 +101,12 @@ def test_canprod_zero_on_negative_axis(p):
     assert np.isneginf(log_modulus(f, zeros)).all()
 
 
+def test_canprod_nonfinite_input_is_pole_marker(canprod4):
+    pts = np.array([complex(math.inf, 0.0), complex(math.nan, 1.0), complex(1.0, -math.inf)])
+    assert np.isnan(log_modulus(canprod4, pts)).all()
+    assert evaluate(canprod4, complex(math.inf, 0.0)) is POLE
+
+
 @pytest.mark.parametrize("z", [1.0 + 0j, 3.0 + 4.0j, 1.0e-3 + 0j])
 def test_canprod2_closed_form(z):
     # prod(1 + z/k^2) = sinh(pi sqrt z) / (pi sqrt z)
