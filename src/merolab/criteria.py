@@ -31,6 +31,7 @@ from .nevanlinna import (
     log_max_modulus,
     log_min_modulus,
     poles_in_disk,
+    _log_min_bound,
 )
 
 _DEFAULT_GRID = RadiusGrid(1.0, 1000.0)
@@ -216,14 +217,25 @@ def _ladder_exponents(d: float, closed: bool) -> list[float]:
 def _search_log_L(expr, r: float, d: float, closed: bool) -> tuple[float, float]:
     """Maximize log L(r^e) over ladder exponents e, with golden refinement.
 
-    Returns (t, value) where t = r**e_best.  The refinement only adds
-    candidates beyond the lattice, so the reported maximum is never below
-    the plain ladder maximum.
+    Returns (t, value) where t = r**e_best.  Every ladder circle is
+    scanned, but refined only while it can still win: circles go in
+    descending order of their scan bound (never below the refined log L),
+    and the walk stops at the first bound strictly below the best refined
+    value.  Ties go to the lowest ladder index, so the winner is the
+    exhaustive ladder's argmax, bit for bit.  The golden refinement of
+    the exponent around it only adds candidates beyond the lattice, so
+    the reported maximum is never below the plain ladder maximum.
     """
     exps = _ladder_exponents(d, closed)
-    vals = [log_min_modulus(expr, r**e) for e in exps]
-    k = int(np.argmax(vals))
-    best_e, best_v = exps[k], vals[k]
+    bounds = [_log_min_bound(expr, r**e) for e in exps]
+    k, best_v = 0, -math.inf
+    for j in sorted(range(len(exps)), key=lambda j: (-bounds[j], j)):
+        if bounds[j] < best_v:
+            break
+        v = log_min_modulus(expr, r**exps[j])
+        if v > best_v or (v == best_v and j < k):
+            k, best_v = j, v
+    best_e = exps[k]
     edge = 0.0 if closed else _BOUNDARY_TOL
     a = max(1.0 + edge, best_e - _LADDER_STEP)
     b = min(d - edge, best_e + _LADDER_STEP)
@@ -320,8 +332,11 @@ def check_main(f, params: CriterionParams) -> CriterionVerdict:
 
     At every tested radius r two things must happen: some t strictly
     inside (r, r^d) has log L(t) > alpha * T(r), and T(r^d) >= D * T(r).
-    The t search walks 64 log-uniform candidates per unit exponent and
-    refines around the best one.  The search itself never looks at alpha,
+    The t search scans 64 log-uniform candidate circles per unit
+    exponent, refines the minimum modulus only on circles whose scan can
+    still beat the best refined value (the winner is the one an
+    exhaustive ladder would pick), and then refines the exponent around
+    that winner.  The search itself never looks at alpha,
     so a verdict that holds at some alpha holds at every smaller alpha
     with identical witnesses.
     """

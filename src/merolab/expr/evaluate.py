@@ -55,6 +55,7 @@ HUGE = 1e300
 LOG_HUGE = math.log(HUGE)  # 690.7755278982137
 _LOG_CAP = 1e300           # cap on the log modulus itself
 _POLE_TOL = 1e-12          # proximity at which a point counts as "at a pole"
+_CANPROD_CHUNK = 8192      # points per canprod batch; bounds the (N, p) temporaries
 
 OK_FLAG, POLE_FLAG, OVERFLOW_FLAG = 0, 1, 2
 
@@ -250,7 +251,18 @@ def _lp_canprod(node: CanonicalProduct, z: np.ndarray):
         log f = log(n^p + z) - sum_w [loggamma(1 - w) + log(n - w)],
 
     with a summand regular at w = n.  z = -n^p then gives log 0 = -inf.
+    Large inputs run in chunks of 8192 points, so the complex (N, p)
+    temporaries stay small; a point's value does not depend on its batch,
+    so chunking changes no bit.
     """
+    if z.size > _CANPROD_CHUNK:
+        flat = z.reshape(-1)
+        logmod = np.empty(flat.shape)
+        phase = np.empty(flat.shape, dtype=np.complex128)
+        for i in range(0, flat.size, _CANPROD_CHUNK):
+            part = slice(i, i + _CANPROD_CHUNK)
+            logmod[part], phase[part] = _lp_canprod(node, flat[part])
+        return logmod.reshape(z.shape), phase.reshape(z.shape)
     p = node.power
     rho = np.abs(z) ** (1.0 / p) * np.exp(1j * np.angle(-z) / p)
     w = rho[..., None] * np.exp(2j * math.pi * np.arange(p) / p)

@@ -299,41 +299,66 @@ def _pole_on_circle(f, r: float) -> bool:
     return any(abs(abs(b) - r) <= _POLE_RADIUS_TOL for b, _ in catalog.entries)
 
 
-def _modulus_extremum(f, r: float, want_max: bool) -> float:
-    """log of the modulus extremum over the circle |z| = r.
+@lru_cache(maxsize=65536)
+def _modulus_scan(f: MeroExpr, r: float, want_max: bool):
+    """Cached coarse 4096-node scan of the circle |z| = r: (value, centers).
 
-    Coarse 4096-node scan, then golden-section refinement of the eight
-    best local brackets.  A pole marker among the samples forces the
-    degenerate convention (0 for the minimum, overflow for the maximum)
-    only when the catalog confirms a pole modulus within 1e-9 of r;
-    otherwise the marker samples are dropped and the scan stands.
+    When centers is None the value is already the exact extremum: a pole
+    marker among the samples forces the degenerate convention (-inf for
+    the minimum, +inf for the maximum) only when the catalog confirms a
+    pole modulus within 1e-9 of r, and a sampled zero makes the minimum
+    -inf.  Otherwise the marker samples are dropped, the value is the
+    scan extremum of log|f| and centers holds the angles of the eight
+    best local brackets.  Refinement can only improve on the scan, so the
+    value bounds the extremum from above (minimum) or below (maximum).
     """
-    f = as_expr(f)
     theta = 2.0 * math.pi * np.arange(_SCAN_NODES) / _SCAN_NODES
     lm = log_modulus(f, r * np.exp(1j * theta))
     sign = -1.0 if want_max else 1.0
     marker = np.isnan(lm) | np.isposinf(lm)
     if marker.any():
         if _pole_on_circle(f, r):
-            return math.inf if want_max else -math.inf
+            return (math.inf if want_max else -math.inf), None
         lm = lm.copy()
         lm[marker] = math.inf * sign
     if not want_max and np.isneginf(lm).any():
-        return -math.inf
+        return -math.inf, None
     obj = sign * lm
     neighbors = np.minimum(np.roll(obj, 1), np.roll(obj, -1))
     local = np.flatnonzero(obj <= neighbors)
     best = local[np.argsort(obj[local])][:8]
+    return sign * float(obj[best[0]]), theta[best]
+
+
+def _modulus_extremum(f: MeroExpr, r: float, want_max: bool) -> float:
+    """log of the modulus extremum over the circle |z| = r.
+
+    Scan then refine: the coarse scan of _modulus_scan, then
+    golden-section refinement of its eight brackets.  The result is the
+    better of the scan extremum and the refined one, so it never falls
+    behind the scan bound that _log_min_bound reports.
+    """
+    value, centers = _modulus_scan(f, r, want_max)
+    if centers is None:
+        return value
+    sign = -1.0 if want_max else 1.0
     step = 2.0 * math.pi / _SCAN_NODES
-    out = float(obj[best[0]]) if best.size else math.inf
-    if best.size:
-        out = min(out, _golden_refine(f, r, theta[best], step, sign))
-    return sign * out
+    return sign * min(sign * value, _golden_refine(f, r, centers, step, sign))
 
 
 @lru_cache(maxsize=65536)
 def _extremum_cached(f: MeroExpr, r: float, want_max: bool) -> float:
     return _modulus_extremum(f, r, want_max)
+
+
+def _log_min_bound(f, r: float) -> float:
+    """Scan upper bound on log L(r, f), without refinement.
+
+    Never below log_min_modulus(f, r), and equal to it on the degenerate
+    circles; a search can skip refining any circle whose bound is already
+    beaten.
+    """
+    return _modulus_scan(as_expr(f), float(r), False)[0]
 
 
 def log_min_modulus(f, r: float) -> float:

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -16,11 +17,14 @@ from merolab import (
     check_growth_chain,
     check_main,
     check_strong,
+    corpus_function,
     exceptional_set,
     log_density,
     log_min_modulus,
+    nevanlinna,
     parse,
 )
+from merolab.criteria import _ladder_exponents, _search_log_L
 from merolab.nevanlinna import InsufficientSpanError
 
 _GRID = RadiusGrid(1.0, 1000.0)
@@ -136,6 +140,82 @@ def test_main_enlarging_d_preserves_success(zsq):
     for w_narrow, w_wide in pairs:
         if w_narrow.t > w_narrow.r:  # t-search witnesses only
             assert w_wide.lhs >= w_narrow.lhs - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the minimum-modulus ladder search
+# ---------------------------------------------------------------------------
+
+_SEARCH_RADII = (10.0, 40.0, 160.0)
+
+
+def _exhaustive_search(expr, r, d, closed):
+    """Reference: refine every ladder circle, argmax, golden exponent phase."""
+    exps = _ladder_exponents(d, closed)
+    vals = [log_min_modulus(expr, r**e) for e in exps]
+    k = int(np.argmax(vals))
+    best_e, best_v = exps[k], vals[k]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    edge = 0.0 if closed else 1e-9
+    a = max(1.0 + edge, best_e - 1.0 / 64.0)
+    b = min(d - edge, best_e + 1.0 / 64.0)
+    c = b - invphi * (b - a)
+    e2 = a + invphi * (b - a)
+    fc = log_min_modulus(expr, r**c)
+    fd = log_min_modulus(expr, r**e2)
+    while b - a > 1e-4:
+        if fc >= fd:
+            b, e2, fd = e2, c, fc
+            c = b - invphi * (b - a)
+            fc = log_min_modulus(expr, r**c)
+            if fc > best_v:
+                best_e, best_v = c, fc
+        else:
+            a, c, fc = c, e2, fd
+            e2 = a + invphi * (b - a)
+            fd = log_min_modulus(expr, r**e2)
+            if fd > best_v:
+                best_e, best_v = e2, fd
+    return r**best_e, best_v
+
+
+@pytest.mark.parametrize("closed", [False, True])
+@pytest.mark.parametrize("name", ["lacunary2", "canprod4", "expz", "fatou", "zsq"])
+def test_pruned_search_equals_exhaustive_ladder(name, closed):
+    f = corpus_function(name)
+    for r in _SEARCH_RADII:
+        assert _search_log_L(f, r, 2.0, closed) == _exhaustive_search(f, r, 2.0, closed)
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_pruned_search_ties_go_to_first_exponent(closed):
+    const = parse("2")
+    t, value = _search_log_L(const, 10.0, 2.0, closed)
+    assert (t, value) == _exhaustive_search(const, 10.0, 2.0, closed)
+    assert t == 10.0 ** _ladder_exponents(2.0, closed)[0]
+    assert value == log_min_modulus(const, 10.0)
+
+
+@pytest.mark.parametrize("closed", [False, True])
+@pytest.mark.parametrize("name", ["lacunary2", "canprod4"])
+def test_pruned_search_refines_few_circles(monkeypatch, name, closed):
+    f = corpus_function(name)
+    refine = nevanlinna._golden_refine
+    refined = []
+
+    def counted(g, r, *args):
+        refined.append(r)
+        return refine(g, r, *args)
+
+    monkeypatch.setattr(nevanlinna, "_golden_refine", counted)
+    for r in _SEARCH_RADII:
+        # a cold refinement cache, so every refined circle is counted once
+        fresh = functools.lru_cache(maxsize=None)(nevanlinna._modulus_extremum)
+        monkeypatch.setattr(nevanlinna, "_extremum_cached", fresh)
+        refined.clear()
+        _search_log_L(f, r, 2.0, closed)
+        # the exhaustive ladder refines 76-78 circles here
+        assert 0 < len(refined) <= 20
 
 
 # ---------------------------------------------------------------------------

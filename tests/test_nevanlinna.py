@@ -8,6 +8,8 @@ from merolab import (
     build_profile,
     characteristic,
     circle_bound_witness,
+    corpus_function,
+    corpus_names,
     counting,
     growth_summary,
     log_max_modulus,
@@ -18,7 +20,7 @@ from merolab import (
     proximity,
 )
 from merolab.expr import log_modulus, poles_in_disk
-from merolab.nevanlinna import InsufficientSpanError
+from merolab.nevanlinna import InsufficientSpanError, _log_min_bound
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +116,28 @@ def test_pole_on_circle_conventions():
     # a structurally cataloged pole on the sampled circle saturates M
     assert log_max_modulus(parse("1/(z-1)"), 1.0) == math.inf
     assert min_modulus(parse("z - 1"), 1.0) == 0.0
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_scan_bound_is_an_upper_bound(name):
+    f = corpus_function(name)
+    for r in (0.5, 1.0, 10.0, 40.0, 160.0):
+        assert _log_min_bound(f, r) >= log_min_modulus(f, r)
+
+
+def test_scan_bound_on_degenerate_circles(canprod4, tanz, invz):
+    # the zero -16 of canprod(4) lies on |z| = 16; the node at angle pi
+    # misses it by an ulp, so the value is tiny rather than -inf
+    assert _log_min_bound(canprod4, 16.0) >= log_min_modulus(canprod4, 16.0)
+    assert log_min_modulus(canprod4, 16.0) < -30.0
+    # a sampled zero and a cataloged pole on the circle are exact -inf
+    assert _log_min_bound("z - 1", 1.0) == log_min_modulus("z - 1", 1.0) == -math.inf
+    assert _log_min_bound("1/(z-1)", 1.0) == log_min_modulus("1/(z-1)", 1.0) == -math.inf
+    # a pole of tan lies on |z| = pi/2
+    assert _log_min_bound(tanz, math.pi / 2) >= log_min_modulus(tanz, math.pi / 2)
+    # constant modulus: the scan is already exact
+    assert _log_min_bound(invz, 3.0) == log_min_modulus(invz, 3.0)
+    assert log_min_modulus(invz, 3.0) == pytest.approx(-math.log(3.0), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
