@@ -17,6 +17,7 @@ Two evaluation paths are provided:
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import loggamma
@@ -185,19 +186,32 @@ def _lp_from_values(w: np.ndarray):
     return logmod, phase
 
 
-def _lp_add(l1, p1, l2, p2, sign):
+def _lp_scales(l1, l2):
+    """Two log moduli over a common reference: (e1, e2, ref, big).
+
+    l_k = ref + log e_k, with ref the larger of the two where it is
+    finite; big is that larger value itself.
+    """
     big = np.maximum(l1, l2)
     ok = np.isfinite(big)
     ref = np.where(ok, big, 0.0)
     with np.errstate(invalid="ignore"):
-        w = np.exp(np.where(ok, l1 - ref, -np.inf)) * p1
-        w = w + sign * np.exp(np.where(ok, l2 - ref, -np.inf)) * p2
+        e1 = np.exp(np.where(ok, l1 - ref, -np.inf))
+        e2 = np.exp(np.where(ok, l2 - ref, -np.inf))
+    return e1, e2, ref, big
+
+
+def _lp_rescaled(w, ref, big):
+    """Log-polar value of e^ref w, the sum of two operands rescaled by _lp_scales."""
     logmod, phase = _lp_from_values(w)
-    logmod = np.where(ok, ref + logmod, big)
-    # either operand at a pole poisons the sum
-    pole = np.isposinf(l1) | np.isposinf(l2) | np.isnan(l1) | np.isnan(l2)
-    logmod = np.where(pole, np.inf, logmod)
-    return logmod, phase
+    logmod = np.where(np.isfinite(big), ref + logmod, big)
+    # either operand at a pole (+inf) or lost (NaN) poisons the sum
+    return np.where(np.isnan(big), np.inf, logmod), phase
+
+
+def _lp_add(l1, p1, l2, p2, sign):
+    e1, e2, ref, big = _lp_scales(l1, l2)
+    return _lp_rescaled(e1 * p1 + sign * e2 * p2, ref, big)
 
 
 def _lp_exp(l, p):
@@ -216,27 +230,28 @@ def _lp_exp(l, p):
     return logmod, phase
 
 
-def _lp_mul_i(l, p, s=1j):
-    return l, p * s
-
-
 def _lp_scale(l, p, factor: complex):
     return l + math.log(abs(factor)), p * (factor / abs(factor))
 
 
-def _lp_sin(l, p):
-    # sin w = (e^{iw} - e^{-iw}) / 2i, assembled from two stable exps
-    l1, p1 = _lp_exp(*_lp_mul_i(l, p, 1j))
-    l2, p2 = _lp_exp(*_lp_mul_i(l, p, -1j))
-    ls, ps = _lp_add(l1, p1, l2, p2, -1)
-    return _lp_scale(ls, ps, 1 / 2j)
+def _lp_euler(l, p):
+    """e^{iw} = e^ref u and e^{-iw} = e^ref v from one exp: (u, v, ref, big).
+
+    e^{-iw} is the reciprocal of e^{iw}: log modulus negated, phase
+    conjugated.  sin, cos and tan combine u and v as _lp_add would.
+    """
+    l1, p1 = _lp_exp(l, p * 1j)  # i w
+    e1, e2, ref, big = _lp_scales(l1, -l1)
+    return e1 * p1, e2 * np.conj(p1), ref, big
 
 
-def _lp_cos(l, p):
-    l1, p1 = _lp_exp(*_lp_mul_i(l, p, 1j))
-    l2, p2 = _lp_exp(*_lp_mul_i(l, p, -1j))
-    ls, ps = _lp_add(l1, p1, l2, p2, 1)
-    return _lp_scale(ls, ps, 0.5)
+def _lp_sin(u, v, ref, big):
+    # sin w = (e^{iw} - e^{-iw}) / 2i
+    return _lp_scale(*_lp_rescaled(u - v, ref, big), 1 / 2j)
+
+
+def _lp_cos(u, v, ref, big):
+    return _lp_scale(*_lp_rescaled(u + v, ref, big), 0.5)
 
 
 def _lp_canprod(node: CanonicalProduct, z: np.ndarray):
@@ -270,14 +285,42 @@ def _lp_canprod(node: CanonicalProduct, z: np.ndarray):
     # n^p + z halved p times: exact scaling, finite up to the largest double
     head = np.log((0.5 * n) ** p + z * 0.5**p) + math.log(2.0**p)
     log_f = head - (loggamma(1.0 - w) + np.log(n[..., None] - w)).sum(axis=-1)
-    # a non-finite log at a finite point is a zero: z = -n^p exactly, or a
-    # root that rounded onto the pole of Gamma
+    # a non-finite log at a finite point reads as a zero: z = -n^p, or a root
+    # that rounded onto the pole of Gamma; rounding can fake both, so real
+    # points are re-checked exactly
     zero = ~(np.isfinite(log_f.real) & np.isfinite(log_f.imag))
+    for at in zip(*np.nonzero(zero & (z.imag == 0) & np.isfinite(z.real))):
+        log_f[at] = _canprod_flagged(p, n[at], z.real[at], w[at])
+        zero[at] = np.isneginf(log_f[at].real)
     logmod = np.where(zero, -np.inf, log_f.real)
     phase = np.where(zero, 1.0 + 0j, np.exp(1j * log_f.imag))
     # non-finite input gets the NaN pole marker
     finite = np.isfinite(z.real) & np.isfinite(z.imag)
     return np.where(finite, logmod, np.nan), phase
+
+
+def _canprod_flagged(p: int, n: float, x: float, roots: np.ndarray) -> complex:
+    """log canprod(p) at a real x whose float evaluation reads as a zero.
+
+    n^p + x is decided in exact rational arithmetic: zero means a true
+    zero (-inf).  Otherwise its log is the head, and a root equal to n in
+    floats takes the limit of its summand, log[(-1)^(n-1) / (n-1)!].
+    This is as accurate as the rounded roots allow: about 1e-16 of the
+    largest loggamma term, n log n.  For p = 2 far out on the axis the
+    terms of the roots +-n cancel to far below that, and no digit is
+    left: -1.7e308 reads 0.0, where the true value is -356.5.
+    """
+    exact = Fraction(int(n)) ** p + Fraction(x)
+    if exact == 0:
+        return complex(-math.inf, 0.0)
+    head = complex(
+        math.log(abs(exact.numerator)) - math.log(exact.denominator),
+        math.pi if exact < 0 else 0.0,
+    )
+    off = roots != n
+    rest = loggamma(1.0 - roots[off]) + np.log(n - roots[off])
+    limit = complex(-float(loggamma(n).real), math.pi * ((int(n) - 1) % 2))
+    return head - complex(rest.sum()) - int((~off).sum()) * limit
 
 
 def _lp_lacunary(node: LacunarySeries, z: np.ndarray):
@@ -333,12 +376,13 @@ def _lp(node: Node, z: np.ndarray):
         l, p = _lp(node.argument, z)
         if node.name == "exp":
             return _lp_exp(l, p)
+        euler = _lp_euler(l, p)
         if node.name == "sin":
-            return _lp_sin(l, p)
+            return _lp_sin(*euler)
         if node.name == "cos":
-            return _lp_cos(l, p)
-        ls, ps = _lp_sin(l, p)
-        lc, pc = _lp_cos(l, p)
+            return _lp_cos(*euler)
+        ls, ps = _lp_sin(*euler)
+        lc, pc = _lp_cos(*euler)
         return ls - lc, ps * np.conj(pc)
     if isinstance(node, LacunarySeries):
         return _lp_lacunary(node, z)

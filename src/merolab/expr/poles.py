@@ -4,10 +4,14 @@ Pole location runs on two routes.  The exact route applies when every
 pole of the expression provably comes from a polynomial denominator or a
 tan node with an affine argument; roots then come from companion-matrix
 eigenvalues polished by Newton steps, and tan poles from the closed-form
-lattice.  Everything else falls back to a numeric search: the disk is
-covered by a grid of boxes, each box classified by its boundary winding
-number, and boxes that enclose poles are subdivided until the pole is
-isolated to a 1e-6 diameter.
+lattice.  Everything else falls back to a numeric search by the argument
+principle: the disk is covered by a grid of square cells, and cells with
+negative winding (more poles than zeros) are split 2x2 until each pole
+is isolated to a 1e-6 diameter.  All windings of one grid, the top grid
+or a 2x2 split, come from one sweep (_grid_windings) that samples every
+cell edge once per level, endpoints included, so neighbouring cells
+share their common edge.  A top grid with more than 2^19 cells in the
+disk is refused before anything is evaluated.
 """
 
 from __future__ import annotations
@@ -47,6 +51,11 @@ __all__ = [
 
 _MERGE_TOL = 1e-9       # poles closer than this are merged
 _BOX_DIAMETER = 1e-6    # numeric search stops at this box diameter
+_GRID_CELLS = 2**19     # most in-disk cells a numeric search may lay out
+_EDGE_START = 64        # segments per cell edge at the first winding level
+_EDGE_CAP = 2**15       # segments per cell edge at the last level
+_MAX_STEP = 2.8         # largest unambiguous phase step between samples (rad)
+_CHUNK_POINTS = 2**17   # samples per log_polar call in the winding sweep
 
 
 class BoundarySingularityError(ValueError):
@@ -97,71 +106,159 @@ class SingularityList:
 # ---------------------------------------------------------------------------
 
 
-def _boundary_points(box, n: int) -> np.ndarray:
-    x0, x1, y0, y1 = box
-    w, h = x1 - x0, y1 - y0
-    per = 2.0 * (w + h)
-    t = (np.arange(n) + 0.5) / n * per
-    pts = np.empty(n, dtype=np.complex128)
-    m0 = t < w
-    m1 = (t >= w) & (t < w + h)
-    m2 = (t >= w + h) & (t < 2 * w + h)
-    m3 = t >= 2 * w + h
-    pts[m0] = x0 + t[m0] + 1j * y0
-    pts[m1] = x1 + 1j * (y0 + (t[m1] - w))
-    pts[m2] = x1 - (t[m2] - w - h) + 1j * y1
-    pts[m3] = x0 + 1j * (y1 - (t[m3] - 2 * w - h))
+def _edge_samples(lo, hi, fixed, horizontal, m: int) -> np.ndarray:
+    """m + 1 points per edge, k/m of the way from lo to hi, endpoints exact.
+
+    t = k/m equals 2k/2m exactly, so the 2m-segment samples of an edge
+    contain its m-segment samples bit for bit.
+    """
+    t = np.arange(m + 1) / m
+    along = lo[:, None] + (hi - lo)[:, None] * t
+    along[:, -1] = hi
+    fixed = np.broadcast_to(fixed[:, None], along.shape)
+    pts = np.empty(along.shape, dtype=np.complex128)
+    pts.real = np.where(horizontal[:, None], along, fixed)
+    pts.imag = np.where(horizontal[:, None], fixed, along)
     return pts
 
 
-def _check_boundary_regular(logmod: np.ndarray):
-    if not np.all(np.isfinite(logmod)):
-        raise BoundarySingularityError("zero or pole detected on the boundary")
-    # a dip or spike of ~9 decades against samples two steps away marks a
-    # singularity hugging the boundary; smooth growth along the boundary
-    # (exp on a large box, say) does not trip this
-    if logmod.size >= 8:
-        left = np.roll(logmod, 2)
-        right = np.roll(logmod, -2)
-        if np.any(logmod < np.minimum(left, right) - 20.7):
-            raise BoundarySingularityError("near-boundary zero detected by sampling")
-        if np.any(logmod > np.maximum(left, right) + 20.7):
-            raise BoundarySingularityError("near-boundary pole detected by sampling")
+def _irregular(logmod: np.ndarray) -> np.ndarray:
+    """Per edge: a non-finite sample, or a dip or spike of ~9 decades.
+
+    Each sample is compared with the samples two steps away along its
+    edge (on one side only at the edge's ends).  Smooth growth along the
+    edge (exp on a large cell, say) does not trip this.
+    """
+    left = np.concatenate([logmod[:, 2:4], logmod[:, :-2]], axis=1)
+    right = np.concatenate([logmod[:, 2:], logmod[:, -4:-2]], axis=1)
+    with np.errstate(invalid="ignore"):
+        dip = logmod < np.minimum(left, right) - 20.7
+        spike = logmod > np.maximum(left, right) + 20.7
+    return ~np.isfinite(logmod).all(axis=1) | (dip | spike).any(axis=1)
 
 
-def winding_count(f, box, n_start: int = 256, n_cap: int = 2**17) -> int:
+def _edge_levels(f, lo, hi, fixed, horizontal, m: int):
+    """Phase statistics of each edge at m/2 and at m segments.
+
+    Returns (steps, jumps, bad), each of shape (2, n_edges) with row 0 for
+    m/2 segments (the even samples) and row 1 for m: the sum of the
+    wrapped phase steps, the largest step, and whether _irregular flags
+    the samples.  Samples are made and evaluated a chunk of edges at a
+    time, at most _CHUNK_POINTS per log_polar call.
+    """
+    n = lo.size
+    steps = np.empty((2, n))
+    jumps = np.empty((2, n))
+    bad = np.empty((2, n), dtype=bool)
+    per_call = max(1, _CHUNK_POINTS // (m + 1))
+    for a in range(0, n, per_call):
+        part = slice(a, a + per_call)
+        logmod, phase = log_polar(
+            f, _edge_samples(lo[part], hi[part], fixed[part], horizontal[part], m)
+        )
+        ang = np.angle(phase)
+        for level, stride in ((0, 2), (1, 1)):
+            d = np.diff(ang[:, ::stride], axis=1)
+            d = (d + math.pi) % (2.0 * math.pi) - math.pi
+            steps[level, part] = d.sum(axis=1)
+            jumps[level, part] = np.abs(d).max(axis=1)
+            bad[level, part] = _irregular(logmod[:, ::stride])
+    return steps, jumps, bad
+
+
+def _grid_windings(f, xs, ys, wanted) -> np.ndarray:
+    """Net winding of f (zeros minus poles) around the wanted grid cells.
+
+    xs and ys are the increasing edge coordinates of a rectilinear grid;
+    cell (j, i) is [xs[i], xs[i+1]] x [ys[j], ys[j+1]] and is counted
+    where wanted[j, i] is true.  Returns an int array shaped like wanted,
+    0 at the other cells.
+
+    Neighbouring cells share their common edge: each edge is sampled with
+    its endpoints, its wrapped phase steps are summed once, and a cell's
+    winding is (bottom + right - top - left) / 2 pi.  The sampling runs at
+    64, 128, ..., 2^15 segments per edge, two levels per evaluation (the
+    coarser level is the even samples of the finer one).  Each evaluation
+    samples the edges of the cells still open afresh, so only per-edge
+    sums outlive it and memory stays at one log_polar chunk.  A cell is
+    accepted at the first level where no step on its edges exceeds 2.8 rad
+    (a near-2 pi step is ambiguous) and the estimate agrees with that of
+    the previous such level within 0.25 and sits within 0.25 of an
+    integer; only cells still open go on to finer levels.  A non-finite
+    sample or a dip or spike of ~9 decades on the edges of an open cell
+    raises BoundarySingularityError (a singularity on or hugging the
+    boundary; one well inside the sample spacing can only show up as a
+    WindingConvergenceError, raised when a cell is still open at 2^15).
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    nx = xs.size - 1
+    n_h = ys.size * nx  # horizontal edges come first in the numbering
+    cj, ci = np.nonzero(wanted)
+    # edge ids per cell, rows: bottom, right, top, left
+    cell_edges = np.stack(
+        [
+            cj * nx + ci,
+            n_h + cj * (nx + 1) + ci + 1,
+            (cj + 1) * nx + ci,
+            n_h + cj * (nx + 1) + ci,
+        ]
+    )
+    prev = np.full(cj.size, np.nan)
+    wind = np.zeros(cj.size, dtype=np.int64)
+    still_open = np.ones(cj.size, dtype=bool)
+    m = _EDGE_START
+    while 2 * m <= _EDGE_CAP and still_open.any():
+        cells = np.flatnonzero(still_open)
+        ids, inv = np.unique(cell_edges[:, cells], return_inverse=True)
+        inv = inv.reshape(4, cells.size)
+        split = np.searchsorted(ids, n_h)
+        hrow, hcol = np.divmod(ids[:split], nx)
+        vrow, vcol = np.divmod(ids[split:] - n_h, nx + 1)
+        steps, jumps, bad = _edge_levels(
+            f,
+            np.concatenate([xs[hcol], ys[vrow]]),
+            np.concatenate([xs[hcol + 1], ys[vrow + 1]]),
+            np.concatenate([ys[hrow], xs[vcol]]),
+            np.arange(ids.size) < split,
+            2 * m,
+        )
+        for level in (0, 1):
+            live = still_open[cells]
+            c, e = cells[live], inv[:, live]
+            if bad[level][e].any():
+                raise BoundarySingularityError("zero or pole on or near a cell boundary")
+            s = steps[level][e]
+            est = (s[0] + s[1] - s[2] - s[3]) / (2.0 * math.pi)
+            smooth = jumps[level][e].max(axis=0) <= _MAX_STEP
+            whole = np.rint(est)
+            done = smooth & (np.abs(est - prev[c]) < 0.25) & (np.abs(est - whole) < 0.25)
+            wind[c[done]] = whole[done]
+            still_open[c[done]] = False
+            prev[c[smooth]] = est[smooth]
+        m *= 4
+    if still_open.any():
+        raise WindingConvergenceError("winding estimates did not stabilize")
+    out = np.zeros(np.shape(wanted), dtype=np.int64)
+    out[cj, ci] = wind
+    return out
+
+
+def winding_count(f, box) -> int:
     """Net winding of f around an axis-aligned box (zeros minus poles).
 
-    box is (re_min, re_max, im_min, im_max), traversed counterclockwise.
-    The boundary is sampled adaptively until two successive estimates
-    agree to 0.25 and the estimate sits within 0.25 of an integer.
-    Requires f to be regular near the boundary; a zero or pole on it
-    raises BoundarySingularityError (detected by sampling, so a
-    singularity well inside the sample spacing can only show up as a
-    WindingConvergenceError).
+    box is (re_min, re_max, im_min, im_max), traversed counterclockwise;
+    this is the one-cell case of the grid sweep used by the pole search,
+    with the same acceptance rule.  Requires f to be regular near the
+    boundary; a zero or pole on it raises BoundarySingularityError
+    (detected by sampling, so a singularity well inside the sample
+    spacing can only show up as a WindingConvergenceError).
     """
     x0, x1, y0, y1 = box
     if not (x1 > x0 and y1 > y0):
         raise ValueError("box must have positive width and height")
-    prev = None
-    n = n_start
-    while n <= n_cap:
-        pts = _boundary_points(box, n)
-        logmod, phase = log_polar(f, pts)
-        _check_boundary_regular(logmod)
-        ang = np.angle(phase)
-        d = np.diff(ang, append=ang[:1])
-        d = (d + math.pi) % (2.0 * math.pi) - math.pi
-        if np.any(np.abs(d) > 2.8):
-            # a near-2pi jump between adjacent samples is ambiguous
-            n *= 2
-            continue
-        est = float(d.sum() / (2.0 * math.pi))
-        if prev is not None and abs(est - prev) < 0.25 and abs(est - round(est)) < 0.25:
-            return int(round(est))
-        prev = est
-        n *= 2
-    raise WindingConvergenceError("winding estimates did not stabilize")
+    wanted = np.ones((1, 1), dtype=bool)
+    return int(_grid_windings(as_expr(f), (x0, x1), (y0, y1), wanted)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +438,8 @@ def _subdivide(f, box, winding, found, budget):
     """Split a pole-carrying box until it isolates its poles.
 
     The children partition the parent exactly, so every pole is counted
-    once; a split line landing on a singularity is retried at shifted
-    fractions.
+    once; their four windings come from one 2x2 grid sweep, and a split
+    line landing on a singularity is retried at shifted fractions.
     """
     x0, x1, y0, y1 = box
     diam = math.hypot(x1 - x0, y1 - y0)
@@ -350,16 +447,10 @@ def _subdivide(f, box, winding, found, budget):
         found.append((complex(0.5 * (x0 + x1), 0.5 * (y0 + y1)), -winding))
         return budget
     for attempt in range(6):
-        xm = x0 + (0.5 + 0.013 * attempt) * (x1 - x0)
-        ym = y0 + (0.5 + 0.017 * attempt) * (y1 - y0)
-        children = [
-            (x0, xm, y0, ym),
-            (xm, x1, y0, ym),
-            (x0, xm, ym, y1),
-            (xm, x1, ym, y1),
-        ]
+        xs = (x0, x0 + (0.5 + 0.013 * attempt) * (x1 - x0), x1)
+        ys = (y0, y0 + (0.5 + 0.017 * attempt) * (y1 - y0), y1)
         try:
-            ws = [winding_count(f, c) for c in children]
+            ws = _grid_windings(f, xs, ys, np.ones((2, 2), dtype=bool))
         except (BoundarySingularityError, WindingConvergenceError):
             continue
         break
@@ -370,31 +461,45 @@ def _subdivide(f, box, winding, found, budget):
             found.append((complex(0.5 * (x0 + x1), 0.5 * (y0 + y1)), -winding))
             return budget
         raise UnresolvedRegionError(box)
-    for child, w in zip(children, ws):
+    for j, i in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        w = int(ws[j, i])
         if w >= 0:
             continue
         budget -= 1
         if budget <= 0:
             raise UnresolvedRegionError("subdivision budget exhausted")
-        budget = _subdivide(f, child, w, found, budget)
+        budget = _subdivide(f, (xs[i], xs[i + 1], ys[j], ys[j + 1]), w, found, budget)
     return budget
 
 
 def _grid_search(f, radius: float, origin: float, extent: float, cell: float):
     n_cells = max(2, math.ceil((extent - origin) / cell))
+    starts = [origin + i * cell for i in range(n_cells)]
+    # per axis, the coordinate of each cell closest to 0
+    near = [s if s > 0 else (s + cell if s + cell < 0 else 0.0) for s in starts]
+    limit = radius + _MERGE_TOL
+    # the budget is checked before anything is evaluated or laid out per
+    # cell: in each row y, the cells with |x| <= sqrt(limit^2 - y^2)
+    dist = np.abs(near)
+    reach = np.sqrt(limit**2 - dist[dist <= limit] ** 2)
+    n_in = int(np.searchsorted(np.sort(dist), reach, side="right").sum())
+    if n_in > _GRID_CELLS:
+        raise UnresolvedRegionError(
+            f"{n_in} grid cells in the disk of radius {radius:g} exceed the "
+            f"budget of {_GRID_CELLS}"
+        )
+    wanted = np.array([[math.hypot(x, y) <= limit for x in near] for y in near])
+    edges = starts + [starts[-1] + cell]
+    windings = _grid_windings(f, edges, edges, wanted)
     found: list = []
     budget = 20000
-    for i in range(n_cells):
-        x0 = origin + i * cell
-        nx = x0 if x0 > 0 else (x0 + cell if x0 + cell < 0 else 0.0)
-        for j in range(n_cells):
-            y0 = origin + j * cell
-            ny = y0 if y0 > 0 else (y0 + cell if y0 + cell < 0 else 0.0)
-            if math.hypot(nx, ny) > radius + _MERGE_TOL:
-                continue
-            w = winding_count(f, (x0, x0 + cell, y0, y0 + cell))
-            if w < 0:
-                budget = _subdivide(f, (x0, x0 + cell, y0, y0 + cell), w, found, budget)
+    for i, j in zip(*np.nonzero(windings.T < 0)):
+        # start + cell can miss the next start by an ulp; subdividing
+        # [start, start + cell] keeps the pole locations independent of
+        # the edge array the sweep used
+        x0, y0 = starts[i], starts[j]
+        box = (x0, x0 + cell, y0, y0 + cell)
+        budget = _subdivide(f, box, int(windings[j, i]), found, budget)
     merged: dict = {}
     for loc, mult in sorted(found, key=lambda t: (abs(t[0]), t[0].real, t[0].imag)):
         _merge_pole(merged, loc, mult)

@@ -92,8 +92,9 @@ class RadialSample:
     """Circle functionals at one radius.
 
     L and M are plain moduli saturated to [0, 1e300]; log_L and log_M
-    carry the unsaturated values (log_L is -inf when a zero lies on the
-    circle).  T = m + N exactly as stored.  perturbed_from records the
+    carry the unsaturated values (log_L is -inf only when a scan node hits
+    a zero exactly, or a cataloged pole lies on the circle; a zero between
+    nodes reads finite, see log_min_modulus).  T = m + N exactly as stored.  perturbed_from records the
     grid radius when the circle was moved off a pole modulus, and
     m_converged goes False when the proximity quadrature hit its node
     cap (the value is then the best available estimate).
@@ -362,7 +363,13 @@ def _log_min_bound(f, r: float) -> float:
 
 
 def log_min_modulus(f, r: float) -> float:
-    """log L(r, f); -inf when a zero or cataloged pole sits on the circle."""
+    """log L(r, f).
+
+    -inf when one of the 4096 scan nodes hits a zero exactly, or when a
+    cataloged pole sits on the circle.  A zero on the circle between nodes
+    reads finite and very negative: canprod(4) at r = 16 reads -34.27,
+    because the node at angle pi is -16 + 2e-15i.
+    """
     if not r > 0:
         raise ValueError("radius must be positive")
     return _extremum_cached(as_expr(f), float(r), False)

@@ -173,6 +173,26 @@ def test_canprod_mpmath_oracle(p):
             assert abs(err) <= 1e-12 * max(1.0, float(abs(ref))), z
 
 
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_canprod_no_false_zero_from_rounding(p):
+    # -fl(n^p) with fl(n^p) != n^p, and the next double past -2^p: both
+    # once read as exact zeros (the rounded root lands on n)
+    mpmath = pytest.importorskip("mpmath")
+    n = {2: 2**27 + 1, 3: 2**18 + 1, 4: 2**14 + 1, 5: 2**11 + 1}[p]
+    assert float(n**p) != n**p
+    pts = [-float(n**p), float(np.nextafter(-(2.0**p), -math.inf))]
+    lm, phase = log_polar(parse(f"canprod({p})"), np.array(pts, dtype=np.complex128))
+    with mpmath.workdps(40):
+        for z, got_l, got_phase, k in zip(pts, lm, phase, (n, 2)):
+            ref = _canprod_log_oracle(mpmath, p, z)
+            err = complex(got_l - float(ref.real), cmath.phase(got_phase / complex(mpmath.expj(ref.imag))))
+            # the rounded roots carry an absolute error of about 1e-16 of the
+            # largest loggamma term, k log k
+            assert abs(err) <= 1e-12 + 2e-15 * k * math.log(k), z
+    # a true zero above 2^53 stays exact: -2^60 = -(2^30)^2
+    assert np.isneginf(log_modulus(parse("canprod(2)"), np.array([-(2.0**60)]))).all()
+
+
 def test_source_text_accepted_everywhere():
     src = "1/(exp(z)-2)"
     f = parse(src)
