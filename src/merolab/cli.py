@@ -8,9 +8,11 @@ Four subcommands, all writing into an output directory:
 * trace    -> trace.json
 
 Exit codes: 0 on success, 2 on validation or parse errors, 3 on numeric
-failures (insufficient radius span, non-finite report values).  A JSON
-config file may supply any flag value; explicit flags override it.
-Identical configurations produce byte-identical outputs.
+failures (insufficient radius span, non-finite report values).  Each
+subcommand accepts only the flags it reads.  A JSON config file may
+supply any flag value of any subcommand, so one file serves them all;
+explicit flags override it.  Identical configurations produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .criteria import (
 )
 from .dynamics import (
     boundedness_probe,
+    class_counts,
     classify_grid,
     component_summaries,
     label_components,
@@ -59,7 +62,6 @@ _DEFAULTS = {
     "resc": 1e6,
     "scales": None,
     "out": ".",
-    "seed": 0,
     "r0": 1.0,
 }
 
@@ -83,8 +85,35 @@ class RunConfig:
     resc: float
     scales: str | None
     out: str
-    seed: int
     r0: float
+
+
+# argparse options of each flag; a flag not listed takes a plain float
+_FLAGS = {
+    "function": {"help": "inline expression in z"},
+    "corpus": {"help": "named corpus entry (%s)" % ", ".join(sorted(CORPUS))},
+    "config": {"help": "JSON file mirroring the flags"},
+    "out": {"help": "output directory (default current)"},
+    "window": {"help": "center,half-width (center may be complex)"},
+    "res": {"type": int},
+    "budget": {"type": int},
+    "resc": {"type": float, "help": "escape radius for orbit classification"},
+    "scales": {"help": "comma-separated probe half-widths"},
+    "r0": {"type": float, "help": "starting radius for trace"},
+}
+
+_RADII = ("rmin", "rmax", "ratio")
+_CRITERION = ("alpha", "d", "D", "K")
+
+# every subcommand takes --function, --corpus, --config and --out, plus
+# only the flags its handler reads; a config file may still name any key
+_COMMANDS = {
+    "analyze": ("sample m, N, T, L, M over a radius grid", _RADII),
+    "check": ("evaluate the boundedness criteria on a radius grid", _RADII + _CRITERION),
+    "render": ("classify pixel orbits and emit a PPM image",
+               ("window", "res", "budget", "resc", "scales")),
+    "trace": ("replay the exponent arithmetic and radius recursion", _CRITERION + ("r0",)),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -94,31 +123,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "and recursion traces for meromorphic functions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-        ("analyze", "sample m, N, T, L, M over a radius grid"),
-        ("check", "evaluate the boundedness criteria on a radius grid"),
-        ("render", "classify pixel orbits and emit a PPM image"),
-        ("trace", "replay the exponent arithmetic and radius recursion"),
-    ):
+    for name, (blurb, flags) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=blurb)
-        cmd.add_argument("--function", help="inline expression in z")
-        cmd.add_argument("--corpus", help="named corpus entry (%s)" % ", ".join(sorted(CORPUS)))
-        cmd.add_argument("--config", help="JSON file mirroring the flags")
-        cmd.add_argument("--rmin", type=float)
-        cmd.add_argument("--rmax", type=float)
-        cmd.add_argument("--ratio", type=float)
-        cmd.add_argument("--alpha", type=float)
-        cmd.add_argument("--d", type=float)
-        cmd.add_argument("--D", type=float)
-        cmd.add_argument("--K", type=float)
-        cmd.add_argument("--window", help="center,half-width (center may be complex)")
-        cmd.add_argument("--res", type=int)
-        cmd.add_argument("--budget", type=int)
-        cmd.add_argument("--resc", type=float, help="escape radius for orbit classification")
-        cmd.add_argument("--scales", help="comma-separated probe half-widths")
-        cmd.add_argument("--out", help="output directory (default current)")
-        cmd.add_argument("--seed", type=int)
-        cmd.add_argument("--r0", type=float, help="starting radius for trace")
+        for flag in ("function", "corpus", "config", "out") + flags:
+            cmd.add_argument("--" + flag, **_FLAGS.get(flag, {"type": float}))
     return parser
 
 
@@ -278,6 +286,7 @@ def cmd_render(config: RunConfig) -> None:
     labeled = label_components(grid)
     out = _out_dir(config)
     (out / "render.ppm").write_bytes(to_ppm(labeled))
+    counts = class_counts(labeled)
     report = {
         "function": source,
         "corpus": name,
@@ -287,6 +296,8 @@ def cmd_render(config: RunConfig) -> None:
         "escape_radius": config.resc,
         "cycles": [[c.real, c.imag] for c in labeled.cycles],
         "components": component_summaries(labeled),
+        "class_counts": counts,
+        "undecided_fraction": counts["undecided"] / labeled.classes.size,
     }
     if scales is not None:
         probe = boundedness_probe(

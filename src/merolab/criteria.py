@@ -196,6 +196,21 @@ def _tested_radii(grid: RadiusGrid | None, warmup: float) -> list[float]:
     return radii
 
 
+def _first_failure(condition: str, steps) -> CriterionVerdict:
+    """Collect witnesses from steps until the first one that fails.
+
+    steps yields (holds, witness, diagnostics) and is not resumed after
+    a failure; the failure is recorded at the witness radius r.
+    """
+    witnesses = []
+    for holds, witness, diagnostics in steps:
+        if not holds:
+            failure = {"r": witness.r, "diagnostics": diagnostics}
+            return CriterionVerdict(condition, False, tuple(witnesses), failure)
+        witnesses.append(witness)
+    return CriterionVerdict(condition, True, tuple(witnesses), None)
+
+
 def _ladder_exponents(d: float, closed: bool) -> list[float]:
     # Candidate exponents live on the fixed lattice 1 + j/64, so enlarging
     # d only ever adds candidates; the closed variant appends the exact
@@ -311,20 +326,15 @@ def check_L_over_r(f, grid: RadiusGrid | None = None) -> CriterionVerdict:
         v = log_min_modulus(expr, r) - math.log(r)
         if v > best[k]:
             best[k], best_r[k] = v, r
-    witnesses = []
-    failure = None
-    for k in range(1, n_dec):
-        lhs = best[k]
-        rhs = best[k - 1] + math.log(2.0)
-        if lhs > rhs:
-            witnesses.append(Witness(best_r[k], best_r[k - 1], lhs, rhs, lhs - rhs))
-        else:
-            failure = {
-                "r": best_r[k],
-                "diagnostics": "decade maximum of L(r)/r failed to double",
-            }
-            break
-    return CriterionVerdict("L-over-r-growth", failure is None, tuple(witnesses), failure)
+
+    def steps():
+        for k in range(1, n_dec):
+            lhs = best[k]
+            rhs = best[k - 1] + math.log(2.0)
+            yield (lhs > rhs, Witness(best_r[k], best_r[k - 1], lhs, rhs, lhs - rhs),
+                   "decade maximum of L(r)/r failed to double")
+
+    return _first_failure("L-over-r-growth", steps())
 
 
 def check_main(f, params: CriterionParams) -> CriterionVerdict:
@@ -341,35 +351,22 @@ def check_main(f, params: CriterionParams) -> CriterionVerdict:
     with identical witnesses.
     """
     expr = as_expr(f)
-    radii = [float(r) for r in params.grid.radii() if r >= params.warmup * (1.0 - 1e-12)]
-    if not radii:
-        raise ValueError("no grid radii at or beyond the warm-up threshold")
-    witnesses = []
-    failure = None
-    for r in radii:
-        base = characteristic(expr, r)
-        t, lhs = _search_log_L(expr, r, params.d, closed=False)
-        rhs = params.alpha * base
-        if lhs > rhs:
-            witnesses.append(Witness(r, t, lhs, rhs, lhs - rhs))
-        else:
-            failure = {
-                "r": r,
-                "diagnostics": "no t in (r, r^d) lifts log L above alpha*T(r)",
-            }
-            break
-        top = r**params.d
-        grown = characteristic(expr, top)
-        need = params.D * base
-        if grown >= need:
-            witnesses.append(Witness(r, top, grown, need, grown - need))
-        else:
-            failure = {
-                "r": r,
-                "diagnostics": "characteristic at r^d fell below D*T(r)",
-            }
-            break
-    return CriterionVerdict("main-growth", failure is None, tuple(witnesses), failure)
+    radii = _tested_radii(params.grid, params.warmup)
+
+    def steps():
+        for r in radii:
+            base = characteristic(expr, r)
+            t, lhs = _search_log_L(expr, r, params.d, closed=False)
+            rhs = params.alpha * base
+            yield (lhs > rhs, Witness(r, t, lhs, rhs, lhs - rhs),
+                   "no t in (r, r^d) lifts log L above alpha*T(r)")
+            top = r**params.d
+            grown = characteristic(expr, top)
+            need = params.D * base
+            yield (grown >= need, Witness(r, top, grown, need, grown - need),
+                   "characteristic at r^d fell below D*T(r)")
+
+    return _first_failure("main-growth", steps())
 
 
 def check_L_versus_M(f, d: float, grid: RadiusGrid | None = None, warmup: float = 10.0) -> CriterionVerdict:
@@ -383,21 +380,17 @@ def check_L_versus_M(f, d: float, grid: RadiusGrid | None = None, warmup: float 
     expr = as_expr(f)
     if not d > 1.0:
         raise ValueError("search exponent d must exceed 1")
-    witnesses = []
-    failure = None
-    for r in _tested_radii(grid, warmup):
-        t, lhs = _search_log_L(expr, r, d, closed=True)
-        rhs = d * log_max_modulus(expr, r)
-        margin = lhs - rhs
-        if margin >= -_BOUNDARY_TOL:
-            witnesses.append(Witness(r, t, lhs, rhs, max(margin, 0.0)))
-        else:
-            failure = {
-                "r": r,
-                "diagnostics": "no t in [r, r^d] lifts log L to d*log M(r)",
-            }
-            break
-    return CriterionVerdict("L-versus-M", failure is None, tuple(witnesses), failure)
+    radii = _tested_radii(grid, warmup)
+
+    def steps():
+        for r in radii:
+            t, lhs = _search_log_L(expr, r, d, closed=True)
+            rhs = d * log_max_modulus(expr, r)
+            margin = lhs - rhs
+            yield (margin >= -_BOUNDARY_TOL, Witness(r, t, lhs, rhs, max(margin, 0.0)),
+                   "no t in [r, r^d] lifts log L to d*log M(r)")
+
+    return _first_failure("L-versus-M", steps())
 
 
 def check_strong(f, d: float, D: float, grid: RadiusGrid | None = None, warmup: float = 10.0) -> CriterionVerdict:
@@ -407,20 +400,16 @@ def check_strong(f, d: float, D: float, grid: RadiusGrid | None = None, warmup: 
         raise ValueError("search exponent d must exceed 1")
     if not D > 0.0:
         raise ValueError("growth factor D must be positive")
-    witnesses = []
-    failure = None
-    for r in _tested_radii(grid, warmup):
-        t, lhs = _search_log_L(expr, r, d, closed=True)
-        rhs = D * characteristic(expr, r)
-        if lhs > rhs:
-            witnesses.append(Witness(r, t, lhs, rhs, lhs - rhs))
-        else:
-            failure = {
-                "r": r,
-                "diagnostics": "no t in [r, r^d] lifts log L above D*T(r)",
-            }
-            break
-    return CriterionVerdict("strong-characteristic", failure is None, tuple(witnesses), failure)
+    radii = _tested_radii(grid, warmup)
+
+    def steps():
+        for r in radii:
+            t, lhs = _search_log_L(expr, r, d, closed=True)
+            rhs = D * characteristic(expr, r)
+            yield (lhs > rhs, Witness(r, t, lhs, rhs, lhs - rhs),
+                   "no t in [r, r^d] lifts log L above D*T(r)")
+
+    return _first_failure("strong-characteristic", steps())
 
 
 def check_deficiency_order(f, profile: RadialProfile) -> CriterionVerdict:

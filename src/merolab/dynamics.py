@@ -5,8 +5,10 @@ pole-hit, or undecided.  Cycle detection runs Floyd's tortoise-and-hare
 directly on the iteration, so no orbit history is stored and the same
 code path serves single points and full pixel grids.  Components of the
 stable set are approximated by 4-connected patches of decided pixels of
-the same class; undecided and pole-hit pixels act as barriers, which may
-oversegment but never merges across possible Julia points.
+the same class: the connected components of the graph whose edges join
+4-neighbours of equal class key.  Undecided and pole-hit pixels have no
+key and act as barriers, which may oversegment but never merges across
+possible Julia points.
 
 Boundedness of a component is probed, not proved: windows are recentered
 on a seed and rescaled, and the verdict reports whether the component
@@ -22,6 +24,9 @@ from enum import IntEnum
 from functools import lru_cache
 
 import numpy as np
+from scipy import ndimage
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .expr import OVERFLOW_FLAG, POLE_FLAG, as_expr, evaluate_many, poles_in_disk
 
@@ -361,79 +366,68 @@ def _component_keys(grid: ClassifiedGrid) -> np.ndarray:
 
 
 def label_components(grid: ClassifiedGrid) -> ClassifiedGrid:
-    """Union-find labeling of 4-connected same-class decided pixels.
+    """Connected components of the equal-key 4-neighbour graph.
 
+    Pixels are nodes; an edge joins 4-neighbours with the same class key.
     Escaping pixels form one class; attracted pixels split by cycle id.
-    Undecided and pole-hit pixels stay at label 0 and separate
-    components.  Label ids count up in raster order of each component's
-    first pixel.
+    Undecided and pole-hit pixels have no key, stay at label 0 and
+    separate components.  Label ids count up in raster order of each
+    component's first pixel.
     """
     res = grid.resolution
-    keys = _component_keys(grid)
-    parent = np.arange(res * res, dtype=np.int64)
+    keys = _component_keys(grid).reshape(res, res)
+    # int32 indices suffice: res^2 <= 8192^2 < 2^31
+    index = np.arange(res * res, dtype=np.int32).reshape(res, res)
+    decided = keys != 0
+    across = (keys[:, 1:] == keys[:, :-1]) & decided[:, 1:]
+    down = (keys[1:, :] == keys[:-1, :]) & decided[1:, :]
+    tail = np.concatenate([index[:, :-1][across], index[:-1, :][down]])
+    head = np.concatenate([index[:, 1:][across], index[1:, :][down]])
+    edges = coo_matrix((np.ones(tail.size, dtype=np.int8), (tail, head)), shape=(res * res,) * 2)
+    _, comp = connected_components(edges, directed=False)
+    # a barrier pixel is a component of its own and keeps label 0
+    roots, first = np.unique(comp[decided.reshape(-1)], return_index=True)
+    renumber = np.zeros(comp.max() + 1, dtype=np.int32)
+    renumber[roots[np.argsort(first)]] = np.arange(1, roots.size + 1, dtype=np.int32)
+    return replace(grid, labels=renumber[comp].reshape(res, res))
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    for r in range(res):
-        base = r * res
-        for c in range(res):
-            i = base + c
-            k = keys[i]
-            if k == 0:
-                continue
-            if c > 0 and keys[i - 1] == k:
-                ra, rb = find(i), find(i - 1)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-            if r > 0 and keys[i - res] == k:
-                ra, rb = find(i), find(i - res)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-    labels = np.zeros(res * res, dtype=np.int32)
-    next_label = 1
-    assigned: dict[int, int] = {}
-    for i in range(res * res):
-        if keys[i] == 0:
-            continue
-        root = find(i)
-        lab = assigned.get(root)
-        if lab is None:
-            lab = next_label
-            assigned[root] = lab
-            next_label += 1
-        labels[i] = lab
-    return replace(grid, labels=labels.reshape(res, res))
+def _component_table(grid: ClassifiedGrid) -> tuple[list, list]:
+    """JSON-ready summary and bounding box of every component, by label - 1.
+
+    A component's pixels share one class, read at its first pixel; it
+    touches the boundary when its box reaches row or column 0 or res.
+    """
+    if grid.labels is None:
+        raise ValueError("grid has no labels; run label_components first")
+    res = grid.resolution
+    flat = grid.labels.reshape(-1)
+    pixels = np.bincount(flat)
+    present, first = np.unique(flat, return_index=True)
+    classes = np.zeros(pixels.size, dtype=np.uint8)
+    classes[present] = grid.classes.reshape(-1)[first]
+    boxes = ndimage.find_objects(grid.labels)
+    summaries = [
+        {
+            "id": lab,
+            "class": _CLASS_NAMES[OrbitClass(int(classes[lab]))],
+            "pixels": int(pixels[lab]),
+            "touches_boundary": 0 in (rows.start, cols.start) or res in (rows.stop, cols.stop),
+        }
+        for lab, (rows, cols) in enumerate(boxes, start=1)
+    ]
+    return summaries, boxes
 
 
 def component_summaries(grid: ClassifiedGrid) -> list:
     """Per-component JSON-ready summaries of a labeled grid."""
-    if grid.labels is None:
-        raise ValueError("grid has no labels; run label_components first")
-    labels = grid.labels
-    out = []
-    for lab in range(1, int(labels.max(initial=0)) + 1):
-        mask = labels == lab
-        rows, cols = np.nonzero(mask)
-        cls = OrbitClass(int(grid.classes[rows[0], cols[0]]))
-        touches = bool(
-            (rows == 0).any()
-            or (cols == 0).any()
-            or (rows == grid.resolution - 1).any()
-            or (cols == grid.resolution - 1).any()
-        )
-        out.append(
-            {
-                "id": int(lab),
-                "class": _CLASS_NAMES[cls],
-                "pixels": int(mask.sum()),
-                "touches_boundary": touches,
-            }
-        )
-    return out
+    return _component_table(grid)[0]
+
+
+def class_counts(grid: ClassifiedGrid) -> dict:
+    """Pixel count of each orbit class, keyed by class name."""
+    counts = np.bincount(grid.classes.reshape(-1), minlength=len(OrbitClass))
+    return {_CLASS_NAMES[cls]: int(counts[cls]) for cls in OrbitClass}
 
 
 # ---------------------------------------------------------------------------
@@ -447,35 +441,27 @@ def _seed_pixel(resolution: int) -> tuple[int, int]:
 
 
 def _component_stats(grid: ClassifiedGrid, row: int, col: int):
-    labels = grid.labels
-    lab = int(labels[row, col])
+    lab = int(grid.labels[row, col])
     if lab == 0:
         return None
-    mask = labels == lab
-    rows, cols = np.nonzero(mask)
+    summaries, boxes = _component_table(grid)
+    summary = summaries[lab - 1]
+    rows, cols = boxes[lab - 1]
+    touches = summary["touches_boundary"]
     res = grid.resolution
-    touches = bool(
-        (rows == 0).any() or (cols == 0).any() or (rows == res - 1).any() or (cols == res - 1).any()
-    )
     px = 2.0 * grid.half_width / res
-    width = (cols.max() - cols.min() + 1) * px
-    height = (rows.max() - rows.min() + 1) * px
+    width = (cols.stop - cols.start) * px
+    height = (rows.stop - rows.start) * px
     # collar: every pixel 4-adjacent to the component must be decided
     collar_ok = True
     if not touches:
-        padded = np.zeros((res + 2, res + 2), dtype=bool)
-        padded[1:-1, 1:-1] = mask
-        neighbor = (
-            np.roll(padded, 1, axis=0)
-            | np.roll(padded, -1, axis=0)
-            | np.roll(padded, 1, axis=1)
-            | np.roll(padded, -1, axis=1)
-        )[1:-1, 1:-1] & ~mask
-        undecided = grid.classes == OrbitClass.UNDECIDED
-        collar_ok = not bool((neighbor & undecided).any())
+        mask = grid.labels == lab
+        # the default structuring element is the 4-neighbour cross
+        collar = ndimage.binary_dilation(mask) & ~mask
+        collar_ok = not bool((collar & (grid.classes == OrbitClass.UNDECIDED)).any())
     return {
         "label": lab,
-        "pixels": int(mask.sum()),
+        "pixels": summary["pixels"],
         "touches": touches,
         "diameter": float(math.hypot(width, height)),
         "collar_decided": collar_ok,

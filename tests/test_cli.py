@@ -1,11 +1,17 @@
+import argparse
+import ast
+import inspect
 import json
 import shutil
 import subprocess
 import sys
+import textwrap
+from dataclasses import fields
 
 import pytest
 
-from merolab.cli import main
+from merolab import cli
+from merolab.cli import RunConfig, main
 
 _CONDITIONS = {
     "L-over-r-growth",
@@ -131,6 +137,32 @@ def test_render_drifting_map_escapes_everywhere(tmp_path):
     assert only["touches_boundary"] is True
 
 
+def test_render_reports_class_counts(tmp_path):
+    rc = main([
+        "render", "--corpus", "zsq", "--res", "32", "--budget", "8", "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    report = _read(tmp_path / "components.json")
+    counts = report["class_counts"]
+    assert set(counts) == {"undecided", "escaping", "attracted", "pole-hit"}
+    assert sum(counts.values()) == 32 * 32
+    assert report["undecided_fraction"] == counts["undecided"] / (32 * 32)
+    in_components = sum(c["pixels"] for c in report["components"])
+    assert in_components == counts["escaping"] + counts["attracted"]
+
+
+def test_render_parabolic_map_reports_all_undecided(tmp_path):
+    rc = main([
+        "render", "--corpus", "tanz", "--window", "0,3", "--res", "16", "--budget", "32",
+        "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    report = _read(tmp_path / "components.json")
+    assert report["components"] == []
+    assert report["class_counts"]["undecided"] == 16 * 16
+    assert report["undecided_fraction"] == 1.0
+
+
 def test_render_resolution_cap(capsys):
     assert main(["render", "--corpus", "zsq", "--res", "100000"]) == 2
     assert "invalid configuration" in capsys.readouterr().err
@@ -173,8 +205,59 @@ def test_trace_rejects_equal_exponents(capsys):
 
 
 # ---------------------------------------------------------------------------
-# config files
+# flags and config files
 # ---------------------------------------------------------------------------
+
+
+def _fields_read(func):
+    """RunConfig fields a cli function reads from `config`, through helpers too."""
+    found = set()
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(func)))):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "config":
+            found.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and any(getattr(a, "id", None) == "config" for a in node.args):
+            found |= _fields_read(getattr(cli, node.func.id))
+    return found
+
+
+def test_each_subcommand_takes_exactly_the_flags_it_reads():
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(cli._HANDLERS)
+    read_anywhere = set()
+    for name, parser in sub.choices.items():
+        flags = {a.dest for a in parser._actions} - {"help", "config"}
+        read = _fields_read(cli._HANDLERS[name])
+        assert flags == read, name
+        read_anywhere |= read
+    # no RunConfig field, hence no config key, that no handler reads
+    assert read_anywhere == {f.name for f in fields(RunConfig)}
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--corpus", "zsq", "--window", "0,2"],
+    ["render", "--corpus", "zsq", "--seed", "1"],
+    ["trace", "--rmax", "10"],
+])
+def test_flag_of_another_subcommand_is_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_config_keys_of_other_subcommands_are_accepted(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"corpus": "expz", "window": "0,1", "alpha": 0.4}))
+    assert main(["trace", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert _read(tmp_path / "trace.json")["params"]["alpha"] == 0.4
+
+
+def test_config_seed_key_is_unknown(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"seed": 1}))
+    assert main(["trace", "--config", str(cfg)]) == 2
+    assert "seed" in capsys.readouterr().err
 
 
 def test_config_supplies_values_and_flags_override(tmp_path):

@@ -14,7 +14,7 @@ from merolab import (
     label_components,
     to_ppm,
 )
-from merolab.dynamics import _PALETTE, _POLE_COLOR, ClassifiedGrid
+from merolab.dynamics import _PALETTE, _POLE_COLOR, ClassifiedGrid, _component_stats
 
 
 def _blank_grid(classes, cycle_ids, steps=None, budget=8):
@@ -218,6 +218,73 @@ def test_cycle_id_separates_attracted_components():
     assert labeled.labels[0, 0] == 1
     assert labeled.labels[0, 3] == 2
     assert len(np.unique(labeled.labels)) == 2
+
+
+def test_labels_match_bfs_with_many_cycle_ids():
+    rng = np.random.default_rng(13)
+    res = 64
+    for _ in range(10):
+        # 4x4 blocks of 256 cycle ids, with scattered barrier and escaping pixels
+        blocks = rng.permutation(256).reshape(16, 16) + 1
+        cyc = np.kron(blocks, np.ones((4, 4), dtype=np.int64))
+        classes = rng.choice([0, 1, 2, 2, 2, 2, 3], size=(res, res))
+        cyc = np.where(classes == OrbitClass.ATTRACTED, cyc, 0)
+        assert np.unique(cyc[cyc > 0]).size >= 150
+        labeled = label_components(_blank_grid(classes, cyc))
+        assert np.array_equal(labeled.labels, _bfs_labels(classes, cyc))
+
+
+def test_labels_match_bfs_on_tiny_grids():
+    for cls in OrbitClass:
+        classes = np.full((1, 1), int(cls))
+        cyc = np.where(classes == OrbitClass.ATTRACTED, 1, 0)
+        labeled = label_components(_blank_grid(classes, cyc))
+        assert labeled.labels.dtype == np.int32
+        assert np.array_equal(labeled.labels, _bfs_labels(classes, cyc))
+    # every class pattern of a 2x2 grid, attracted pixels on two cycles
+    cycle_pattern = np.array([[1, 2], [2, 2]])
+    for code in range(4 ** 4):
+        classes = np.array([(code >> (2 * k)) & 3 for k in range(4)]).reshape(2, 2)
+        cyc = np.where(classes == OrbitClass.ATTRACTED, cycle_pattern, 0)
+        labeled = label_components(_blank_grid(classes, cyc))
+        assert np.array_equal(labeled.labels, _bfs_labels(classes, cyc))
+
+
+def _brute_force_components(grid):
+    # one full-grid mask per label, as a reference for the one-pass table
+    res = grid.resolution
+    px = 2.0 * grid.half_width / res
+    out = []
+    for lab in range(1, int(grid.labels.max(initial=0)) + 1):
+        rows, cols = np.nonzero(grid.labels == lab)
+        touches = bool((rows == 0).any() or (cols == 0).any()
+                       or (rows == res - 1).any() or (cols == res - 1).any())
+        diameter = math.hypot((cols.max() - cols.min() + 1) * px, (rows.max() - rows.min() + 1) * px)
+        cls = OrbitClass(int(grid.classes[rows[0], cols[0]]))
+        out.append((lab, cls, rows.size, touches, diameter, (rows[0], cols[0])))
+    return out
+
+
+def test_component_table_matches_brute_force():
+    rng = np.random.default_rng(17)
+    names = {OrbitClass.ESCAPING: "escaping", OrbitClass.ATTRACTED: "attracted"}
+    for _ in range(40):
+        res = int(rng.integers(1, 40))
+        block = int(rng.integers(1, 6))
+        coarse = rng.integers(0, 4, size=(res // block + 1,) * 2)
+        classes = np.kron(coarse, np.ones((block, block), dtype=np.int64))[:res, :res]
+        cyc = np.where(classes == OrbitClass.ATTRACTED, rng.integers(1, 4, size=(res, res)), 0)
+        grid = label_components(_blank_grid(classes, cyc))
+        reference = _brute_force_components(grid)
+        summaries = component_summaries(grid)
+        assert len(summaries) == len(reference)
+        for summary, (lab, cls, pixels, touches, diameter, (row, col)) in zip(summaries, reference):
+            assert summary == {
+                "id": lab, "class": names[cls], "pixels": pixels, "touches_boundary": touches,
+            }
+            stats = _component_stats(grid, row, col)
+            assert (stats["label"], stats["pixels"], stats["touches"]) == (lab, pixels, touches)
+            assert stats["diameter"] == diameter
 
 
 def test_component_summaries(zsq):
