@@ -27,6 +27,7 @@ from .nevanlinna import (
     RadialProfile,
     RadiusGrid,
     characteristic,
+    golden_min,
     growth_summary,
     log_max_modulus,
     log_min_modulus,
@@ -43,7 +44,6 @@ _RATIO_SPREAD = 0.05
 _POWER_CAP = 1e18
 _SCAN_RADIUS_CAP = 1e6
 _PROBE_ANGLES = 8
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class NotEntireError(ValueError):
@@ -237,9 +237,9 @@ def _search_log_L(expr, r: float, d: float, closed: bool) -> tuple[float, float]
     descending order of their scan bound (never below the refined log L),
     and the walk stops at the first bound strictly below the best refined
     value.  Ties go to the lowest ladder index, so the winner is the
-    exhaustive ladder's argmax, bit for bit.  The golden refinement of
-    the exponent around it only adds candidates beyond the lattice, so
-    the reported maximum is never below the plain ladder maximum.
+    exhaustive ladder's argmax, bit for bit.  golden_min then refines the
+    exponent to 1e-4 within a ladder step of it; its best probe replaces
+    the winner only when strictly larger, so the ladder maximum is a floor.
     """
     exps = _ladder_exponents(d, closed)
     bounds = [_log_min_bound(expr, r**e) for e in exps]
@@ -254,23 +254,11 @@ def _search_log_L(expr, r: float, d: float, closed: bool) -> tuple[float, float]
     edge = 0.0 if closed else _BOUNDARY_TOL
     a = max(1.0 + edge, best_e - _LADDER_STEP)
     b = min(d - edge, best_e + _LADDER_STEP)
-    c = b - _INVPHI * (b - a)
-    e2 = a + _INVPHI * (b - a)
-    fc = log_min_modulus(expr, r**c)
-    fd = log_min_modulus(expr, r**e2)
-    while b - a > _EXPONENT_TOL:
-        if fc >= fd:
-            b, e2, fd = e2, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = log_min_modulus(expr, r**c)
-            if fc > best_v:
-                best_e, best_v = c, fc
-        else:
-            a, c, fc = c, e2, fd
-            e2 = a + _INVPHI * (b - a)
-            fd = log_min_modulus(expr, r**e2)
-            if fd > best_v:
-                best_e, best_v = e2, fd
+    if b > a:  # an open range narrower than 2e-9 leaves no bracket
+        e, v, _ = golden_min(lambda e: -log_min_modulus(expr, r ** float(e)),
+                             a, b, _EXPONENT_TOL)
+        if -float(v) > best_v:
+            best_e, best_v = float(e), -float(v)
     return r**best_e, best_v
 
 

@@ -24,12 +24,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import linregress
+from scipy.special import stdtr
 
 from .expr import OVERFLOW_FLAG, POLE_FLAG, as_expr, evaluate_many
-from .nevanlinna import characteristic
+from .nevanlinna import _slope, characteristic, golden_min
 
 _CONTRACTION_TOL = 1e-9
+_LOG_RADIUS_TOL = 1e-9
 _MAP_SAMPLES = 1000
 _SAMPLER_SEED = 12905
 _EXP_OVERFLOW = 709.0
@@ -363,8 +364,10 @@ def domain_constant(domain, a: complex, n_radial: int = 48, n_angular: int = 64,
     a must lie outside the domain.  The density used is the exact one
     where available; for punctured planes it is the subset comparison
     bound, which lies above the truth, so small values soundly certify
-    the vanishing-constant signature.  The grid minimum is refined by a
-    short golden-section sweep in the radius at the best angle.
+    the vanishing-constant signature.  The grid minimum is refined by
+    golden_min in log radius, one grid step either side of the best
+    sample at its angle, to a width of 1e-9; samples counts every
+    density evaluation, the refinement's probes included.
     """
     a = complex(a)
     if domain.contains(a):
@@ -382,35 +385,18 @@ def domain_constant(domain, a: complex, n_radial: int = 48, n_angular: int = 64,
     angles = 2.0 * math.pi * np.arange(n_angular) / n_angular
     best = math.inf
     best_rt = None
-    count = 0
     for th in angles:
         for r in radii:
             v = probe(float(r), float(th))
-            count += 1
             if v < best:
                 best, best_rt = v, (float(r), float(th))
     if best_rt is None:
         raise ValueError("no sample fell inside the domain")
     r0, th0 = best_rt
-    lo, hi = r0 / (radii[1] / radii[0]), r0 * (radii[1] / radii[0])
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    la, lb = math.log(lo), math.log(hi)
-    c = lb - invphi * (lb - la)
-    d = la + invphi * (lb - la)
-    fc, fd = probe(math.exp(c), th0), probe(math.exp(d), th0)
-    count += 2
-    for _ in range(40):
-        if fc <= fd:
-            lb, d, fd = d, c, fc
-            c = lb - invphi * (lb - la)
-            fc = probe(math.exp(c), th0)
-        else:
-            la, c, fc = c, d, fd
-            d = la + invphi * (lb - la)
-            fd = probe(math.exp(d), th0)
-        count += 1
-        best = min(best, fc, fd)
-    return DomainConstant(a, float(best), count)
+    ratio = radii[1] / radii[0]
+    _, v, probes = golden_min(lambda lr: probe(math.exp(lr), th0),
+                              math.log(r0 / ratio), math.log(r0 * ratio), _LOG_RADIUS_TOL)
+    return DomainConstant(a, min(best, float(v)), n_radial * n_angular + probes)
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +433,20 @@ class DistortionReport:
         }
 
 
+def _trend(logs: np.ndarray) -> tuple[float, float]:
+    """Slope of the last half of logs against the step number, and the
+    one-sided Student t p-value that it is positive (only growth counts).
+    Tails shorter than three steps or flat within 1e-15 give (0, 1)."""
+    half = logs.size // 2
+    tail = logs[half:]
+    if tail.size < 3 or float(tail.max() - tail.min()) <= 1e-15:
+        return 0.0, 1.0
+    ns = np.arange(half + 1, logs.size + 1, dtype=float)
+    slope, _, stderr = _slope(ns, tail)
+    t = slope / stderr if stderr > 0 else math.copysign(math.inf, slope)
+    return slope, float(stdtr(tail.size - 2, -t))
+
+
 def distortion_check(f, sample_set, n_max: int, r_esc: float = 1e6,
                      precheck_steps: int | None = None) -> DistortionReport:
     """Empirical bounded-distortion test on a compact sample set.
@@ -454,8 +454,9 @@ def distortion_check(f, sample_set, n_max: int, r_esc: float = 1e6,
     Every sample must generate an escaping orbit (checked first with the
     given escape radius; NonEscapingSampleError otherwise).  Ratios are
     collected for n = 1..n_max or until some iterate overflows; the
-    growth trend is a one-sided slope test at the 5% level on the log
-    ratios over the last half of the usable steps.
+    growth trend is a one-sided Student t test of the least-squares slope
+    at the 5% level on the log ratios over the last half of the usable
+    steps.
     """
     from .dynamics import OrbitClass, iterate_orbit
 
@@ -488,17 +489,7 @@ def distortion_check(f, sample_set, n_max: int, r_esc: float = 1e6,
         ratios.append(float(mods.max() / mods.min()))
     if not ratios:
         raise ValueError("no usable iteration steps before overflow")
-    logs = np.log(np.array(ratios))
-    half = len(ratios) // 2
-    tail = logs[half:]
-    ns = np.arange(half + 1, len(ratios) + 1, dtype=float)
-    if tail.size >= 3 and float(tail.max() - tail.min()) > 1e-15:
-        fit = linregress(ns, tail)
-        slope = float(fit.slope)
-        # one-sided: only positive slopes count as growth
-        p = float(fit.pvalue) / 2.0 if slope > 0 else 1.0 - float(fit.pvalue) / 2.0
-    else:
-        slope, p = 0.0, 1.0
+    slope, p = _trend(np.log(np.array(ratios)))
     detected = slope > 0 and p < _TREND_LEVEL
     return DistortionReport(
         float(max(ratios)),

@@ -46,6 +46,7 @@ _QUAD_START = 512
 _QUAD_CAP = 2**20
 _SCAN_NODES = 4096
 _ANGLE_TOL = 1e-10
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class InsufficientSpanError(ValueError):
@@ -264,35 +265,35 @@ def characteristic(f, r: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _golden_refine(f, r: float, centers: np.ndarray, step: float, sign: float) -> float:
-    """Smallest sign*log|f(r e^{i theta})| over lockstep golden sections.
+def golden_min(fun, a, b, tol: float):
+    """Golden-section minima of fun on the brackets [a, b], in lockstep.
 
-    Each center spawns a bracket (center - step, center + step); all
-    brackets advance together so every iteration costs one vectorized
-    circle evaluation instead of one call per bracket.  NaN probes
-    (lost values near poles) rank as +inf so they never win.
+    fun maps one abscissa per bracket to one value per bracket; steps run
+    until every bracket is at most tol wide.  NaN ranks as +inf and ties
+    move up.  Each bracket keeps its best probe so far, so the returned
+    (x, value) is its best probe, value == fun(x); probes counts calls.
     """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a = centers - step
-    b = centers + step
 
-    def probe(t):
-        v = sign * log_modulus(f, r * np.exp(1j * t))
+    def probe(x):
+        v = fun(x)
         return np.where(np.isnan(v), np.inf, v)
 
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = probe(c)
-    fd = probe(d)
-    while float((b - a).max()) > _ANGLE_TOL:
+    xc = c = b - _INVPHI * (b - a)
+    xd = d = a + _INVPHI * (b - a)
+    fc, fd = probe(c), probe(d)
+    probes = 2
+    while float(np.max(b - a)) > tol:
         left = fc < fd
         b = np.where(left, d, b)
         a = np.where(left, a, c)
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fresh = probe(np.where(left, c, d))
+        c = b - _INVPHI * (b - a)
+        d = a + _INVPHI * (b - a)
+        x = np.where(left, c, d)
+        fresh = probe(x)
+        probes += 1
+        xc, xd = np.where(left, x, xd), np.where(left, xc, x)
         fc, fd = np.where(left, fresh, fd), np.where(left, fc, fresh)
-    return float(np.minimum(fc, fd).min())
+    return np.where(fc < fd, xc, xd), np.minimum(fc, fd), probes
 
 
 def _pole_on_circle(f, r: float) -> bool:
@@ -334,17 +335,19 @@ def _modulus_scan(f: MeroExpr, r: float, want_max: bool):
 def _modulus_extremum(f: MeroExpr, r: float, want_max: bool) -> float:
     """log of the modulus extremum over the circle |z| = r.
 
-    Scan then refine: the coarse scan of _modulus_scan, then
-    golden-section refinement of its eight brackets.  The result is the
-    better of the scan extremum and the refined one, so it never falls
-    behind the scan bound that _log_min_bound reports.
+    Scan then refine: the coarse scan of _modulus_scan, then golden_min
+    on its eight brackets (one scan step either side) to 1e-10 rad.  The
+    result is the better of the scan extremum and the refined one, so it
+    never falls behind the scan bound that _log_min_bound reports.
     """
     value, centers = _modulus_scan(f, r, want_max)
     if centers is None:
         return value
     sign = -1.0 if want_max else 1.0
     step = 2.0 * math.pi / _SCAN_NODES
-    return sign * min(sign * value, _golden_refine(f, r, centers, step, sign))
+    _, refined, _ = golden_min(lambda t: sign * log_modulus(f, r * np.exp(1j * t)),
+                               centers - step, centers + step, _ANGLE_TOL)
+    return sign * min(sign * value, float(refined.min()))
 
 
 @lru_cache(maxsize=65536)
@@ -467,13 +470,16 @@ _MIN_WINDOW = 8
 
 
 def _slope(x: np.ndarray, y: np.ndarray):
+    """Least-squares slope of y on x, the rms residual, and the slope's
+    standard error (from the residual sum, with n - 2 degrees of freedom)."""
     n = x.size
     xm, ym = x.mean(), y.mean()
     dx = x - xm
     denom = float(np.dot(dx, dx))
     slope = float(np.dot(dx, y - ym) / denom)
     resid = y - (ym + slope * (x - xm))
-    return slope, math.sqrt(float(np.dot(resid, resid)) / n)
+    sse = float(np.dot(resid, resid))
+    return slope, math.sqrt(sse / n), math.sqrt(sse / ((n - 2) * denom))
 
 
 def growth_summary(profile: RadialProfile) -> GrowthSummary:
@@ -498,11 +504,11 @@ def growth_summary(profile: RadialProfile) -> GrowthSummary:
     slopes = []
     residual = 0.0
     for i in range(half, len(samples) - _MIN_WINDOW + 1):
-        sl, res = _slope(x[i:], y[i:])
+        sl, res, _ = _slope(x[i:], y[i:])
         slopes.append(sl)
         residual = max(residual, res)
     if not slopes:
-        sl, residual = _slope(x[half:], y[half:])
+        sl, residual, _ = _slope(x[half:], y[half:])
         slopes = [sl]
     order = max(max(slopes), 0.0)
     lower = min(max(min(slopes), 0.0), order)

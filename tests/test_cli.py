@@ -355,3 +355,10 @@ def test_module_invocation(tmp_path):
     )
     assert proc.returncode == 0
     assert (tmp_path / "trace.json").exists()
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    code = "import sys, merolab.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

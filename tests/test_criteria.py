@@ -25,7 +25,7 @@ from merolab import (
     parse,
 )
 from merolab.criteria import _ladder_exponents, _search_log_L
-from merolab.nevanlinna import InsufficientSpanError
+from merolab.nevanlinna import InsufficientSpanError, golden_min
 
 _GRID = RadiusGrid(1.0, 1000.0)
 _SHORT = RadiusGrid(10.0, 100.0)
@@ -155,27 +155,13 @@ def _exhaustive_search(expr, r, d, closed):
     vals = [log_min_modulus(expr, r**e) for e in exps]
     k = int(np.argmax(vals))
     best_e, best_v = exps[k], vals[k]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
     edge = 0.0 if closed else 1e-9
     a = max(1.0 + edge, best_e - 1.0 / 64.0)
     b = min(d - edge, best_e + 1.0 / 64.0)
-    c = b - invphi * (b - a)
-    e2 = a + invphi * (b - a)
-    fc = log_min_modulus(expr, r**c)
-    fd = log_min_modulus(expr, r**e2)
-    while b - a > 1e-4:
-        if fc >= fd:
-            b, e2, fd = e2, c, fc
-            c = b - invphi * (b - a)
-            fc = log_min_modulus(expr, r**c)
-            if fc > best_v:
-                best_e, best_v = c, fc
-        else:
-            a, c, fc = c, e2, fd
-            e2 = a + invphi * (b - a)
-            fd = log_min_modulus(expr, r**e2)
-            if fd > best_v:
-                best_e, best_v = e2, fd
+    if b > a:
+        e, v, _ = golden_min(lambda e: -log_min_modulus(expr, r ** float(e)), a, b, 1e-4)
+        if -float(v) > best_v:
+            best_e, best_v = float(e), -float(v)
     return r**best_e, best_v
 
 
@@ -200,14 +186,16 @@ def test_pruned_search_ties_go_to_first_exponent(closed):
 @pytest.mark.parametrize("name", ["lacunary2", "canprod4"])
 def test_pruned_search_refines_few_circles(monkeypatch, name, closed):
     f = corpus_function(name)
-    refine = nevanlinna._golden_refine
+    refine = nevanlinna.golden_min
     refined = []
 
-    def counted(g, r, *args):
-        refined.append(r)
-        return refine(g, r, *args)
+    def counted(*args):
+        refined.append(args)
+        return refine(*args)
 
-    monkeypatch.setattr(nevanlinna, "_golden_refine", counted)
+    # _modulus_extremum looks the helper up in nevanlinna; the exponent
+    # phase calls criteria's own binding and is not counted
+    monkeypatch.setattr(nevanlinna, "golden_min", counted)
     for r in _SEARCH_RADII:
         # a cold refinement cache, so every refined circle is counted once
         fresh = functools.lru_cache(maxsize=None)(nevanlinna._modulus_extremum)
@@ -216,6 +204,17 @@ def test_pruned_search_refines_few_circles(monkeypatch, name, closed):
         _search_log_L(f, r, 2.0, closed)
         # the exhaustive ladder refines 76-78 circles here
         assert 0 < len(refined) <= 20
+
+
+@pytest.mark.parametrize("name", ["zsq", "expz", "canprod4"])
+def test_search_in_open_range_below_the_exponent_edge(name):
+    # d - 1 < 2e-9 leaves the open exponent range no golden bracket; the
+    # witness must still lie strictly inside (r, r^d)
+    f = corpus_function(name)
+    r, d = 10.0, 1.0 + 1e-10
+    t, value = _search_log_L(f, r, d, False)
+    assert r < t < r**d
+    assert value == log_min_modulus(f, t)
 
 
 # ---------------------------------------------------------------------------

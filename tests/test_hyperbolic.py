@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import linregress
 
 from merolab import (
     Annulus,
@@ -15,6 +16,7 @@ from merolab import (
     PuncturedPlane,
     UnsupportedDomainError,
     circle_bound_constant_audit,
+    corpus_function,
     distortion_check,
     domain_constant,
     hyperbolic_density,
@@ -22,7 +24,7 @@ from merolab import (
     schwarz_pick_check,
     trace_radius_recursion,
 )
-from merolab.hyperbolic import _sample_domain
+from merolab.hyperbolic import _sample_domain, _trend
 from merolab.nevanlinna import characteristic
 
 _SQUARE = PolygonDomain((0j, 1.0 + 0j, 1.0 + 1.0j, 1.0j))
@@ -285,6 +287,43 @@ def test_distortion_rejects_non_escaping(zsq):
         distortion_check(zsq, [], 8)
     with pytest.raises(ValueError):
         distortion_check(zsq, [2.0], 1)
+
+
+def _linregress_trend(logs):
+    # the reference: scipy's two-sided p-value, halved for a positive slope
+    half = len(logs) // 2
+    fit = linregress(np.arange(half + 1, len(logs) + 1, dtype=float), logs[half:])
+    p = fit.pvalue / 2.0 if fit.slope > 0 else 1.0 - fit.pvalue / 2.0
+    return float(fit.slope), float(p)
+
+
+def test_trend_matches_linregress_on_noisy_series():
+    rng = np.random.default_rng(20)
+    for _ in range(500):
+        n = int(rng.integers(6, 60))
+        trend = rng.normal() * rng.choice([1e-3, 1.0, 10.0])
+        # noise at least the per-step trend, where scipy's stderr is accurate
+        noise = abs(trend) * rng.uniform(1.0, 100.0)
+        logs = trend * np.arange(1, n + 1) + noise * rng.standard_normal(n) + rng.normal()
+        slope, p = _trend(logs)
+        ref_slope, ref_p = _linregress_trend(logs)
+        assert slope == pytest.approx(ref_slope, rel=1e-13)
+        assert p == pytest.approx(ref_p, rel=2.8e-12)
+
+
+@pytest.mark.parametrize(
+    "name, samples, n_max, r_esc",
+    [
+        ("fatou", [5.0 + k * 0.05 for k in range(21)], 30, 50.0),
+        ("zsq", [2.0, 4.0], 12, 1e6),
+    ],
+)
+def test_distortion_trend_matches_linregress(name, samples, n_max, r_esc):
+    rep = distortion_check(corpus_function(name), samples, n_max, r_esc=r_esc)
+    ref_slope, ref_p = _linregress_trend(np.log(rep.per_step))
+    assert rep.slope == pytest.approx(ref_slope, rel=1e-12)
+    assert rep.p_value == pytest.approx(ref_p, rel=2.8e-12)
+    assert rep.trend_detected == (ref_slope > 0 and ref_p < 0.05)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from merolab import (
     proximity,
 )
 from merolab.expr import log_modulus, poles_in_disk
-from merolab.nevanlinna import InsufficientSpanError, _log_min_bound
+from merolab.nevanlinna import InsufficientSpanError, _log_min_bound, golden_min
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +138,73 @@ def test_scan_bound_on_degenerate_circles(canprod4, tanz, invz):
     # constant modulus: the scan is already exact
     assert _log_min_bound(invz, 3.0) == log_min_modulus(invz, 3.0)
     assert log_min_modulus(invz, 3.0) == pytest.approx(-math.log(3.0), rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the golden-section helper
+# ---------------------------------------------------------------------------
+
+_MINIMISERS = np.array([-3.2, 0.1, 0.77, 5.0, 1e-3])
+_BELOW = np.array([0.5, 2.0, 0.01, 1.3, 0.2])
+_ABOVE = np.array([1.1, 0.3, 0.4, 0.02, 3.0])
+
+
+@pytest.mark.parametrize("shape", [np.square, np.abs])
+def test_golden_min_finds_each_bracket_minimiser(shape):
+    tol = 1e-9
+
+    def fun(x):
+        return shape(x - _MINIMISERS)
+
+    x, value, _ = golden_min(fun, _MINIMISERS - _BELOW, _MINIMISERS + _ABOVE, tol)
+    assert x.shape == value.shape == _MINIMISERS.shape
+    assert np.all(np.abs(x - _MINIMISERS) <= tol)
+    assert np.array_equal(value, fun(x))
+
+
+def test_golden_min_takes_scalar_brackets():
+    x, value, _ = golden_min(lambda x: (x - 0.3) ** 2, 0.0, 1.0, 1e-9)
+    assert float(x) == pytest.approx(0.3, abs=1e-9)
+    assert float(value) == (float(x) - 0.3) ** 2
+
+
+def test_golden_min_never_returns_a_nan_probe():
+    def fun(x):
+        # NaN on a band around each minimiser, and everywhere in the last bracket
+        v = np.square(x - _MINIMISERS)
+        v = np.where(np.abs(x - _MINIMISERS) < 0.05, np.nan, v)
+        v[-1] = np.nan
+        return v
+
+    x, value, _ = golden_min(fun, _MINIMISERS - _BELOW, _MINIMISERS + _ABOVE, 1e-9)
+    assert not np.isnan(value).any()
+    assert value[-1] == math.inf
+    assert not np.isnan(fun(x)[:-1]).any()
+    assert np.all(np.abs(x - _MINIMISERS)[:-1] >= 0.05)
+
+
+def test_golden_min_counts_its_calls():
+    calls = []
+
+    def fun(x):
+        calls.append(x)
+        return np.abs(x - _MINIMISERS)
+
+    for tol in (1.0, 1e-3, 1e-12):
+        calls.clear()
+        _, _, probes = golden_min(fun, _MINIMISERS - _BELOW, _MINIMISERS + _ABOVE, tol)
+        assert probes == len(calls)
+    assert probes > 2
+
+
+def test_golden_min_on_a_constant_is_deterministic():
+    a, b, tol = np.array([0.0, -1.0]), np.array([1.0, 2.0]), 1e-10
+    first = golden_min(lambda x: np.full(x.shape, 7.0), a, b, tol)
+    second = golden_min(lambda x: np.full(x.shape, 7.0), a, b, tol)
+    assert np.array_equal(first[0], second[0]) and first[2] == second[2]
+    assert np.array_equal(first[1], [7.0, 7.0])
+    # ties move to the upper half, so the kept point runs up to b
+    assert np.all((b - tol <= first[0]) & (first[0] <= b))
 
 
 # ---------------------------------------------------------------------------
