@@ -103,7 +103,7 @@ _FLAGS = {
 }
 
 _RADII = ("rmin", "rmax", "ratio")
-_CRITERION = ("alpha", "d", "D", "K")
+_CRITERION = ("alpha", "d", "D")
 
 # every subcommand takes --function, --corpus, --config and --out, plus
 # only the flags its handler reads; a config file may still name any key
@@ -112,7 +112,7 @@ _COMMANDS = {
     "check": ("evaluate the boundedness criteria on a radius grid", _RADII + _CRITERION),
     "render": ("classify pixel orbits and emit a PPM image",
                ("window", "res", "budget", "resc", "scales")),
-    "trace": ("replay the exponent arithmetic and radius recursion", _CRITERION + ("r0",)),
+    "trace": ("replay the exponent arithmetic and radius recursion", _CRITERION + ("K", "r0")),
 }
 
 
@@ -253,7 +253,7 @@ def cmd_analyze(config: RunConfig) -> None:
 def cmd_check(config: RunConfig) -> None:
     expr, source, name = _resolve_function(config)
     grid = _grid(config)
-    params = CriterionParams(config.alpha, config.d, config.D, config.K, grid=grid)
+    params = CriterionParams(config.alpha, config.d, config.D, grid=grid)
     profile = build_profile(expr, grid, function_id=name or source)
     verdicts = [
         check_L_over_r(expr, grid),
@@ -268,7 +268,7 @@ def cmd_check(config: RunConfig) -> None:
         {
             "function": source,
             "corpus": name,
-            "params": {"alpha": config.alpha, "d": config.d, "D": config.D, "K": config.K},
+            "params": {"alpha": config.alpha, "d": config.d, "D": config.D},
             "grid": {"r_min": grid.r_min, "r_max": grid.r_max, "ratio": grid.ratio},
             "conditions": {v.condition: v.as_dict() for v in verdicts},
         },

@@ -60,14 +60,12 @@ class CriterionParams:
     """Parameters shared by the main growth criterion.
 
     alpha scales the characteristic on the right-hand side, d sets the
-    search range [r, r^d], D the required characteristic multiplication,
-    and K the universal constant used by the trace construction.
+    search range [r, r^d] and D the required characteristic multiplication.
     """
 
     alpha: float
     d: float
     D: float
-    K: float = 24.0
     grid: RadiusGrid = _DEFAULT_GRID
     warmup: float = 10.0
 
@@ -78,8 +76,6 @@ class CriterionParams:
             raise ValueError("search exponent d must exceed 1")
         if not self.D > 1.0:
             raise ValueError("growth factor D must exceed 1")
-        if not self.K > 0.0:
-            raise ValueError("universal constant K must be positive")
         if not self.warmup >= 0.0:
             raise ValueError("warm-up radius must be nonnegative")
 

@@ -78,8 +78,9 @@ class OrbitResult:
 
     final holds the last orbit value for escaping and undecided orbits,
     the cycle representative for attracted ones, and the point that
-    mapped onto the pole for pole hits.  cycle_id is 0 unless attracted;
-    pole_step is -1 unless a pole was hit.
+    mapped onto the pole for pole hits.  cycle_id is 0 unless attracted.
+    pole_step is derived from steps: the index of the orbit point that
+    landed on a pole, which is steps for pole hits, and -1 otherwise.
     """
 
     orbit_class: OrbitClass
@@ -149,37 +150,44 @@ def _canonical_rep(points) -> complex:
     return min(points, key=key)
 
 
-def _extract_cycles(expr, seeds: np.ndarray):
-    """Find the period and representative of the cycle each seed sits on.
+def _extract_cycles(expr, seeds: np.ndarray, registry: list):
+    """Find the cycle each seed sits on and its id in the registry.
 
     Seeds come from a Floyd coincidence, so they are within detection
-    tolerance of an attracting cycle.  Returns (ok, reps) with reps the
-    canonical cycle point; seeds whose period exceeds the cap get
-    ok=False.
+    tolerance of an attracting cycle.  Returns (ids, reps) with reps the
+    canonical cycle point and ids counted from 1 in registry order: a rep
+    takes the first entry within match tolerance, and the first rep that
+    matches none is appended, as if the reps were matched in turn.  Seeds
+    whose period exceeds the cap get id 0 and keep the seed as rep.
     """
-    m = seeds.size
-    traj = [seeds.copy()]
-    cur = seeds.copy()
-    period = np.zeros(m, dtype=np.int32)
+    traj = [seeds]
+    cur = seeds
+    period = np.zeros(seeds.size, dtype=np.int32)
     for k in range(1, _PERIOD_CAP + 1):
         cur, fl = evaluate_many(expr, cur)
         bad = fl != 0
         if bad.any():
             cur = np.where(bad, traj[-1], cur)
-        traj.append(cur.copy())
+        traj.append(cur)
         hit = (np.abs(cur - seeds) <= _CYCLE_MATCH_TOL) & (period == 0) & ~bad
         period[hit] = k
         if (period > 0).all():
             break
-    ok = period > 0
-    reps = np.zeros(m, dtype=np.complex128)
-    stack = np.stack(traj, axis=0)
-    for i in range(m):
-        if not ok[i]:
-            continue
-        cycle_pts = [complex(stack[j, i]) for j in range(period[i])]
-        reps[i] = _canonical_rep(cycle_pts)
-    return ok, reps
+    # a period-1 seed is its own rep; longer cycles pick theirs by key
+    reps = seeds.copy()
+    for i in np.flatnonzero(period >= 2):
+        reps[i] = _canonical_rep([complex(traj[j][i]) for j in range(period[i])])
+    ids = np.zeros(seeds.size, dtype=np.int32)
+    pending = period > 0
+    j = 0
+    while pending.any():
+        if j == len(registry):
+            registry.append(complex(reps[pending.argmax()]))
+        hit = pending & (np.abs(reps - registry[j]) <= _CYCLE_MATCH_TOL)
+        ids[hit] = j + 1
+        pending &= ~hit
+        j += 1
+    return ids, reps
 
 
 def _classify_points(expr, pts: np.ndarray, budget: int, r_esc: float):
@@ -187,97 +195,73 @@ def _classify_points(expr, pts: np.ndarray, budget: int, r_esc: float):
     classes = np.zeros(n, dtype=np.uint8)
     steps = np.full(n, budget, dtype=np.int32)
     cyc = np.zeros(n, dtype=np.int32)
-    final = pts.astype(np.complex128).copy()
-    pole_steps = np.full(n, -1, dtype=np.int32)
-    tort = pts.astype(np.complex128).copy()
-    hare = pts.astype(np.complex128).copy()
+    final = np.empty(n, dtype=np.complex128)
+    # Loop state holds only the undecided orbits, row k being pixel live[k]:
+    # most pixels settle early, and gathering from and scattering into
+    # whole-grid arrays at every step costs more than evaluating the map.
+    # Boolean filtering keeps live ascending, so cycles register in pixel
+    # order.
+    live = np.arange(n)
+    tort = hare = np.asarray(pts, dtype=np.complex128)
     hmod = np.abs(hare)
     grow = np.zeros(n, dtype=np.int16)
-    active = np.flatnonzero(np.ones(n, dtype=bool))
     registry: list[complex] = []
     meromorphic = _has_poles(expr)
 
-    def decide(idx, cls, step_count, values):
+    def decide(mask, cls, step_count, values, *extra):
+        # records the orbits under mask, whose final values are given, and
+        # drops them from the loop state; returns extra filtered alike
+        nonlocal live, tort, hare, hmod, grow
+        idx = live[mask]
+        if idx.size == 0:
+            return extra
         classes[idx] = cls
         steps[idx] = step_count
         final[idx] = values
+        keep = ~mask
+        live, tort, hare, hmod, grow = (a[keep] for a in (live, tort, hare, hmod, grow))
+        return tuple(a[keep] for a in extra)
 
-    def hare_substep(act, orbit_index):
-        # advances the hare by one orbit step; returns surviving indices
-        w, fl = evaluate_many(expr, hare[act])
+    def hare_substep(orbit_index):
+        # advances the hare by one orbit step
+        nonlocal hare, hmod, grow
+        w, fl = evaluate_many(expr, hare)
         m = np.abs(w)
         pole = fl == POLE_FLAG
         if meromorphic:
             pole = pole | (m >= _POLE_LANDING)
-        if pole.any():
-            hit = act[pole]
-            decide(hit, OrbitClass.POLE_HIT, orbit_index, hare[hit])
-            pole_steps[hit] = orbit_index
-        over = (fl == OVERFLOW_FLAG) & ~pole
-        if over.any():
-            hit = act[over]
-            decide(hit, OrbitClass.ESCAPING, orbit_index + 1, hare[hit])
-        keep = ~(pole | over)
-        act = act[keep]
-        w, m = w[keep], m[keep]
-        grew = (hmod[act] > r_esc) & (m > hmod[act])
-        grow[act] = np.where(grew, grow[act] + 1, 0).astype(np.int16)
-        hare[act] = w
-        hmod[act] = m
-        esc = grow[act] >= _GROWTH_RUN
-        if esc.any():
-            hit = act[esc]
-            decide(hit, OrbitClass.ESCAPING, orbit_index + 1, hare[hit])
-            act = act[~esc]
-        return act
+        w, m, fl = decide(pole, OrbitClass.POLE_HIT, orbit_index, hare[pole], w, m, fl)
+        over = fl == OVERFLOW_FLAG
+        w, m = decide(over, OrbitClass.ESCAPING, orbit_index + 1, hare[over], w, m)
+        grew = (hmod > r_esc) & (m > hmod)
+        grow = np.where(grew, grow + 1, 0).astype(np.int16)
+        hare, hmod = w, m
+        esc = grow >= _GROWTH_RUN
+        decide(esc, OrbitClass.ESCAPING, orbit_index + 1, hare[esc])
 
     for loop in range(1, budget + 1):
-        if active.size == 0:
+        if live.size == 0:
             break
-        act = hare_substep(active, 2 * loop - 2)
-        act = hare_substep(act, 2 * loop - 1)
-        if act.size:
-            w, fl = evaluate_many(expr, tort[act])
-            bad = fl != 0
-            if bad.any():
-                # the hare has already visited this transition; a marker here
-                # without a prior decision means the value sits right on the
-                # detection threshold, so resolve it the same way
-                hit = act[bad & (fl == POLE_FLAG)]
-                if hit.size:
-                    decide(hit, OrbitClass.POLE_HIT, loop - 1, tort[hit])
-                    pole_steps[hit] = loop - 1
-                hit = act[bad & (fl != POLE_FLAG)]
-                if hit.size:
-                    decide(hit, OrbitClass.ESCAPING, loop, tort[hit])
-                act = act[~bad]
-                w = w[~bad]
-            tort[act] = w
-            close = np.abs(hare[act] - tort[act]) <= _FLOYD_TOL
-            if close.any():
-                batch = act[close]
-                ok, reps = _extract_cycles(expr, tort[batch])
-                for i, idx in enumerate(batch):
-                    if not ok[i]:
-                        decide(np.array([idx]), OrbitClass.UNDECIDED, budget, tort[idx])
-                        continue
-                    rep = complex(reps[i])
-                    cid = 0
-                    for j, existing in enumerate(registry):
-                        if abs(rep - existing) <= _CYCLE_MATCH_TOL:
-                            cid = j + 1
-                            break
-                    if cid == 0:
-                        registry.append(rep)
-                        cid = len(registry)
-                    decide(np.array([idx]), OrbitClass.ATTRACTED, loop, rep)
-                    cyc[idx] = cid
-                act = act[~close]
-        active = act
+        hare_substep(2 * loop - 2)
+        hare_substep(2 * loop - 1)
+        w, fl = evaluate_many(expr, tort)
+        # the hare has already visited this transition; a marker here
+        # without a prior decision means the value sits right on the
+        # detection threshold, so resolve it the same way
+        pole = fl == POLE_FLAG
+        w, fl = decide(pole, OrbitClass.POLE_HIT, loop - 1, tort[pole], w, fl)
+        over = fl != 0
+        (tort,) = decide(over, OrbitClass.ESCAPING, loop, tort[over], w)
+        close = np.abs(hare - tort) <= _FLOYD_TOL
+        if close.any():
+            ids, reps = _extract_cycles(expr, tort[close], registry)
+            cyc[live[close]] = ids
+            ok = ids > 0
+            decide(close, np.where(ok, OrbitClass.ATTRACTED, OrbitClass.UNDECIDED),
+                   np.where(ok, loop, budget), reps)
 
-    if active.size:
-        final[active] = tort[active]
-    return classes, steps, cyc, final, pole_steps, tuple(registry)
+    final[live] = tort
+    return classes, steps, cyc, final, tuple(registry)
 
 
 def iterate_orbit(f, z0: complex, max_steps: int = 1000, R_esc: float = _ESCAPE_DEFAULT) -> OrbitResult:
@@ -293,16 +277,13 @@ def iterate_orbit(f, z0: complex, max_steps: int = 1000, R_esc: float = _ESCAPE_
     if not R_esc >= 10.0:
         raise ValueError("escape radius must be at least 10")
     expr = as_expr(f)
-    classes, steps, cyc, final, pole_steps, _ = _classify_points(
+    classes, steps, cyc, final, _ = _classify_points(
         expr, np.array([z0], dtype=np.complex128), max_steps, float(R_esc)
     )
-    return OrbitResult(
-        OrbitClass(int(classes[0])),
-        int(steps[0]),
-        complex(final[0]),
-        int(cyc[0]),
-        int(pole_steps[0]),
-    )
+    cls = OrbitClass(int(classes[0]))
+    step_count = int(steps[0])
+    pole_step = step_count if cls is OrbitClass.POLE_HIT else -1
+    return OrbitResult(cls, step_count, complex(final[0]), int(cyc[0]), pole_step)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +319,7 @@ def classify_grid(f, window, resolution: int, budget: int, r_esc: float = _ESCAP
         raise ValueError("escape radius must be at least 10")
     expr = as_expr(f)
     pts = _pixel_centers(center, half_width, resolution).reshape(-1)
-    classes, steps, cyc, _, _, registry = _classify_points(expr, pts, int(budget), float(r_esc))
+    classes, steps, cyc, _, registry = _classify_points(expr, pts, int(budget), float(r_esc))
     shape = (resolution, resolution)
     return ClassifiedGrid(
         center,

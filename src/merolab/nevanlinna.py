@@ -386,21 +386,13 @@ def log_max_modulus(f, r: float) -> float:
 
 
 def min_modulus(f, r: float) -> float:
-    """L(r, f) as a plain modulus (flushes to 0 below the double range)."""
-    lv = log_min_modulus(f, r)
-    if lv == -math.inf:
-        return 0.0
-    return float(np.exp(min(lv, math.log(_HUGE))))
+    """L(r, f) as a plain modulus, saturated to [0, 1e300] like RadialSample.L."""
+    return _saturate(log_min_modulus(f, r))
 
 
 def max_modulus(f, r: float) -> float:
-    """M(r, f) as a plain modulus, saturated at 1e300."""
-    lv = log_max_modulus(f, r)
-    if lv == -math.inf:
-        return 0.0
-    if lv >= math.log(_HUGE):
-        return _HUGE
-    return float(np.exp(lv))
+    """M(r, f) as a plain modulus, saturated to [0, 1e300] like RadialSample.M."""
+    return _saturate(log_max_modulus(f, r))
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +405,7 @@ def _saturate(log_value: float) -> float:
         return 0.0
     if log_value >= math.log(_HUGE):
         return _HUGE
-    v = float(np.exp(log_value))
-    return v
+    return float(np.exp(log_value))
 
 
 def build_profile(f, grid: RadiusGrid | None = None, function_id: str = "") -> RadialProfile:

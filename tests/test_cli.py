@@ -77,7 +77,7 @@ def test_check_exp_fails_everything(tmp_path):
     assert rc == 0
     report = _read(tmp_path / "criteria.json")
     assert set(report["conditions"]) == _CONDITIONS
-    assert report["params"] == {"alpha": 0.5, "d": 2.0, "D": 4.0, "K": 24.0}
+    assert report["params"] == {"alpha": 0.5, "d": 2.0, "D": 4.0}
     for verdict in report["conditions"].values():
         assert verdict["holds_on_grid"] is False
         assert verdict["first_failure"] is not None
@@ -239,6 +239,7 @@ def test_each_subcommand_takes_exactly_the_flags_it_reads():
     ["analyze", "--corpus", "zsq", "--window", "0,2"],
     ["render", "--corpus", "zsq", "--seed", "1"],
     ["trace", "--rmax", "10"],
+    ["check", "--K", "24"],
 ])
 def test_flag_of_another_subcommand_is_rejected(argv):
     with pytest.raises(SystemExit) as exc:

@@ -46,8 +46,6 @@ def test_params_validation():
         CriterionParams(0.5, 1.0, 4.0)
     with pytest.raises(ValueError):
         CriterionParams(0.5, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        CriterionParams(0.5, 2.0, 4.0, K=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,15 @@ def test_orbit_escape_is_forward_invariant(zsq):
         assert pushed.steps <= first.steps
 
 
+def test_orbit_lands_on_pole_after_one_step():
+    # tan maps atan(pi/2) onto pi/2, where tan is beyond the landing threshold
+    res = iterate_orbit("tan(z)", math.atan(math.pi / 2.0))
+    assert res.orbit_class is OrbitClass.POLE_HIT
+    assert res.steps == 1
+    assert res.pole_step == 1
+    assert res.final == pytest.approx(math.pi / 2.0)
+
+
 def test_orbit_validation(zsq):
     with pytest.raises(ValueError):
         iterate_orbit(zsq, 1.0, max_steps=0)
@@ -126,6 +135,35 @@ def test_grid_pole_hits_near_tangent_pole(tanz):
     assert hits.any()
     labeled = label_components(grid)
     assert (labeled.labels[hits] == 0).all()
+
+
+def test_grid_registers_cycles_found_in_one_batch():
+    # Newton's map for z^2 - 1: both roots are first detected in the same
+    # step, and the basins split along the imaginary axis
+    grid = classify_grid("(z^2 + 1)/(2*z)", (0j, 2.0), 64, 64)
+    assert (grid.classes == OrbitClass.ATTRACTED).all()
+    assert len(grid.cycles) == 2
+    assert abs(grid.cycles[0] + 1.0) < 1e-6 and abs(grid.cycles[1] - 1.0) < 1e-6
+    left = grid.pixel_centers().real < 0.0
+    assert (grid.cycle_ids[left] == 1).all()
+    assert (grid.cycle_ids[~left] == 2).all()
+
+
+@pytest.mark.parametrize("f, window, res, budget", [
+    ("(z^2 + 1)/(2*z)", (0.3, 2.0), 10, 64),
+    ("z + 1 + exp(-z)", (0j, 6.0), 12, 64),
+    ("tan(z)", (0j, 3.0), 8, 32),
+    ("tan(z)", (math.pi / 2.0, 1e-11), 7, 8),
+    ("z^2 - 1", (0j, 2.0), 12, 64),
+])
+def test_grid_pixels_match_single_orbits(f, window, res, budget):
+    grid = classify_grid(f, window, res, budget)
+    for z0, cls, steps, cid in zip(grid.pixel_centers().ravel(), grid.classes.ravel(),
+                                   grid.steps.ravel(), grid.cycle_ids.ravel()):
+        orbit = iterate_orbit(f, z0, max_steps=budget)
+        assert (orbit.orbit_class, orbit.steps) == (cls, steps), z0
+        if cls == OrbitClass.ATTRACTED:
+            assert abs(grid.cycles[cid - 1] - orbit.final) <= 1e-6
 
 
 def test_grid_validation(zsq):

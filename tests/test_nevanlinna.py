@@ -118,6 +118,14 @@ def test_pole_on_circle_conventions():
     assert min_modulus(parse("z - 1"), 1.0) == 0.0
 
 
+def test_plain_moduli_saturate_like_the_profile():
+    f = parse("1e305 + z")
+    sample = build_profile(f, RadiusGrid(1.0, 2.0, 2.0)).samples[0]
+    assert sample.r == 1.0
+    assert min_modulus(f, 1.0) == sample.L == 1e300
+    assert max_modulus(f, 1.0) == sample.M == 1e300
+
+
 @pytest.mark.parametrize("name", corpus_names())
 def test_scan_bound_is_an_upper_bound(name):
     f = corpus_function(name)
