@@ -5,7 +5,7 @@ unbounded invariant-domain behaviour, on an explicit radius grid, and
 returns a verdict carrying numeric witnesses.  Verdicts are grid
 relative by construction: they assert inequalities at the sampled radii,
 never limits.  "All sufficiently large r" is operationalized as all grid
-radii at or beyond a warm-up threshold (default 10).
+radii at or beyond the warm-up radius 10.
 
 Witness records are replayable: feeding the stored (r, t) back through
 the circle functionals reproduces lhs and rhs to within 1e-9 of the
@@ -36,6 +36,7 @@ from .nevanlinna import (
 )
 
 _DEFAULT_GRID = RadiusGrid(1.0, 1000.0)
+_WARMUP = 10.0
 _LADDER_STEP = 1.0 / 64.0
 _EXPONENT_TOL = 1e-4
 _BOUNDARY_TOL = 1e-9
@@ -67,7 +68,6 @@ class CriterionParams:
     d: float
     D: float
     grid: RadiusGrid = _DEFAULT_GRID
-    warmup: float = 10.0
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -76,8 +76,6 @@ class CriterionParams:
             raise ValueError("search exponent d must exceed 1")
         if not self.D > 1.0:
             raise ValueError("growth factor D must exceed 1")
-        if not self.warmup >= 0.0:
-            raise ValueError("warm-up radius must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -184,9 +182,9 @@ class ChainReport:
 # ---------------------------------------------------------------------------
 
 
-def _tested_radii(grid: RadiusGrid | None, warmup: float) -> list[float]:
+def _tested_radii(grid: RadiusGrid | None) -> list[float]:
     g = grid if grid is not None else _DEFAULT_GRID
-    radii = [float(r) for r in g.radii() if r >= warmup * (1.0 - 1e-12)]
+    radii = [float(r) for r in g.radii() if r >= _WARMUP * (1.0 - 1e-12)]
     if not radii:
         raise ValueError("no grid radii at or beyond the warm-up threshold")
     return radii
@@ -335,7 +333,7 @@ def check_main(f, params: CriterionParams) -> CriterionVerdict:
     with identical witnesses.
     """
     expr = as_expr(f)
-    radii = _tested_radii(params.grid, params.warmup)
+    radii = _tested_radii(params.grid)
 
     def steps():
         for r in radii:
@@ -353,7 +351,7 @@ def check_main(f, params: CriterionParams) -> CriterionVerdict:
     return _first_failure("main-growth", steps())
 
 
-def check_L_versus_M(f, d: float, grid: RadiusGrid | None = None, warmup: float = 10.0) -> CriterionVerdict:
+def check_L_versus_M(f, d: float, grid: RadiusGrid | None = None) -> CriterionVerdict:
     """Somewhere in [r, r^d] the minimum modulus beats d times log M(r).
 
     The search range is closed at both ends.  Margins within 1e-9 of zero
@@ -364,7 +362,7 @@ def check_L_versus_M(f, d: float, grid: RadiusGrid | None = None, warmup: float 
     expr = as_expr(f)
     if not d > 1.0:
         raise ValueError("search exponent d must exceed 1")
-    radii = _tested_radii(grid, warmup)
+    radii = _tested_radii(grid)
 
     def steps():
         for r in radii:
@@ -377,14 +375,14 @@ def check_L_versus_M(f, d: float, grid: RadiusGrid | None = None, warmup: float 
     return _first_failure("L-versus-M", steps())
 
 
-def check_strong(f, d: float, D: float, grid: RadiusGrid | None = None, warmup: float = 10.0) -> CriterionVerdict:
+def check_strong(f, d: float, D: float, grid: RadiusGrid | None = None) -> CriterionVerdict:
     """Somewhere in [r, r^d] the minimum modulus beats D times T(r)."""
     expr = as_expr(f)
     if not d > 1.0:
         raise ValueError("search exponent d must exceed 1")
     if not D > 0.0:
         raise ValueError("growth factor D must be positive")
-    radii = _tested_radii(grid, warmup)
+    radii = _tested_radii(grid)
 
     def steps():
         for r in radii:

@@ -1,14 +1,14 @@
 """Pixel-grid orbit classification and empirical boundedness probes.
 
 Orbits are classified into escaping, attracted (to a finite cycle),
-pole-hit, or undecided.  Cycle detection runs Floyd's tortoise-and-hare
-directly on the iteration, so no orbit history is stored and the same
-code path serves single points and full pixel grids.  Components of the
-stable set are approximated by 4-connected patches of decided pixels of
-the same class: the connected components of the graph whose edges join
-4-neighbours of equal class key.  Undecided and pole-hit pixels have no
-key and act as barriers, which may oversegment but never merges across
-possible Julia points.
+pole-hit, or undecided.  Cycle detection runs Brent's power-of-two test
+on the iteration: one saved point per orbit and one map evaluation per
+step, so the same code path serves single points and full pixel grids.
+Components of the stable set are approximated by 4-connected patches of
+decided pixels of the same class: the connected components of the graph
+whose edges join 4-neighbours of equal class key.  Undecided and
+pole-hit pixels have no key and act as barriers, which may oversegment
+but never merges across possible Julia points.
 
 Boundedness of a component is probed, not proved: windows are recentered
 on a seed and rescaled, and the verdict reports whether the component
@@ -33,7 +33,7 @@ from .expr import OVERFLOW_FLAG, POLE_FLAG, as_expr, evaluate_many, poles_in_dis
 _ESCAPE_DEFAULT = 1e6
 _POLE_LANDING = 1e12      # |f(z)| beyond this, for a map with poles, counts
                           # as landing within pole tolerance of some pole
-_FLOYD_TOL = 1e-9
+_CYCLE_TOL = 1e-9
 _CYCLE_MATCH_TOL = 1e-6
 _PERIOD_CAP = 32
 _MAX_RESOLUTION = 8192
@@ -78,7 +78,9 @@ class OrbitResult:
 
     final holds the last orbit value for escaping and undecided orbits,
     the cycle representative for attracted ones, and the point that
-    mapped onto the pole for pole hits.  cycle_id is 0 unless attracted.
+    mapped onto the pole for pole hits.  steps is the orbit step s at
+    which escape or a cycle was detected (x_s the s-th iterate), and the
+    budget for undecided orbits.  cycle_id is 0 unless attracted.
     pole_step is derived from steps: the index of the orbit point that
     landed on a pole, which is steps for pole hits, and -1 otherwise.
     """
@@ -153,7 +155,7 @@ def _canonical_rep(points) -> complex:
 def _extract_cycles(expr, seeds: np.ndarray, registry: list):
     """Find the cycle each seed sits on and its id in the registry.
 
-    Seeds come from a Floyd coincidence, so they are within detection
+    Seeds come from a Brent coincidence, so they are within detection
     tolerance of an attracting cycle.  Returns (ids, reps) with reps the
     canonical cycle point and ids counted from 1 in registry order: a rep
     takes the first entry within match tolerance, and the first rep that
@@ -202,8 +204,8 @@ def _classify_points(expr, pts: np.ndarray, budget: int, r_esc: float):
     # Boolean filtering keeps live ascending, so cycles register in pixel
     # order.
     live = np.arange(n)
-    tort = hare = np.asarray(pts, dtype=np.complex128)
-    hmod = np.abs(hare)
+    saved = cur = np.asarray(pts, dtype=np.complex128)
+    cmod = np.abs(cur)
     grow = np.zeros(n, dtype=np.int16)
     registry: list[complex] = []
     meromorphic = _has_poles(expr)
@@ -211,7 +213,7 @@ def _classify_points(expr, pts: np.ndarray, budget: int, r_esc: float):
     def decide(mask, cls, step_count, values, *extra):
         # records the orbits under mask, whose final values are given, and
         # drops them from the loop state; returns extra filtered alike
-        nonlocal live, tort, hare, hmod, grow
+        nonlocal live, saved, cur, cmod, grow
         idx = live[mask]
         if idx.size == 0:
             return extra
@@ -219,48 +221,37 @@ def _classify_points(expr, pts: np.ndarray, budget: int, r_esc: float):
         steps[idx] = step_count
         final[idx] = values
         keep = ~mask
-        live, tort, hare, hmod, grow = (a[keep] for a in (live, tort, hare, hmod, grow))
+        live, saved, cur, cmod, grow = (a[keep] for a in (live, saved, cur, cmod, grow))
         return tuple(a[keep] for a in extra)
 
-    def hare_substep(orbit_index):
-        # advances the hare by one orbit step
-        nonlocal hare, hmod, grow
-        w, fl = evaluate_many(expr, hare)
+    # Brent's test compares x_s with x_p, p = 0 or the largest power of 2 below s
+    for s in range(1, 2 * budget + 1):
+        if live.size == 0:
+            break
+        w, fl = evaluate_many(expr, cur)
         m = np.abs(w)
         pole = fl == POLE_FLAG
         if meromorphic:
             pole = pole | (m >= _POLE_LANDING)
-        w, m, fl = decide(pole, OrbitClass.POLE_HIT, orbit_index, hare[pole], w, m, fl)
+        w, m, fl = decide(pole, OrbitClass.POLE_HIT, s - 1, cur[pole], w, m, fl)
         over = fl == OVERFLOW_FLAG
-        w, m = decide(over, OrbitClass.ESCAPING, orbit_index + 1, hare[over], w, m)
-        grew = (hmod > r_esc) & (m > hmod)
+        w, m = decide(over, OrbitClass.ESCAPING, s, cur[over], w, m)
+        grew = (cmod > r_esc) & (m > cmod)
         grow = np.where(grew, grow + 1, 0).astype(np.int16)
-        hare, hmod = w, m
+        cur, cmod = w, m
         esc = grow >= _GROWTH_RUN
-        decide(esc, OrbitClass.ESCAPING, orbit_index + 1, hare[esc])
-
-    for loop in range(1, budget + 1):
-        if live.size == 0:
-            break
-        hare_substep(2 * loop - 2)
-        hare_substep(2 * loop - 1)
-        w, fl = evaluate_many(expr, tort)
-        # the hare has already visited this transition; a marker here
-        # without a prior decision means the value sits right on the
-        # detection threshold, so resolve it the same way
-        pole = fl == POLE_FLAG
-        w, fl = decide(pole, OrbitClass.POLE_HIT, loop - 1, tort[pole], w, fl)
-        over = fl != 0
-        (tort,) = decide(over, OrbitClass.ESCAPING, loop, tort[over], w)
-        close = np.abs(hare - tort) <= _FLOYD_TOL
+        decide(esc, OrbitClass.ESCAPING, s, cur[esc])
+        close = np.abs(cur - saved) <= _CYCLE_TOL
         if close.any():
-            ids, reps = _extract_cycles(expr, tort[close], registry)
+            ids, reps = _extract_cycles(expr, cur[close], registry)
             cyc[live[close]] = ids
             ok = ids > 0
             decide(close, np.where(ok, OrbitClass.ATTRACTED, OrbitClass.UNDECIDED),
-                   np.where(ok, loop, budget), reps)
+                   np.where(ok, s, budget), reps)
+        if s & (s - 1) == 0:
+            saved = cur
 
-    final[live] = tort
+    final[live] = cur
     return classes, steps, cyc, final, tuple(registry)
 
 
@@ -269,8 +260,9 @@ def iterate_orbit(f, z0: complex, max_steps: int = 1000, R_esc: float = _ESCAPE_
 
     Escape requires the modulus to sit beyond R_esc and grow on three
     consecutive steps (or to overflow outright); cycles are detected by
-    Floyd tortoise-and-hare with tolerance 1e-9; running out of budget
-    yields undecided.  Failures never raise, they absorb into undecided.
+    Brent's power-of-two test with tolerance 1e-9; 2·max_steps orbit
+    steps without a verdict yield undecided.  Failures never raise, they
+    absorb into undecided.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
@@ -302,8 +294,8 @@ def classify_grid(f, window, resolution: int, budget: int, r_esc: float = _ESCAP
     """Classify every pixel-center orbit in a square window.
 
     window is (center, half_width); row 0 is the top of the window and
-    pixels are sampled at their centers.  The output is a pure function
-    of (f, window, resolution, budget, r_esc).
+    pixels are sampled at their centers; orbits take 2·budget steps.  The
+    output is a pure function of (f, window, resolution, budget, r_esc).
     """
     center, half_width = window
     center = complex(center)

@@ -56,6 +56,7 @@ _EDGE_START = 64        # segments per cell edge at the first winding level
 _EDGE_CAP = 2**15       # segments per cell edge at the last level
 _MAX_STEP = 2.8         # largest unambiguous phase step between samples (rad)
 _CHUNK_POINTS = 2**17   # samples per log_polar call in the winding sweep
+_BASE_CELL = 0.7        # side of a numeric-search grid cell
 
 
 class BoundarySingularityError(ValueError):
@@ -506,11 +507,11 @@ def _grid_search(f, radius: float, origin: float, extent: float, cell: float):
     return list(merged.items())
 
 
-def _numeric_poles(f, radius: float, base_cell: float = 0.7) -> list:
+def _numeric_poles(f, radius: float) -> list:
     """Locate poles by winding-number search over a grid of boxes.
 
     Boxes with nonnegative net winding are pruned, so a pole and enough
-    zeros inside one cell mask each other; base_cell must stay below the
+    zeros inside one cell mask each other; _BASE_CELL must stay below the
     pole-to-zero separation of the function, which holds with margin for
     the supported families.  A grid line landing on a singularity is
     detected and the whole grid is re-laid at a shifted origin.
@@ -518,9 +519,9 @@ def _numeric_poles(f, radius: float, base_cell: float = 0.7) -> list:
     pad = 0.02 * max(radius, 1.0) + 0.011
     last_err = None
     for restart in range(6):
-        origin = -(radius + pad) - 0.0137 * restart * base_cell
+        origin = -(radius + pad) - 0.0137 * restart * _BASE_CELL
         try:
-            return _grid_search(f, radius, origin, radius + pad, base_cell)
+            return _grid_search(f, radius, origin, radius + pad, _BASE_CELL)
         except (BoundarySingularityError, WindingConvergenceError) as err:
             last_err = err
     raise UnresolvedRegionError(f"grid search failed after restarts: {last_err}")

@@ -447,8 +447,7 @@ def _trend(logs: np.ndarray) -> tuple[float, float]:
     return slope, float(stdtr(tail.size - 2, -t))
 
 
-def distortion_check(f, sample_set, n_max: int, r_esc: float = 1e6,
-                     precheck_steps: int | None = None) -> DistortionReport:
+def distortion_check(f, sample_set, n_max: int, r_esc: float = 1e6) -> DistortionReport:
     """Empirical bounded-distortion test on a compact sample set.
 
     Every sample must generate an escaping orbit (checked first with the
@@ -466,7 +465,7 @@ def distortion_check(f, sample_set, n_max: int, r_esc: float = 1e6,
         raise ValueError("sample set must be nonempty")
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    budget = precheck_steps if precheck_steps is not None else max(200, 4 * n_max)
+    budget = max(200, 4 * n_max)
     for i, z in enumerate(pts):
         res = iterate_orbit(expr, complex(z), max_steps=budget, R_esc=r_esc)
         if res.orbit_class is not OrbitClass.ESCAPING:

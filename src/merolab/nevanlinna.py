@@ -457,7 +457,7 @@ def build_profile(f, grid: RadiusGrid | None = None, function_id: str = "") -> R
 
 _MIN_SAMPLES = 16
 _MIN_SPAN = 99.9        # grid must span two decades (e.g. [1, 100])
-_MIN_WINDOW = 8
+_MIN_WINDOW = 8         # _MIN_SAMPLES >= 2 * _MIN_WINDOW: the trailing half holds a window
 
 
 def _slope(x: np.ndarray, y: np.ndarray):
@@ -498,9 +498,6 @@ def growth_summary(profile: RadialProfile) -> GrowthSummary:
         sl, res, _ = _slope(x[i:], y[i:])
         slopes.append(sl)
         residual = max(residual, res)
-    if not slopes:
-        sl, residual, _ = _slope(x[half:], y[half:])
-        slopes = [sl]
     order = max(max(slopes), 0.0)
     lower = min(max(min(slopes), 0.0), order)
     tail = samples[half:]

@@ -14,7 +14,9 @@ from merolab import (
     label_components,
     to_ppm,
 )
+from merolab import dynamics
 from merolab.dynamics import _PALETTE, _POLE_COLOR, ClassifiedGrid, _component_stats
+from merolab.expr import OVERFLOW_FLAG, POLE_FLAG, as_expr
 
 
 def _blank_grid(classes, cycle_ids, steps=None, budget=8):
@@ -35,7 +37,9 @@ def _blank_grid(classes, cycle_ids, steps=None, budget=8):
 def test_orbit_attracted_to_origin(zsq):
     res = iterate_orbit(zsq, 0.5)
     assert res.orbit_class is OrbitClass.ATTRACTED
-    assert res.steps == 5
+    # steps counts orbit steps: x_9 = 0.5^512 is the first iterate within
+    # 1e-9 of its checkpoint, x_8
+    assert res.steps == 9
     assert abs(res.final) < 1e-9
     assert res.cycle_id == 1
     assert res.pole_step == -1
@@ -61,6 +65,8 @@ def test_orbit_budget_exhaustion_is_undecided(zsq):
     res = iterate_orbit(zsq, 0.999, max_steps=3)
     assert res.orbit_class is OrbitClass.UNDECIDED
     assert res.steps == 3
+    # a budget of 3 allows 6 orbit steps, and final is the last of them
+    assert res.final == pytest.approx(0.999**64, rel=1e-12)
 
 
 def test_orbit_attracting_two_cycle():
@@ -164,6 +170,109 @@ def test_grid_pixels_match_single_orbits(f, window, res, budget):
         assert (orbit.orbit_class, orbit.steps) == (cls, steps), z0
         if cls == OrbitClass.ATTRACTED:
             assert abs(grid.cycles[cid - 1] - orbit.final) <= 1e-6
+
+
+def _floyd_classify(f, pts, budget, r_esc=1e6):
+    """The Floyd tortoise-and-hare loop that Brent's test replaced, kept as
+    the reference: per loop the hare takes two orbit steps and the tortoise
+    one, and a coincidence within 1e-9 marks a cycle.  Returns the classes,
+    the steps in loop units for attracted orbits, and the cycle registry."""
+    expr = as_expr(f)
+    n = pts.size
+    classes = np.zeros(n, dtype=np.uint8)
+    steps = np.full(n, budget, dtype=np.int32)
+    live = np.arange(n)
+    tort = hare = np.asarray(pts, dtype=np.complex128)
+    hmod = np.abs(hare)
+    grow = np.zeros(n, dtype=np.int16)
+    registry = []
+    meromorphic = dynamics._has_poles(expr)
+
+    def decide(mask, cls, step_count, *extra):
+        nonlocal live, tort, hare, hmod, grow
+        idx = live[mask]
+        if idx.size == 0:
+            return extra
+        classes[idx] = cls
+        steps[idx] = step_count
+        keep = ~mask
+        live, tort, hare, hmod, grow = (a[keep] for a in (live, tort, hare, hmod, grow))
+        return tuple(a[keep] for a in extra)
+
+    def hare_substep(orbit_index):
+        nonlocal hare, hmod, grow
+        w, fl = dynamics.evaluate_many(expr, hare)
+        m = np.abs(w)
+        pole = fl == POLE_FLAG
+        if meromorphic:
+            pole = pole | (m >= dynamics._POLE_LANDING)
+        w, m, fl = decide(pole, OrbitClass.POLE_HIT, orbit_index, w, m, fl)
+        w, m = decide(fl == OVERFLOW_FLAG, OrbitClass.ESCAPING, orbit_index + 1, w, m)
+        grew = (hmod > r_esc) & (m > hmod)
+        grow = np.where(grew, grow + 1, 0).astype(np.int16)
+        hare, hmod = w, m
+        decide(grow >= dynamics._GROWTH_RUN, OrbitClass.ESCAPING, orbit_index + 1)
+
+    for loop in range(1, budget + 1):
+        if live.size == 0:
+            break
+        hare_substep(2 * loop - 2)
+        hare_substep(2 * loop - 1)
+        w, fl = dynamics.evaluate_many(expr, tort)
+        pole = fl == POLE_FLAG
+        w, fl = decide(pole, OrbitClass.POLE_HIT, loop - 1, w, fl)
+        (tort,) = decide(fl != 0, OrbitClass.ESCAPING, loop, w)
+        close = np.abs(hare - tort) <= 1e-9
+        if close.any():
+            ids, _ = dynamics._extract_cycles(expr, tort[close], registry)
+            ok = ids > 0
+            decide(close, np.where(ok, OrbitClass.ATTRACTED, OrbitClass.UNDECIDED),
+                   np.where(ok, loop, budget))
+    return classes, steps, registry
+
+
+@pytest.mark.parametrize("budget", [7, 37])
+@pytest.mark.parametrize("f, window", [
+    ("z + 1 + exp(-z)", (0j, 2.0)),
+    ("tan(z)", (0j, 3.0)),
+    ("z^2", (0j, 2.0)),
+    ("(z^2 + 1)/(2*z)", (0j, 2.0)),
+    ("z^2 - 0.1226 + 0.7449*i", (0j, 1.5)),
+    ("z^2 - 1.3", (0j, 2.0)),
+    ("z^4 - 1.0*z", (0j, 1.5)),
+])
+def test_grid_matches_floyd_reference(f, window, budget):
+    grid = classify_grid(f, window, 24, budget)
+    ref_classes, ref_steps, ref_cycles = _floyd_classify(
+        f, grid.pixel_centers().reshape(-1), budget)
+    classes = grid.classes.reshape(-1)
+    steps = grid.steps.reshape(-1)
+    # both loops walk the same orbit, so escapes and pole hits agree exactly
+    sure = np.isin(ref_classes, (OrbitClass.ESCAPING, OrbitClass.POLE_HIT))
+    assert np.array_equal(np.isin(classes, (OrbitClass.ESCAPING, OrbitClass.POLE_HIT)), sure)
+    assert np.array_equal(classes[sure], ref_classes[sure])
+    assert np.array_equal(steps[sure], ref_steps[sure])
+    # Brent may find a cycle that Floyd did not reach within the budget
+    changed = classes != ref_classes
+    assert (ref_classes[changed] == OrbitClass.UNDECIDED).all()
+    assert (classes[changed] == OrbitClass.ATTRACTED).all()
+    for rep in ref_cycles:
+        assert min(abs(rep - c) for c in grid.cycles) <= 1e-6
+
+
+def test_grid_evaluates_once_per_orbit_step(monkeypatch):
+    points = []
+    evaluate = dynamics.evaluate_many
+
+    def counting(expr, z):
+        points.append(np.size(z))
+        return evaluate(expr, z)
+
+    monkeypatch.setattr(dynamics, "evaluate_many", counting)
+    grid = classify_grid("tan(z)", (0, 3), 16, 8)
+    # no orbit is decided, so all 16^2 take the full 2 * 8 orbit steps
+    assert (grid.classes == OrbitClass.UNDECIDED).all()
+    assert sum(points) == 16 * 16 * 16
 
 
 def test_grid_validation(zsq):
