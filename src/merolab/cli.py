@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,46 +46,29 @@ from .expr import ParseError, parse
 from .hyperbolic import trace_radius_recursion
 from .nevanlinna import InsufficientSpanError, RadiusGrid, build_profile, growth_summary
 
-_DEFAULTS = {
-    "function": None,
-    "corpus": None,
-    "rmin": 1.0,
-    "rmax": 1000.0,
-    "ratio": 2.0 ** 0.125,
-    "alpha": 0.5,
-    "d": 2.0,
-    "D": 4.0,
-    "K": 24.0,
-    "window": "0,2",
-    "res": 256,
-    "budget": 256,
-    "resc": 1e6,
-    "scales": None,
-    "out": ".",
-    "r0": 1.0,
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Resolved settings for one command invocation."""
 
-    function: str | None
-    corpus: str | None
-    rmin: float
-    rmax: float
-    ratio: float
-    alpha: float
-    d: float
-    D: float
-    K: float
-    window: str
-    res: int
-    budget: int
-    resc: float
-    scales: str | None
-    out: str
-    r0: float
+    function: str | None = None
+    corpus: str | None = None
+    rmin: float = 1.0
+    rmax: float = 1000.0
+    ratio: float = 2.0 ** 0.125
+    alpha: float = 0.5
+    d: float = 2.0
+    D: float = 4.0
+    K: float = 24.0
+    window: str = "0,2"
+    res: int = 256
+    budget: int = 256
+    resc: float = 1e6
+    scales: str | None = None
+    out: str = "."
+    r0: float = 1.0
+
+
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
 # argparse options of each flag; a flag not listed takes a plain float

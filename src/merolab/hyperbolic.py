@@ -31,6 +31,8 @@ from .nevanlinna import _slope, characteristic, golden_min
 
 _CONTRACTION_TOL = 1e-9
 _LOG_RADIUS_TOL = 1e-9
+_N_ANGULAR = 64
+_R_MAX = 64.0
 _MAP_SAMPLES = 1000
 _SAMPLER_SEED = 12905
 _EXP_OVERFLOW = 709.0
@@ -357,11 +359,12 @@ class DomainConstant:
             raise ValueError("domain constant cannot be negative")
 
 
-def domain_constant(domain, a: complex, n_radial: int = 48, n_angular: int = 64,
-                    r_min: float = 1e-6, r_max: float = 64.0) -> DomainConstant:
+def domain_constant(domain, a: complex, n_radial: int = 48,
+                    r_min: float = 1e-6) -> DomainConstant:
     """Minimum of |z - a| * lambda(z) over a log-radial grid around a.
 
-    a must lie outside the domain.  The density used is the exact one
+    The grid has 64 angles and n_radial radii from r_min to 64, and a
+    must lie outside the domain.  The density used is the exact one
     where available; for punctured planes it is the subset comparison
     bound, which lies above the truth, so small values soundly certify
     the vanishing-constant signature.  The grid minimum is refined by
@@ -372,8 +375,8 @@ def domain_constant(domain, a: complex, n_radial: int = 48, n_angular: int = 64,
     a = complex(a)
     if domain.contains(a):
         raise ValueError("the anchor point must lie outside the domain")
-    if not (n_radial >= 2 and n_angular >= 4):
-        raise ValueError("need at least 2 radii and 4 angles")
+    if not n_radial >= 2:
+        raise ValueError("need at least 2 radii")
 
     def probe(r: float, theta: float) -> float:
         z = a + r * complex(math.cos(theta), math.sin(theta))
@@ -381,8 +384,8 @@ def domain_constant(domain, a: complex, n_radial: int = 48, n_angular: int = 64,
             return math.inf
         return r * hyperbolic_density(domain, z).density
 
-    radii = np.geomspace(r_min, r_max, n_radial)
-    angles = 2.0 * math.pi * np.arange(n_angular) / n_angular
+    radii = np.geomspace(r_min, _R_MAX, n_radial)
+    angles = 2.0 * math.pi * np.arange(_N_ANGULAR) / _N_ANGULAR
     best = math.inf
     best_rt = None
     for th in angles:
@@ -396,7 +399,7 @@ def domain_constant(domain, a: complex, n_radial: int = 48, n_angular: int = 64,
     ratio = radii[1] / radii[0]
     _, v, probes = golden_min(lambda lr: probe(math.exp(lr), th0),
                               math.log(r0 / ratio), math.log(r0 * ratio), _LOG_RADIUS_TOL)
-    return DomainConstant(a, min(best, float(v)), n_radial * n_angular + probes)
+    return DomainConstant(a, min(best, float(v)), n_radial * _N_ANGULAR + probes)
 
 
 # ---------------------------------------------------------------------------

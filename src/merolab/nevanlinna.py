@@ -195,9 +195,9 @@ def _logplus_samples(f, r: float, theta: np.ndarray) -> np.ndarray:
     return np.maximum(lm, 0.0)
 
 
-def _proximity_detail(f, r: float):
-    """(value, nodes, converged) for the adaptive circle average."""
-    f = as_expr(f)
+@lru_cache(maxsize=4096)
+def _proximity_detail(f: MeroExpr, r: float):
+    """(value, nodes, converged) for the adaptive circle average, cached per circle."""
     n = _QUAD_START
     theta = 2.0 * math.pi * np.arange(n) / n
     total = float(_logplus_samples(f, r, theta).sum())
@@ -219,11 +219,11 @@ def proximity(f, r: float) -> float:
     Adaptive trapezoid doubling (periodic, so the trapezoid rule is the
     node mean) until successive estimates agree to 1e-8 relative; past
     the 2^20 node cap the best estimate stands (see RadialSample for the
-    flagged variant).
+    flagged variant).  build_profile and characteristic share its cache.
     """
     if not r > 0:
         raise ValueError("radius must be positive")
-    return _proximity_detail(f, r)[0]
+    return _proximity_detail(as_expr(f), float(r))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -250,14 +250,9 @@ def counting(f, r: float) -> float:
     return total
 
 
-@lru_cache(maxsize=4096)
-def _characteristic_cached(f: MeroExpr, r: float) -> float:
-    return proximity(f, r) + counting(f, r)
-
-
 def characteristic(f, r: float) -> float:
-    """T(r, f) = m(r, f) + N(r, f)."""
-    return _characteristic_cached(as_expr(f), float(r))
+    """T(r, f) = m(r, f) + N(r, f), m from the per-circle proximity cache."""
+    return proximity(f, r) + counting(f, r)
 
 
 # ---------------------------------------------------------------------------
@@ -302,57 +297,60 @@ def _pole_on_circle(f, r: float) -> bool:
 
 
 @lru_cache(maxsize=65536)
-def _modulus_scan(f: MeroExpr, r: float, want_max: bool):
-    """Cached coarse 4096-node scan of the circle |z| = r: (value, centers).
+def _modulus_scan(f: MeroExpr, r: float):
+    """Cached coarse 4096-node scan of |z| = r: the min and max (value, centers).
 
-    When centers is None the value is already the exact extremum: a pole
-    marker among the samples forces the degenerate convention (-inf for
-    the minimum, +inf for the maximum) only when the catalog confirms a
-    pole modulus within 1e-9 of r, and a sampled zero makes the minimum
-    -inf.  Otherwise the marker samples are dropped, the value is the
-    scan extremum of log|f| and centers holds the angles of the eight
-    best local brackets.  Refinement can only improve on the scan, so the
-    value bounds the extremum from above (minimum) or below (maximum).
+    An empty centers means the value is already the exact extremum: a
+    pole marker among the samples gives (-inf, +inf) only when the catalog
+    confirms a pole modulus within 1e-9 of r, and a sampled zero makes the
+    minimum -inf.  Otherwise the marker samples are dropped from both
+    sides, each value is the side's scan extremum of log|f| and centers
+    holds the angles of its eight best local brackets.  Refinement can only
+    improve on the scan, so the values bound log L from above and log M
+    from below.
     """
     theta = 2.0 * math.pi * np.arange(_SCAN_NODES) / _SCAN_NODES
     lm = log_modulus(f, r * np.exp(1j * theta))
-    sign = -1.0 if want_max else 1.0
     marker = np.isnan(lm) | np.isposinf(lm)
-    if marker.any():
-        if _pole_on_circle(f, r):
-            return (math.inf if want_max else -math.inf), None
-        lm = lm.copy()
-        lm[marker] = math.inf * sign
-    if not want_max and np.isneginf(lm).any():
-        return -math.inf, None
-    obj = sign * lm
-    neighbors = np.minimum(np.roll(obj, 1), np.roll(obj, -1))
-    local = np.flatnonzero(obj <= neighbors)
-    best = local[np.argsort(obj[local])][:8]
-    return sign * float(obj[best[0]]), theta[best]
-
-
-def _modulus_extremum(f: MeroExpr, r: float, want_max: bool) -> float:
-    """log of the modulus extremum over the circle |z| = r.
-
-    Scan then refine: the coarse scan of _modulus_scan, then golden_min
-    on its eight brackets (one scan step either side) to 1e-10 rad.  The
-    result is the better of the scan extremum and the refined one, so it
-    never falls behind the scan bound that _log_min_bound reports.
-    """
-    value, centers = _modulus_scan(f, r, want_max)
-    if centers is None:
-        return value
-    sign = -1.0 if want_max else 1.0
-    step = 2.0 * math.pi / _SCAN_NODES
-    _, refined, _ = golden_min(lambda t: sign * log_modulus(f, r * np.exp(1j * t)),
-                               centers - step, centers + step, _ANGLE_TOL)
-    return sign * min(sign * value, float(refined.min()))
+    exact = np.empty(0)
+    if marker.any() and _pole_on_circle(f, r):
+        return (-math.inf, exact), (math.inf, exact)
+    sides = []
+    for sign in (1.0, -1.0):
+        obj = sign * lm
+        obj[marker] = math.inf
+        if sign > 0 and np.isneginf(obj).any():
+            sides.append((-math.inf, exact))
+            continue
+        neighbors = np.minimum(np.roll(obj, 1), np.roll(obj, -1))
+        local = np.flatnonzero(obj <= neighbors)
+        best = local[np.argsort(obj[local])][:8]
+        sides.append((sign * float(obj[best[0]]), theta[best]))
+    return tuple(sides)
 
 
 @lru_cache(maxsize=65536)
-def _extremum_cached(f: MeroExpr, r: float, want_max: bool) -> float:
-    return _modulus_extremum(f, r, want_max)
+def _modulus_extrema(f: MeroExpr, r: float):
+    """(log L, log M) over the circle |z| = r.
+
+    Scan then refine: one golden_min call takes the brackets of both
+    _modulus_scan sides (one scan step either side of each center, the
+    maximum's as -log|f|) to 1e-10 rad.  Each side is the better of its
+    scan and refined extrema, so the minimum never falls behind the scan
+    bound that _log_min_bound reports.
+    """
+    (lo, lo_centers), (hi, hi_centers) = _modulus_scan(f, r)
+    centers = np.concatenate([lo_centers, hi_centers])
+    if centers.size == 0:
+        return lo, hi
+    k = lo_centers.size  # 0 when a sampled zero already made log L = -inf
+    sign = np.repeat([1.0, -1.0], [k, hi_centers.size])
+    step = 2.0 * math.pi / _SCAN_NODES
+    _, refined, _ = golden_min(lambda t: sign * log_modulus(f, r * np.exp(1j * t)),
+                               centers - step, centers + step, _ANGLE_TOL)
+    lo = min(lo, float(refined[:k].min(initial=math.inf)))
+    hi = -min(-hi, float(refined[k:].min()))
+    return lo, hi
 
 
 def _log_min_bound(f, r: float) -> float:
@@ -362,7 +360,7 @@ def _log_min_bound(f, r: float) -> float:
     circles; a search can skip refining any circle whose bound is already
     beaten.
     """
-    return _modulus_scan(as_expr(f), float(r), False)[0]
+    return _modulus_scan(as_expr(f), float(r))[0][0]
 
 
 def log_min_modulus(f, r: float) -> float:
@@ -375,14 +373,14 @@ def log_min_modulus(f, r: float) -> float:
     """
     if not r > 0:
         raise ValueError("radius must be positive")
-    return _extremum_cached(as_expr(f), float(r), False)
+    return _modulus_extrema(as_expr(f), float(r))[0]
 
 
 def log_max_modulus(f, r: float) -> float:
     """log M(r, f); +inf when a cataloged pole sits on the circle."""
     if not r > 0:
         raise ValueError("radius must be positive")
-    return _extremum_cached(as_expr(f), float(r), True)
+    return _modulus_extrema(as_expr(f), float(r))[1]
 
 
 def min_modulus(f, r: float) -> float:

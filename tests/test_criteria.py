@@ -191,13 +191,13 @@ def test_pruned_search_refines_few_circles(monkeypatch, name, closed):
         refined.append(args)
         return refine(*args)
 
-    # _modulus_extremum looks the helper up in nevanlinna; the exponent
+    # _modulus_extrema looks the helper up in nevanlinna; the exponent
     # phase calls criteria's own binding and is not counted
     monkeypatch.setattr(nevanlinna, "golden_min", counted)
     for r in _SEARCH_RADII:
         # a cold refinement cache, so every refined circle is counted once
-        fresh = functools.lru_cache(maxsize=None)(nevanlinna._modulus_extremum)
-        monkeypatch.setattr(nevanlinna, "_extremum_cached", fresh)
+        fresh = functools.lru_cache(maxsize=None)(nevanlinna._modulus_extrema.__wrapped__)
+        monkeypatch.setattr(nevanlinna, "_modulus_extrema", fresh)
         refined.clear()
         _search_log_L(f, r, 2.0, closed)
         # the exhaustive ladder refines 76-78 circles here

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -16,11 +17,17 @@ from merolab import (
     log_min_modulus,
     max_modulus,
     min_modulus,
+    nevanlinna,
     parse,
     proximity,
 )
 from merolab.expr import log_modulus, poles_in_disk
-from merolab.nevanlinna import InsufficientSpanError, _log_min_bound, golden_min
+from merolab.nevanlinna import (
+    InsufficientSpanError,
+    _log_min_bound,
+    _pole_on_circle,
+    golden_min,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +153,97 @@ def test_scan_bound_on_degenerate_circles(canprod4, tanz, invz):
     # constant modulus: the scan is already exact
     assert _log_min_bound(invz, 3.0) == log_min_modulus(invz, 3.0)
     assert log_min_modulus(invz, 3.0) == pytest.approx(-math.log(3.0), rel=1e-15)
+
+
+def _one_extremum(f, r, want_max):
+    """Reference: each extreme scanned and refined on its own."""
+    theta = 2.0 * math.pi * np.arange(4096) / 4096
+    lm = log_modulus(f, r * np.exp(1j * theta))
+    sign = -1.0 if want_max else 1.0
+    marker = np.isnan(lm) | np.isposinf(lm)
+    if marker.any():
+        if _pole_on_circle(f, r):
+            return math.inf if want_max else -math.inf
+        lm = lm.copy()
+        lm[marker] = math.inf * sign
+    if not want_max and np.isneginf(lm).any():
+        return -math.inf
+    obj = sign * lm
+    neighbors = np.minimum(np.roll(obj, 1), np.roll(obj, -1))
+    local = np.flatnonzero(obj <= neighbors)
+    best = local[np.argsort(obj[local])][:8]
+    step = 2.0 * math.pi / 4096
+    _, refined, _ = golden_min(lambda t: sign * log_modulus(f, r * np.exp(1j * t)),
+                               theta[best] - step, theta[best] + step, 1e-10)
+    return sign * min(float(obj[best[0]]), float(refined.min()))
+
+
+def _assert_extrema_match_reference(f, r):
+    assert log_min_modulus(f, r) == _one_extremum(f, r, False)
+    assert log_max_modulus(f, r) == _one_extremum(f, r, True)
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_shared_pass_equals_per_extreme_refinement(name):
+    f = corpus_function(name)
+    for r in (0.5, 1.0, 3.0, 10.0, 40.0, 160.0):
+        _assert_extrema_match_reference(f, r)
+
+
+def test_shared_pass_equals_per_extreme_refinement_on_degenerate_circles(canprod4, tanz):
+    # (z - 1)(z + 0.3i) at r = 1: a sampled zero, and a maximum between nodes
+    cases = [(parse("z - 1"), 1.0), (parse("1/(z-1)"), 1.0), (tanz, math.pi / 2),
+             (canprod4, 16.0), (parse("exp(i*z)"), 3.0), (parse("2"), 3.0),
+             (parse("(z - 1)*(z + 0.3*i)"), 1.0)]
+    for f, r in cases:
+        _assert_extrema_match_reference(f, r)
+    # a sampled zero leaves the maximum finite and refined
+    assert log_min_modulus("z - 1", 1.0) == -math.inf < log_max_modulus("z - 1", 1.0)
+
+
+def _cold(monkeypatch, name):
+    """Give the nevanlinna cache `name` a fresh, empty lru_cache."""
+    fresh = functools.lru_cache(maxsize=None)(getattr(nevanlinna, name).__wrapped__)
+    monkeypatch.setattr(nevanlinna, name, fresh)
+
+
+def test_profile_scans_and_refines_each_circle_once(monkeypatch, lacunary2):
+    _cold(monkeypatch, "_modulus_scan")
+    _cold(monkeypatch, "_modulus_extrema")
+    kernel, refine = nevanlinna.log_modulus, nevanlinna.golden_min
+    scans, refinements = [], []
+
+    def counted_kernel(f, z):
+        # the scan's nodes start at angle 0; the quadrature's 4096-node
+        # level starts at pi/4096
+        if z.size == 4096 and z[0].imag == 0.0:
+            scans.append(z[0])
+        return kernel(f, z)
+
+    def counted_refine(*args):
+        refinements.append(args)
+        return refine(*args)
+
+    monkeypatch.setattr(nevanlinna, "log_modulus", counted_kernel)
+    monkeypatch.setattr(nevanlinna, "golden_min", counted_refine)
+    profile = build_profile(lacunary2, RadiusGrid(1.0, 4.0, 2.0 ** 0.5))
+    assert len(profile.samples) == len(scans) == len(refinements) == 5
+
+
+def test_profile_and_characteristic_share_one_quadrature(monkeypatch, expz):
+    _cold(monkeypatch, "_proximity_detail")
+    samples = nevanlinna._logplus_samples
+    starts = []
+
+    def counted(f, r, theta):
+        if theta[0] == 0.0:  # the first level of one quadrature
+            starts.append(r)
+        return samples(f, r, theta)
+
+    monkeypatch.setattr(nevanlinna, "_logplus_samples", counted)
+    sample = build_profile(expz, RadiusGrid(2.0, 4.0, 2.0)).samples[0]
+    assert characteristic(expz, 2.0) == sample.T
+    assert starts == [2.0, 4.0]
 
 
 # ---------------------------------------------------------------------------
