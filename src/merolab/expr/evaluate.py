@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import loggamma
@@ -57,6 +58,8 @@ LOG_HUGE = math.log(HUGE)  # 690.7755278982137
 _LOG_CAP = 1e300           # cap on the log modulus itself
 _POLE_TOL = 1e-12          # proximity at which a point counts as "at a pole"
 _CANPROD_CHUNK = 8192      # points per canprod batch; bounds the (N, p) temporaries
+_TWO_BY_SQRT_PI = 2.0 / math.sqrt(math.pi)
+_LACUNARY_CELLS = 1 << 16  # (point, term) cells per lacunary batch
 
 OK_FLAG, POLE_FLAG, OVERFLOW_FLAG = 0, 1, 2
 
@@ -255,60 +258,174 @@ def _lp_cos(u, v, ref, big):
 
 
 def _lp_canprod(node: CanonicalProduct, z: np.ndarray):
-    """log of prod_{k>=1} (1 + z/k^p) through the gamma function.
+    """log of prod_{k>=1} (1 + z/k^p) over the p-th roots w of -z.
 
-    With w over the p-th roots of -z, prod(1 + z/k^p) = prod_w 1/Gamma(1 - w):
-    the Weierstrass product of 1/Gamma (DLMF 5.8.2), whose convergence
-    factors cancel because the roots sum to zero.  Next to the zero -n^p,
-    n = max(1, rint|w|), a rounded root misses the pole of Gamma by up to
-    an ulp of n, so the factor prod_w (n - w) = n^p + z is taken from z:
+    Each factor splits over the roots: 1 + z/k^p = prod_w (1 - w/k).
+    Even p pairs the roots +-w, and prod_k (1 - w^2/k^2) = sin(pi w)/(pi w)
+    (DLMF 4.22.1), so half the roots and no gamma function are needed
+    (_lp_canprod_even).  Odd p takes prod_w 1/Gamma(1 - w), the
+    Weierstrass product of 1/Gamma (DLMF 5.8.2), whose convergence factors
+    cancel because the roots sum to zero (_lp_canprod_odd).
 
-        log f = log(n^p + z) - sum_w [loggamma(1 - w) + log(n - w)],
-
-    with a summand regular at w = n.  z = -n^p then gives log 0 = -inf.
-    Large inputs run in chunks of 8192 points, so the complex (N, p)
-    temporaries stay small; a point's value does not depend on its batch,
-    so chunking changes no bit.
+    Both routes share the head: next to the zero -n^p, n = max(1, rint|w|),
+    a rounded root misses n by up to an ulp of n, so the factor
+    prod_w (n - w) = n^p + z is taken from z itself and divided out of a
+    summand that is regular at w = n.  Large inputs run in chunks of 8192
+    points, so the complex (N, p) temporaries stay small; a point's value
+    does not depend on its batch, so chunking changes no bit.
     """
-    if z.size > _CANPROD_CHUNK:
-        flat = z.reshape(-1)
-        logmod = np.empty(flat.shape)
-        phase = np.empty(flat.shape, dtype=np.complex128)
-        for i in range(0, flat.size, _CANPROD_CHUNK):
-            part = slice(i, i + _CANPROD_CHUNK)
-            logmod[part], phase[part] = _lp_canprod(node, flat[part])
-        return logmod.reshape(z.shape), phase.reshape(z.shape)
-    p = node.power
-    rho = np.abs(z) ** (1.0 / p) * np.exp(1j * np.angle(-z) / p)
-    w = rho[..., None] * np.exp(2j * math.pi * np.arange(p) / p)
-    n = np.maximum(np.rint(np.abs(rho)), 1.0)
-    # n^p + z halved p times: exact scaling, finite up to the largest double
-    head = np.log((0.5 * n) ** p + z * 0.5**p) + math.log(2.0**p)
-    log_f = head - (loggamma(1.0 - w) + np.log(n[..., None] - w)).sum(axis=-1)
+    flat = z.reshape(-1)
+    if flat.size > _CANPROD_CHUNK:
+        parts = [_lp_canprod(node, flat[i : i + _CANPROD_CHUNK]) for i in range(0, flat.size, _CANPROD_CHUNK)]
+        return tuple(np.concatenate(a).reshape(z.shape) for a in zip(*parts))
+    route = _lp_canprod_odd if node.power % 2 else _lp_canprod_even
+    logmod, phase = route(node.power, flat)
+    return logmod.reshape(z.shape), phase.reshape(z.shape)
+
+
+def _canprod_roots(p: int, z: np.ndarray, count: int):
+    """Roots w_0..w_{count-1} of w^p = -z, n = max(1, rint|w|), (n^p + z) / 2^p.
+
+    w_0 is the root nearest the positive real axis, so next to the zero
+    -n^p it is the root near n.  The head n^p + z is halved p times: exact
+    scaling, finite up to the largest double.
+    """
+    size = np.abs(z) ** (1.0 / p)
+    w = (size * np.exp(np.angle(-z) * (1j / p)))[:, None] * _unit_roots(p, count)
+    n = np.maximum(np.rint(size), 1.0)
+    return w, n, (0.5 * n) ** p + z * 0.5**p
+
+
+@lru_cache(maxsize=None)
+def _unit_roots(p: int, count: int) -> np.ndarray:
+    """exp(2 pi i j / p) for j < count, one read-only array per (p, count)."""
+    roots = np.exp(2j * math.pi * np.arange(count) / p)
+    roots.flags.writeable = False
+    return roots
+
+
+def _lp_canprod_even(p: int, z: np.ndarray):
+    """Even p = 2q: log f = log(n^p + z) + sum_w log[sin(pi w) / (pi w (n^2 - w^2))].
+
+    w runs over one root of each pair +-w, and prod_w (n^2 - w^2) = n^p + z.
+    sin(pi w) = (-1)^m sin(pi (w - m)) with m = rint(Re w): w - m is exact
+    next to an integer, and np.sin keeps its relative accuracy next to its
+    zero.  Where np.sin overflows (|Im pi (w - m)| > 710), sin goes
+    through _lp_euler, whose subtraction has no cancellation there.
+    The summand's limits at w = 0 and w = n are taken explicitly.  A
+    negative real z gets n and w - n from the exact double
+    (_canprod_axis), since its real root pair has no correct fractional
+    digit once it passes 2^52.  A non-finite z comes out NaN, the pole
+    marker, on its own.
+    """
+    w, n, head = _canprod_roots(p, z, p // 2)
+    m = np.rint(w.real)
+    d = w - m
+    nn = n[:, None]
+    wn = w / nn
+    # w (n^2 - w^2) / n^2.  Complex products here take named operands:
+    # numpy may reuse a large temporary in place with the operands swapped,
+    # which moves the product's last bit, so a value would depend on the
+    # size of its batch
+    near, far = nn - w, 1.0 + wn
+    den = wn * near * far
+    sign = (-1.0) ** m
+    s = np.sin(math.pi * d) * sign  # sin(pi w)
+    if not z.imag.all():
+        for i in ((z.imag == 0) & (z.real < 0)).nonzero()[0]:
+            _canprod_axis(p, -float(z.real[i]), i, s, den, head)
+    t = s / den
+    over = None
+    if not np.isfinite(t).all():
+        # the summand's limits at w = 0 (z = 0) and at w = n, which only an
+        # exact zero reaches (its head, log 0 = -inf, decides the value)
+        at = den == 0
+        t[at] = np.where(w[at] == 0, math.pi, -0.5 * math.pi * sign[at])
+        over = ~np.isfinite(t)  # np.sin overflowed
+    abs_t = np.abs(t)
+    lt = np.log(abs_t)
+    pt = t / abs_t
+    if over is not None and over.any():
+        ls, ps = _lp_sin(*_lp_euler(*_lp_from_values(math.pi * d[over])))
+        abs_den = np.abs(den[over])
+        lt[over] = ls - np.log(abs_den)
+        unit = np.conj(den[over]) / abs_den
+        pt[over] = ps * sign[over] * unit
+    abs_head = np.abs(head)
+    phase = head / abs_head
+    if not abs_head.all():
+        phase[abs_head == 0] = 1.0  # a true zero: log 0 = -inf below
+    # f = 2^p head / (pi^q n^p) * prod t, and 2^p / (pi^q n^p) = (2 / (sqrt(pi) n))^p
+    logmod = np.log(abs_head) + p * np.log(_TWO_BY_SQRT_PI / n) + lt.sum(axis=-1)
+    roots_phase = np.multiply.reduce(pt, axis=-1)
+    return logmod, phase * roots_phase
+
+
+def _canprod_axis(p: int, x: float, i: int, s, den, head) -> None:
+    """Exact head and real-root summand for the even-p product at -x < 0.
+
+    The real root pair is +-x^(1/p).  With n the integer nearest x^(1/p)
+    and x - n^p exact in integers, delta = x^(1/p) - n comes out to full
+    relative accuracy even where the root has no fractional digit left,
+    and sin(pi x^(1/p)) = (-1)^n sin(pi delta).  Row i of s, den and head
+    is overwritten.  Below x^(1/p) = 1/2 the float route stays: the only
+    integer near the root is 0, where sin(pi w) loses nothing.
+    """
+    if x == math.inf:
+        return
+    n = _iroot(math.floor(x), p)
+    if Fraction(x) * 2**p > (2 * n + 1) ** p:
+        n += 1
+    if n == 0:
+        return
+    excess = Fraction(x) - n**p
+    root, nf = x ** (1.0 / p), float(n)
+    delta = float(excess) / sum(root**j * nf ** (p - 1 - j) for j in range(p))
+    s[i, 0] = (-1) ** (n % 2) * math.sin(math.pi * delta)
+    den[i, 0] = (root / nf) * -delta * (1.0 + root / nf)
+    head[i] = -float(excess) * 0.5**p
+
+
+def _iroot(k: int, p: int) -> int:
+    """floor(k^(1/p)) for an integer k >= 0, by Newton's method from above."""
+    if k < 2:
+        return k
+    r = 1 << -(-k.bit_length() // p)
+    while True:
+        nxt = ((p - 1) * r + k // r ** (p - 1)) // p
+        if nxt >= r:
+            return r
+        r = nxt
+
+
+def _lp_canprod_odd(p: int, z: np.ndarray):
+    """Odd p: log f = log(n^p + z) - sum_w [loggamma(1 - w) + log(n - w)].
+
+    The summand is regular at w = n, and z = -n^p gives log 0 = -inf.
+    """
+    w, n, head = _canprod_roots(p, z, p)
+    log_f = np.log(head) + math.log(2.0**p) - (loggamma(1.0 - w) + np.log(n[:, None] - w)).sum(axis=-1)
     # a non-finite log at a finite point reads as a zero: z = -n^p, or a root
     # that rounded onto the pole of Gamma; rounding can fake both, so real
     # points are re-checked exactly
     zero = ~(np.isfinite(log_f.real) & np.isfinite(log_f.imag))
-    for at in zip(*np.nonzero(zero & (z.imag == 0) & np.isfinite(z.real))):
+    for at in np.flatnonzero(zero & (z.imag == 0) & np.isfinite(z.real)):
         log_f[at] = _canprod_flagged(p, n[at], z.real[at], w[at])
         zero[at] = np.isneginf(log_f[at].real)
     logmod = np.where(zero, -np.inf, log_f.real)
     phase = np.where(zero, 1.0 + 0j, np.exp(1j * log_f.imag))
-    # non-finite input gets the NaN pole marker
-    finite = np.isfinite(z.real) & np.isfinite(z.imag)
-    return np.where(finite, logmod, np.nan), phase
+    # a non-finite z gets the NaN pole marker
+    return np.where(np.isfinite(z), logmod, np.nan), phase
 
 
 def _canprod_flagged(p: int, n: float, x: float, roots: np.ndarray) -> complex:
-    """log canprod(p) at a real x whose float evaluation reads as a zero.
+    """log canprod(p), p odd, at a real x whose float evaluation reads as a zero.
 
     n^p + x is decided in exact rational arithmetic: zero means a true
     zero (-inf).  Otherwise its log is the head, and a root equal to n in
     floats takes the limit of its summand, log[(-1)^(n-1) / (n-1)!].
     This is as accurate as the rounded roots allow: about 1e-16 of the
-    largest loggamma term, n log n.  For p = 2 far out on the axis the
-    terms of the roots +-n cancel to far below that, and no digit is
-    left: -1.7e308 reads 0.0, where the true value is -356.5.
+    largest loggamma term, n log n.
     """
     exact = Fraction(int(n)) ** p + Fraction(x)
     if exact == 0:
@@ -324,25 +441,43 @@ def _canprod_flagged(p: int, n: float, x: float, roots: np.ndarray) -> complex:
 
 
 def _lp_lacunary(node: LacunarySeries, z: np.ndarray):
+    """log of sum_{n>=0} q^(-n^2) z^n, each point truncated at its own last term.
+
+    Term n has log modulus n log|z| - n^2 log q, concave in n with its peak
+    at n* = log|z| / (2 log q); n* + D sits D^2 log q below the peak.  A
+    point sums n = 0..N with N = max(8, ceil(n* + sqrt(60 / log q) + 8)), so
+    every dropped term is below e^-60 of the largest.  The reference is the
+    largest term itself, at the integer nearest n* (at least 0), so no
+    scaled term exceeds 1.  The scaled moduli of a batch form one
+    (term, point) array, zero past each point's N, and Horner's rule in the
+    unit phase of z runs down from the batch's largest N: the zeros above a
+    point's own N leave its sum at exactly +0, so its value does not depend
+    on its batch.  Points run in chunks of at most 2^16 array cells.
+    """
     logq = math.log(node.ratio)
-    lz, pz = _lp_from_values(z)
-    # running rescaled sum: value = e^ref * acc
-    ref = np.zeros(z.shape)
-    acc = np.ones(z.shape, dtype=np.complex128)  # n = 0 term
-    pzn = np.ones(z.shape, dtype=np.complex128)
-    with np.errstate(invalid="ignore", over="ignore"):
-        peak = np.nanmax(np.where(np.isfinite(lz), lz, 0.0)) / (2.0 * logq)
-        n_cap = int(max(8, math.ceil(peak + math.sqrt(60.0 / logq) + 8)))
-        for n in range(1, n_cap + 1):
-            pzn = pzn * pz
-            ln = np.where(np.isneginf(lz), -np.inf, n * lz - n * n * logq)
-            new_ref = np.maximum(ref, ln)
-            shift = np.exp(ref - new_ref)
-            term = np.exp(np.where(np.isneginf(ln), -np.inf, ln - new_ref))
-            acc = acc * shift + pzn * term
-            ref = new_ref
+    lz, pz = _lp_from_values(z.reshape(-1))
+    lz_finite = np.where(np.isfinite(lz), lz, 0.0)
+    peak = lz_finite / (2.0 * logq)
+    last = np.maximum(np.ceil(peak + (math.sqrt(60.0 / logq) + 8.0)), 8.0)
+    k = np.maximum(np.rint(peak), 0.0)
+    ref = k * (lz_finite - k * logq)
+    acc = np.zeros(lz.shape, dtype=np.complex128)
+    cols = max(1, _LACUNARY_CELLS // int(last.max(initial=0.0) + 1.0))
+    for i in range(0, lz.size, cols):
+        part = slice(i, i + cols)
+        n = np.arange(last[part].max() + 1.0)[:, None]
+        scaled = lz[part] - n * logq
+        scaled *= n
+        scaled -= ref[part]
+        scaled[0] = -ref[part]  # 0 * log|0| would be NaN
+        np.exp(scaled, out=scaled)
+        scaled *= n <= last[part]
+        total, unit = acc[part], pz[part]
+        for row in scaled[::-1]:
+            total = total * unit + row
+        acc[part] = total
     logmod, phase = _lp_from_values(acc)
-    return ref + logmod, phase
+    return (ref + logmod).reshape(z.shape), phase.reshape(z.shape)
 
 
 def _lp(node: Node, z: np.ndarray):

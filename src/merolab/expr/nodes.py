@@ -112,11 +112,11 @@ class Func(Node):
 class LacunarySeries(Node):
     """The entire series sum_{n>=0} ratio^(-n^2) z^n, ratio > 1.
 
-    Evaluation truncates adaptively.  Term log-magnitudes are concave in n
-    with a single peak, so truncating once the current term falls 46 nats
-    below the running maximum bounds the relative truncation error by
-    roughly (number of dropped comparable terms) * 1e-20, far below double
-    rounding for every evaluation radius the library supports.
+    Evaluation truncates per point.  Term log-magnitudes are concave in n
+    with a single peak at n* = log|z| / (2 log ratio), so each point stops
+    at its own last term max(8, ceil(n* + sqrt(60 / log ratio) + 8)), where
+    every dropped term lies more than 60 nats below the largest one (see
+    merolab.expr.evaluate).
     """
 
     ratio: float
@@ -130,8 +130,10 @@ class LacunarySeries(Node):
 class CanonicalProduct(Node):
     """The entire product prod_{k>=1} (1 + z / k^power), integer power >= 2.
 
-    Evaluation goes through the 1/Gamma identity over the power-th roots
-    of -z (see merolab.expr.evaluate), one loggamma call per root.
+    Evaluation runs over the power-th roots w of -z (see
+    merolab.expr.evaluate).  An even power pairs the roots +-w and takes
+    one factor sin(pi w) / (pi w) per pair; an odd power takes one
+    1/Gamma(1 - w) per root, through loggamma.
     """
 
     power: int

@@ -29,3 +29,17 @@ def test_log_polar_is_batch_independent(source, point, others, where):
     inside = log_polar(f, batch)
     for a, b in zip(alone, inside):
         assert a.tobytes() == b[where : where + 1].tobytes()
+
+
+@pytest.mark.parametrize("source", ["canprod(2)", "canprod(3)", "canprod(4)", "canprod(6)", "lacunary(2)"])
+def test_log_polar_large_batch_matches_small_batches(source):
+    # numpy reuses temporaries of 256 KiB and more in place, which only a
+    # batch of thousands of points reaches
+    f = parse(source)
+    rng = np.random.default_rng(7)
+    radii = 10.0 ** rng.uniform(-3.0, 12.0, 9000)
+    batch = radii * np.exp(2j * np.pi * rng.uniform(size=9000))
+    whole = log_polar(f, batch)
+    pieces = [log_polar(f, batch[i : i + 37]) for i in range(0, batch.size, 37)]
+    for k, got in enumerate(whole):
+        assert got.tobytes() == np.concatenate([piece[k] for piece in pieces]).tobytes()

@@ -1,8 +1,10 @@
 import cmath
+import importlib
 import math
 
 import numpy as np
 import pytest
+from scipy.special import loggamma
 
 from merolab import evaluate, parse
 from merolab.expr import OVERFLOW, POLE, evaluate_many, log_modulus, log_polar, poles_in_disk
@@ -83,7 +85,7 @@ def test_canprod_small_radius_oracle(canprod4):
     # independent oracle: explicit factors to k=300, then the zeta tail
     zeta4 = math.pi**4 / 90.0
     ks = np.arange(1, 301, dtype=np.float64)
-    for z in (3.0 + 4.0j, -7.0 + 1.0j, 10.0 + 0j):
+    for z in (3.0 + 4.0j, -7.0 + 1.0j, 10.0 + 0j, 0j):
         head = np.log(1.0 + z / ks**4).sum()
         tail = z * (zeta4 - float((ks**-4).sum()))
         oracle = (head + tail).real
@@ -191,6 +193,81 @@ def test_canprod_no_false_zero_from_rounding(p):
             assert abs(err) <= 1e-12 + 2e-15 * k * math.log(k), z
     # a true zero above 2^53 stays exact: -2^60 = -(2^30)^2
     assert np.isneginf(log_modulus(parse("canprod(2)"), np.array([-(2.0**60)]))).all()
+
+
+@pytest.mark.parametrize("x", [1e30, 1e40, 1.7e308])
+def test_canprod2_far_out_on_negative_axis(x):
+    # the real root sqrt(x) has no fractional digit left in floats, so the
+    # value needs n and x - n^2 from the exact double
+    mpmath = pytest.importorskip("mpmath")
+    lm, phase = log_polar(parse("canprod(2)"), np.array([complex(-x, 0.0)]))
+    with mpmath.workdps(400):
+        s = mpmath.sqrt(mpmath.mpf(x))
+        ref = mpmath.sin(mpmath.pi * s) / (mpmath.pi * s)
+        want = float(mpmath.log(abs(ref)))
+        sign = 1.0 if ref > 0 else -1.0
+    assert abs(lm[0] - want) <= 1e-12 * max(1.0, abs(want))
+    assert abs(phase[0] - sign) <= 1e-12
+
+
+def _evaluate_module():
+    return importlib.import_module("merolab.expr.evaluate")
+
+
+@pytest.mark.parametrize("p", [2, 4, 6])
+def test_even_canprod_makes_no_loggamma_call(monkeypatch, p):
+    def refuse(*args):
+        raise AssertionError("loggamma called for an even power")
+
+    monkeypatch.setattr(_evaluate_module(), "loggamma", refuse)
+    theta = 2.0 * math.pi * np.arange(4096) / 4096
+    for r in (0.5, 16.0, 1e3, 1e24):
+        lm, _ = log_polar(parse(f"canprod({p})"), r * np.exp(1j * theta))
+        assert np.isfinite(lm).all()
+
+
+def _canprod_gamma_reference(p, z):
+    # the 1/Gamma form prod_w 1/Gamma(1 - w) for every power, with the
+    # factor n^p + z of the nearest zero taken from z
+    rho = np.abs(z) ** (1.0 / p) * np.exp(1j * np.angle(-z) / p)
+    w = rho[..., None] * np.exp(2j * math.pi * np.arange(p) / p)
+    n = np.maximum(np.rint(np.abs(rho)), 1.0)
+    head = np.log((0.5 * n) ** p + z * 0.5**p) + math.log(2.0**p)
+    return head - (loggamma(1.0 - w) + np.log(n[..., None] - w)).sum(axis=-1)
+
+
+@pytest.mark.parametrize("p", [2, 4, 6])
+@pytest.mark.parametrize("r", [0.5, 3.0, 16.0, 40.0, 1e3, 1e4, 2e13])
+def test_even_canprod_agrees_with_gamma_route(p, r):
+    # |log f| is taken as the loggamma sum gives it, imaginary part
+    # unreduced: the scale of the reference's own rounding
+    z = r * np.exp(2j * math.pi * np.arange(4096) / 4096)
+    ref = _canprod_gamma_reference(p, z)
+    lm, phase = log_polar(parse(f"canprod({p})"), z)
+    err = np.abs((lm - ref.real) + 1j * np.angle(phase * np.exp(-1j * ref.imag)))
+    assert (err <= 1e-12 * np.maximum(1.0, np.abs(ref))).all()
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+def test_lacunary_mpmath_oracle(q):
+    mpmath = pytest.importorskip("mpmath")
+    pts = [
+        r * cmath.exp(1j * t)
+        for r in (1e-3, 0.7, 3.0, 40.0, 1e3, 1e6)
+        for t in (0.0, 1.0, 2.5, -3.0, math.pi)
+    ]
+    lm, phase = log_polar(parse(f"lacunary({q})"), np.array(pts))
+    with mpmath.workdps(40):
+        for z, got_l, got_phase in zip(pts, lm, phase):
+            z = mpmath.mpc(z)
+            terms = lambda n, z=z: mpmath.mpf(q) ** (-n * n) * z**n  # noqa: E731
+            ref = mpmath.log(mpmath.nsum(terms, [0, mpmath.inf]))
+            # the terms cancel where z is near the negative axis; bound the
+            # error by their total modulus over the sum, the condition number
+            size = mpmath.nsum(lambda n: abs(terms(n)), [0, mpmath.inf])
+            cond = float(size / abs(mpmath.exp(ref)))
+            err = complex(got_l - float(ref.real), cmath.phase(got_phase / complex(mpmath.expj(ref.imag))))
+            assert abs(err) <= 1e-15 * cond * max(1.0, float(abs(ref))), z
 
 
 def test_source_text_accepted_everywhere():
