@@ -313,7 +313,7 @@ def _lp_canprod_even(p: int, z: np.ndarray):
     zero.  Where np.sin overflows (|Im pi (w - m)| > 710), sin goes
     through _lp_euler, whose subtraction has no cancellation there.
     The summand's limits at w = 0 and w = n are taken explicitly.  A
-    negative real z gets n and w - n from the exact double
+    negative real z gets n, w - n and the head from the exact double
     (_canprod_axis), since its real root pair has no correct fractional
     digit once it passes 2^52.  A non-finite z comes out NaN, the pole
     marker, on its own.
@@ -321,6 +321,16 @@ def _lp_canprod_even(p: int, z: np.ndarray):
     w, n, head = _canprod_roots(p, z, p // 2)
     m = np.rint(w.real)
     d = w - m
+    axis = []
+    if not z.imag.all():
+        for i in ((z.imag == 0) & (z.real < 0)).nonzero()[0]:
+            exact = _canprod_axis(p, -float(z.real[i]))
+            if exact is not None:
+                # m sets only the sign (-1)^m, and float(n) has lost n's
+                # parity past 2^53
+                k, d[i, 0], head[i] = exact
+                n[i], m[i, 0] = k, k % 2
+                axis.append(i)
     nn = n[:, None]
     wn = w / nn
     # w (n^2 - w^2) / n^2.  Complex products here take named operands:
@@ -328,12 +338,11 @@ def _lp_canprod_even(p: int, z: np.ndarray):
     # which moves the product's last bit, so a value would depend on the
     # size of its batch
     near, far = nn - w, 1.0 + wn
+    if axis:
+        near[axis, 0] = -d[axis, 0]  # n - w, exact
     den = wn * near * far
     sign = (-1.0) ** m
     s = np.sin(math.pi * d) * sign  # sin(pi w)
-    if not z.imag.all():
-        for i in ((z.imag == 0) & (z.real < 0)).nonzero()[0]:
-            _canprod_axis(p, -float(z.real[i]), i, s, den, head)
     t = s / den
     over = None
     if not np.isfinite(t).all():
@@ -361,29 +370,26 @@ def _lp_canprod_even(p: int, z: np.ndarray):
     return logmod, phase * roots_phase
 
 
-def _canprod_axis(p: int, x: float, i: int, s, den, head) -> None:
-    """Exact head and real-root summand for the even-p product at -x < 0.
+def _canprod_axis(p: int, x: float):
+    """Integer n, x^(1/p) - n and (n^p - x) / 2^p for the even-p product at -x < 0.
 
     The real root pair is +-x^(1/p).  With n the integer nearest x^(1/p)
     and x - n^p exact in integers, delta = x^(1/p) - n comes out to full
-    relative accuracy even where the root has no fractional digit left,
-    and sin(pi x^(1/p)) = (-1)^n sin(pi delta).  Row i of s, den and head
-    is overwritten.  Below x^(1/p) = 1/2 the float route stays: the only
-    integer near the root is 0, where sin(pi w) loses nothing.
+    relative accuracy even where the root has no fractional digit left.
+    None where the float route stays: x = inf, and x^(1/p) below 1/2,
+    where the only integer near the root is 0 and sin(pi w) loses nothing.
     """
     if x == math.inf:
-        return
+        return None
     n = _iroot(math.floor(x), p)
     if Fraction(x) * 2**p > (2 * n + 1) ** p:
         n += 1
     if n == 0:
-        return
+        return None
     excess = Fraction(x) - n**p
     root, nf = x ** (1.0 / p), float(n)
     delta = float(excess) / sum(root**j * nf ** (p - 1 - j) for j in range(p))
-    s[i, 0] = (-1) ** (n % 2) * math.sin(math.pi * delta)
-    den[i, 0] = (root / nf) * -delta * (1.0 + root / nf)
-    head[i] = -float(excess) * 0.5**p
+    return n, delta, -float(excess) * 0.5**p
 
 
 def _iroot(k: int, p: int) -> int:

@@ -195,19 +195,27 @@ def test_canprod_no_false_zero_from_rounding(p):
     assert np.isneginf(log_modulus(parse("canprod(2)"), np.array([-(2.0**60)]))).all()
 
 
-@pytest.mark.parametrize("x", [1e30, 1e40, 1.7e308])
-def test_canprod2_far_out_on_negative_axis(x):
-    # the real root sqrt(x) has no fractional digit left in floats, so the
-    # value needs n and x - n^2 from the exact double
+@pytest.mark.parametrize(
+    "p, x",
+    [(2, 1e30), (2, 1e40), (2, 1.7e308), (2, 2.25), (2, 12.25), (4, 5.0625), (6, 11.390625)],
+)
+def test_even_canprod_on_negative_axis(p, x):
+    # far out, the real root x^(1/p) has no fractional digit left in floats,
+    # so the value needs n and x - n^p from the exact double; at a root
+    # k + 1/2 (k odd for all but 12.25), a rounding tie, n may be k or k + 1
+    # but must be the same n throughout
     mpmath = pytest.importorskip("mpmath")
-    lm, phase = log_polar(parse("canprod(2)"), np.array([complex(-x, 0.0)]))
+    lm, phase = log_polar(parse(f"canprod({p})"), np.array([complex(-x, 0.0)]))
     with mpmath.workdps(400):
-        s = mpmath.sqrt(mpmath.mpf(x))
-        ref = mpmath.sin(mpmath.pi * s) / (mpmath.pi * s)
+        rho = mpmath.mpf(x) ** (mpmath.mpf(1) / p)
+        ref = mpmath.fprod(
+            mpmath.sin(mpmath.pi * w) / (mpmath.pi * w)
+            for w in (rho * mpmath.expj(2 * mpmath.pi * j / p) for j in range(p // 2))
+        )
         want = float(mpmath.log(abs(ref)))
-        sign = 1.0 if ref > 0 else -1.0
+        unit = complex(ref / abs(ref))
     assert abs(lm[0] - want) <= 1e-12 * max(1.0, abs(want))
-    assert abs(phase[0] - sign) <= 1e-12
+    assert abs(phase[0] - unit) <= 1e-12
 
 
 def _evaluate_module():
