@@ -37,9 +37,103 @@ from merolab.nevanlinna import (
 
 def test_proximity_exp_closed_form(expz):
     # m(r, exp) = r/pi; at r = pi the value is exactly 1
-    assert proximity(expz, math.pi) == pytest.approx(1.0, abs=1e-7)
-    for r in (5.0, 12.0):
-        assert proximity(expz, r) == pytest.approx(r / math.pi, rel=1e-7)
+    assert proximity(expz, math.pi) == pytest.approx(1.0, abs=1e-13)
+    for r in (5.0, 10.0, 12.0, 500.0):
+        assert proximity(expz, r) == pytest.approx(r / math.pi, rel=1e-13)
+
+
+def _mp_proximity(F, r, cuts):
+    """Reference m(r): 20-digit mpmath quad of log+ |F(r e^{it})| / 2pi,
+    split at the angles `cuts` in [0, 2pi] where |F| = 1."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(20):
+        r = mpmath.mpf(r)
+
+        def log_abs(t):
+            return mpmath.log(abs(F(r * mpmath.expj(t))))
+
+        edges = [mpmath.mpf(0), *sorted(cuts), 2 * mpmath.pi]
+        total = mpmath.mpf(0)
+        for a, b in zip(edges, edges[1:]):
+            if log_abs((a + b) / 2) > 0:
+                total += mpmath.quad(log_abs, [a, b])
+        return float(total / (2 * mpmath.pi))
+
+
+# the tanz circles of RadiusGrid(1, 1000, 2^(1/8)) where a uniform
+# trapezoid rule stopped unconverged at 2^20 nodes
+_TAN_HARD_RADII = (24.67537320652708, 32.000000000000036, 34.89624744528828,
+                   38.054627680087115, 41.49886574883236, 53.8173705762378,
+                   90.50966799187822, 165.99546299532952, 197.40298565221676)
+
+
+def _mp_proximity_tan(r):
+    mpmath = pytest.importorskip("mpmath")
+    # |tan(x + iy)|^2 = (cosh 2y - cos 2x) / (cosh 2y + cos 2x), so |tan| = 1
+    # exactly where x = pi/4 + k pi/2
+    k = math.ceil(2.0 * r / math.pi)
+    cuts = []
+    for x in math.pi / 4 + math.pi / 2 * np.arange(-k, k):
+        if abs(x) < r:
+            t = mpmath.acos(mpmath.mpf(x) / mpmath.mpf(r))
+            cuts += [t, 2 * mpmath.pi - t]
+    return _mp_proximity(mpmath.tan, r, cuts)
+
+
+@pytest.mark.parametrize("r", _TAN_HARD_RADII)
+def test_proximity_tan_oracle(tanz, r):
+    ref = _mp_proximity_tan(r)
+    assert abs(proximity(tanz, r) - ref) <= 1e-8 * max(1.0, characteristic(tanz, r))
+
+
+def test_proximity_sees_a_kink_next_to_a_panel_edge(tanz):
+    # on r = sqrt(2), |tan| = 1 at angle acos(pi / (4 sqrt 2)) = 0.98200, which
+    # lies 2.5e-4 rad past the starting panel edge 10 * 2pi/64, closer to it
+    # than any node of the panel's rule or of its halves
+    r = math.sqrt(2.0)
+    assert proximity(tanz, r) == pytest.approx(_mp_proximity_tan(r), abs=1e-12)
+
+
+def test_proximity_lacunary_oracle_next_to_a_zero(lacunary2):
+    # the circle r = 512 passes 1.5e-6 from the zero of lacunary(2) near
+    # -512, and log|f| dips below 0 on an arc of about 6e-6 rad
+    mpmath = pytest.importorskip("mpmath")
+    r = 512.000000000001
+    coeffs = [mpmath.mpf(2) ** (-n * n) for n in reversed(range(30))]
+
+    def F(z):
+        return mpmath.polyval(coeffs, z)
+
+    theta = 2.0 * math.pi * np.arange(2**16 + 1) / 2**16
+    below = log_modulus(lacunary2, r * np.exp(1j * theta)) < 0.0
+    cuts = []
+    with mpmath.workdps(20):
+        for i in np.flatnonzero(below[1:] != below[:-1]):
+            cuts.append(mpmath.findroot(
+                lambda t: mpmath.log(abs(F(r * mpmath.expj(t)))),
+                (theta[i], theta[i + 1]), solver="anderson"))
+    assert len(cuts) == 2
+    ref = _mp_proximity(F, r, cuts)
+    assert abs(proximity(lacunary2, r) - ref) <= 1e-8 * max(1.0, characteristic(lacunary2, r))
+
+
+def test_proximity_stops_at_its_node_cap(monkeypatch, tanz):
+    # the full quadrature of this circle takes 8,704 nodes
+    r = 8.724061861322067
+    full = proximity(tanz, r)
+    monkeypatch.setattr(nevanlinna, "_QUAD_CAP", 6000)
+    m, nodes, converged = nevanlinna._proximity_detail.__wrapped__(tanz, r)
+    assert not converged and nodes <= 6000
+    assert m == pytest.approx(full, rel=1e-5)
+
+
+@pytest.mark.parametrize("r, want", [(861.0779292198056, 1.1410823810266e-4),
+                                     (1024.0000000000023, 1.8058481033000e-4)])
+def test_proximity_sees_narrow_arcs_next_to_poles(r, want):
+    # the circle passes 0.28 and 0.16 from poles log 2 + 2 pi i k of
+    # 1/(exp(z) - 2); log+ |f| > 0 only on two arcs of about 1e-3 rad.
+    # References: 30-digit mpmath quad split at the four |f| = 1 crossings
+    assert proximity("1/(exp(z)-2)", r) == pytest.approx(want, abs=1e-12)
 
 
 def test_characteristic_inverse_z():
@@ -208,42 +302,28 @@ def _cold(monkeypatch, name):
 
 
 def test_profile_scans_and_refines_each_circle_once(monkeypatch, lacunary2):
-    _cold(monkeypatch, "_modulus_scan")
-    _cold(monkeypatch, "_modulus_extrema")
-    kernel, refine = nevanlinna.log_modulus, nevanlinna.golden_min
-    scans, refinements = [], []
-
-    def counted_kernel(f, z):
-        # the scan's nodes start at angle 0; the quadrature's 4096-node
-        # level starts at pi/4096
-        if z.size == 4096 and z[0].imag == 0.0:
-            scans.append(z[0])
-        return kernel(f, z)
+    for name in ("_modulus_scan", "_modulus_extrema", "_proximity_detail"):
+        _cold(monkeypatch, name)
+    refine = nevanlinna.golden_min
+    refinements = []
 
     def counted_refine(*args):
         refinements.append(args)
         return refine(*args)
 
-    monkeypatch.setattr(nevanlinna, "log_modulus", counted_kernel)
     monkeypatch.setattr(nevanlinna, "golden_min", counted_refine)
     profile = build_profile(lacunary2, RadiusGrid(1.0, 4.0, 2.0 ** 0.5))
-    assert len(profile.samples) == len(scans) == len(refinements) == 5
+    scans = nevanlinna._modulus_scan.cache_info().misses
+    quadratures = nevanlinna._proximity_detail.cache_info().misses
+    assert len(profile.samples) == scans == quadratures == len(refinements) == 5
 
 
 def test_profile_and_characteristic_share_one_quadrature(monkeypatch, expz):
     _cold(monkeypatch, "_proximity_detail")
-    samples = nevanlinna._logplus_samples
-    starts = []
-
-    def counted(f, r, theta):
-        if theta[0] == 0.0:  # the first level of one quadrature
-            starts.append(r)
-        return samples(f, r, theta)
-
-    monkeypatch.setattr(nevanlinna, "_logplus_samples", counted)
     sample = build_profile(expz, RadiusGrid(2.0, 4.0, 2.0)).samples[0]
     assert characteristic(expz, 2.0) == sample.T
-    assert starts == [2.0, 4.0]
+    info = nevanlinna._proximity_detail.cache_info()
+    assert (info.misses, info.hits) == (2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +419,10 @@ def test_profile_identities(exp_profile):
     assert (np.diff(radii) > 0).all()
 
 
+def test_tan_profile_quadrature_converges(tan_profile):
+    assert all(s.m_converged for s in tan_profile.samples)
+
+
 def test_characteristic_monotone_and_convex(tan_profile):
     t = np.array([s.T for s in tan_profile.samples])
     assert (np.diff(t) >= -1e-9).all()
@@ -353,6 +437,7 @@ def test_profile_perturbs_pole_radius(tanz):
     profile = build_profile(tanz, grid)
     first = profile.samples[0]
     assert first.perturbed_from == pytest.approx(math.pi / 2)
+    assert first.record()["perturbed_from"] == first.perturbed_from
     assert first.r > math.pi / 2
     assert math.isfinite(first.M)
 
