@@ -120,6 +120,15 @@ def _resolve_config(args) -> RunConfig:
         unknown = sorted(set(raw) - set(_DEFAULTS))
         if unknown:
             raise ValueError("unknown config keys: %s" % ", ".join(unknown))
+        for key, val in raw.items():
+            # each value takes its flag's type: an int may stand for a
+            # float, and null only for a key whose default is null
+            if val is None and _DEFAULTS[key] is None:
+                continue
+            want = _FLAGS.get(key, {"type": float}).get("type", str)
+            allowed = (int, float) if want is float else want
+            if isinstance(val, bool) or not isinstance(val, allowed):
+                raise ValueError("config key %r needs a %s, got %r" % (key, want.__name__, val))
         merged.update(raw)
     cli_function = args.function is not None
     cli_corpus = args.corpus is not None

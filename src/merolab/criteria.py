@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import as_expr, log_modulus
+from .expr import as_expr
 from .nevanlinna import (
     InsufficientSpanError,
     RadialProfile,
@@ -43,8 +43,6 @@ _BOUNDARY_TOL = 1e-9
 _MU_FLOOR = 0.05
 _RATIO_SPREAD = 0.05
 _POWER_CAP = 1e18
-_SCAN_RADIUS_CAP = 1e6
-_PROBE_ANGLES = 8
 
 
 class NotEntireError(ValueError):
@@ -256,27 +254,6 @@ def _search_log_L(expr, r: float, d: float, closed: bool) -> tuple[float, float]
     return r**best_e, best_v
 
 
-def _log_max_estimate(expr, radius: float) -> tuple[float, bool]:
-    """log M(radius) by full circle scan, or an 8-angle lower bound.
-
-    Beyond the scan cap the maximum is probed on eight equally spaced
-    angles only.  The second return value reports whether the estimate is
-    scan-exact; a lower bound that already clears a threshold is sound,
-    one that misses it is inconclusive.  Circles of constant modulus
-    (probe spread below 1e-9) are exact either way.
-    """
-    if radius <= _SCAN_RADIUS_CAP:
-        return log_max_modulus(expr, radius), True
-    theta = 2.0 * math.pi * np.arange(_PROBE_ANGLES) / _PROBE_ANGLES
-    lm = log_modulus(expr, radius * np.exp(1j * theta))
-    finite = lm[np.isfinite(lm)]
-    if finite.size == 0:
-        return -math.inf, False
-    top = float(finite.max())
-    exact = finite.size == _PROBE_ANGLES and float(finite.max() - finite.min()) <= 1e-9
-    return top, exact
-
-
 # ---------------------------------------------------------------------------
 # criteria
 # ---------------------------------------------------------------------------
@@ -433,10 +410,8 @@ def check_entire_conditions(f, profile: RadialProfile) -> list[CriterionVerdict]
     (2) the discrete logarithmic derivative x * phi'(x)/phi(x) with
         phi(x) = log M(e^x) stays above 1 on the trailing decade.
     (3) log M(r^m) >= m^2 * log M(r) at m in {2, 4, 8} for base radii in
-        the top tested decade (capped so r^m stays evaluable; maxima of
-        giant circles are probed on eight angles, and a probe that fails
-        to clear the bound is reported as indeterminate, not as a
-        disproof).
+        the top tested decade (capped so r^m stays below 1e18), each
+        log M(r^m) from the full circle scan of log_max_modulus.
     (4) the lower-order estimate exceeds 0.05.
 
     Raises NotEntireError when the pole catalog inside the profile's top
@@ -518,15 +493,11 @@ def check_entire_conditions(f, profile: RadialProfile) -> list[CriterionVerdict]
             continue
         for s in bases:
             big = s.r**m
-            est, exact = _log_max_estimate(expr, big)
+            lhs = log_max_modulus(expr, big)
             rhs = float(m * m) * s.log_M
-            witnesses.append(Witness(s.r, big, est, rhs, est - rhs))
-            if est < rhs - _BOUNDARY_TOL and failure is None:
-                if exact:
-                    detail = "power test failed at m=%d" % m
-                else:
-                    detail = "power test indeterminate at m=%d (maximum probed from below)" % m
-                failure = {"r": s.r, "diagnostics": detail}
+            witnesses.append(Witness(s.r, big, lhs, rhs, lhs - rhs))
+            if lhs < rhs - _BOUNDARY_TOL and failure is None:
+                failure = {"r": s.r, "diagnostics": "power test failed at m=%d" % m}
     verdicts.append(CriterionVerdict("entire-power-doubling", failure is None, tuple(witnesses), failure))
 
     # (4) positive lower order
@@ -549,10 +520,8 @@ def check_growth_chain(f, profile: RadialProfile, m: int, eps: float) -> ChainRe
 
     where lam and mu are the profile's order and lower-order estimates.
     The chain is applicable only when (mu - eps) * m > lam + 2 * eps;
-    otherwise the report says so and carries no links.  The maximum on
-    the circle of radius r^m is probed on eight angles when a full scan
-    is out of reach; since link 1 needs the maximum to exceed a bound, a
-    passing probe is sound and a failing one is flagged in the note.
+    otherwise the report says so and carries no links.  Link 1 takes
+    log M(r^m) from the full circle scan of log_max_modulus.
     """
     expr = as_expr(f)
     if m < 2:
@@ -581,16 +550,15 @@ def check_growth_chain(f, profile: RadialProfile, m: int, eps: float) -> ChainRe
         )
     mid = math.exp((mu - eps) * m * lx)
     low = math.exp((lam + 2.0 * eps) * lx)
-    est, exact = _log_max_estimate(expr, r**m)
+    top = log_max_modulus(expr, r**m)
     tail_lhs = math.exp((lam + eps) * lx)
     tail_rhs = profile.samples[-1].log_M
     links = (
-        ChainLink("modulus-above-power", est, mid, est > mid),
+        ChainLink("modulus-above-power", top, mid, top > mid),
         ChainLink("power-gap", mid, low, mid > low),
         ChainLink("power-above-modulus", tail_lhs, tail_rhs, tail_lhs >= tail_rhs),
     )
-    note = "" if exact else "maximum at r^m probed on eight angles (lower bound)"
-    return ChainReport(True, all(link.holds for link in links), r, links, note)
+    return ChainReport(True, all(link.holds for link in links), r, links, "")
 
 
 # ---------------------------------------------------------------------------

@@ -270,7 +270,8 @@ def _lp_canprod(node: CanonicalProduct, z: np.ndarray):
     Both routes share the head: next to the zero -n^p, n = max(1, rint|w|),
     a rounded root misses n by up to an ulp of n, so the factor
     prod_w (n - w) = n^p + z is taken from z itself and divided out of a
-    summand that is regular at w = n.  Large inputs run in chunks of 8192
+    summand that is regular at w = n; both take the real root of a negative
+    z exactly (_canprod_roots).  Large inputs run in chunks of 8192
     points, so the complex (N, p) temporaries stay small; a point's value
     does not depend on its batch, so chunking changes no bit.
     """
@@ -284,16 +285,28 @@ def _lp_canprod(node: CanonicalProduct, z: np.ndarray):
 
 
 def _canprod_roots(p: int, z: np.ndarray, count: int):
-    """Roots w_0..w_{count-1} of w^p = -z, n = max(1, rint|w|), (n^p + z) / 2^p.
+    """Roots w_0..w_{count-1} of w^p = -z, n = max(1, rint|w|), (n^p + z) / 2^p, axis rows.
 
     w_0 is the root nearest the positive real axis, so next to the zero
     -n^p it is the root near n.  The head n^p + z is halved p times: exact
-    scaling, finite up to the largest double.
+    scaling, finite up to the largest double.  At z = -x < 0, where the
+    real root x^(1/p) loses its fractional digits past 2^52, n and the
+    head are exact (_canprod_axis); those rows come back as (indices,
+    x^(1/p) - n, n mod 2), since float(n) loses n's parity past 2^53.
     """
     size = np.abs(z) ** (1.0 / p)
     w = (size * np.exp(np.angle(-z) * (1j / p)))[:, None] * _unit_roots(p, count)
     n = np.maximum(np.rint(size), 1.0)
-    return w, n, (0.5 * n) ** p + z * 0.5**p
+    head = (0.5 * n) ** p + z * 0.5**p
+    rows, delta, odd = [], np.zeros(z.size), np.zeros(z.size)
+    if not z.imag.all():
+        for i in ((z.imag == 0) & (z.real < 0)).nonzero()[0]:
+            exact = _canprod_axis(p, -float(z.real[i]))
+            if exact is not None:
+                k, delta[i], head[i] = exact
+                n[i], odd[i] = k, k % 2
+                rows.append(i)
+    return w, n, head, (rows, delta[rows], odd[rows])
 
 
 @lru_cache(maxsize=None)
@@ -313,24 +326,14 @@ def _lp_canprod_even(p: int, z: np.ndarray):
     zero.  Where np.sin overflows (|Im pi (w - m)| > 710), sin goes
     through _lp_euler, whose subtraction has no cancellation there.
     The summand's limits at w = 0 and w = n are taken explicitly.  A
-    negative real z gets n, w - n and the head from the exact double
-    (_canprod_axis), since its real root pair has no correct fractional
-    digit once it passes 2^52.  A non-finite z comes out NaN, the pole
-    marker, on its own.
+    negative real z takes w - n from its axis row (_canprod_roots).  A
+    non-finite z comes out NaN, the pole marker, on its own.
     """
-    w, n, head = _canprod_roots(p, z, p // 2)
+    w, n, head, (rows, delta, odd) = _canprod_roots(p, z, p // 2)
     m = np.rint(w.real)
     d = w - m
-    axis = []
-    if not z.imag.all():
-        for i in ((z.imag == 0) & (z.real < 0)).nonzero()[0]:
-            exact = _canprod_axis(p, -float(z.real[i]))
-            if exact is not None:
-                # m sets only the sign (-1)^m, and float(n) has lost n's
-                # parity past 2^53
-                k, d[i, 0], head[i] = exact
-                n[i], m[i, 0] = k, k % 2
-                axis.append(i)
+    if rows:
+        d[rows, 0], m[rows, 0] = delta, odd  # m sets only the sign (-1)^m
     nn = n[:, None]
     wn = w / nn
     # w (n^2 - w^2) / n^2.  Complex products here take named operands:
@@ -338,8 +341,8 @@ def _lp_canprod_even(p: int, z: np.ndarray):
     # which moves the product's last bit, so a value would depend on the
     # size of its batch
     near, far = nn - w, 1.0 + wn
-    if axis:
-        near[axis, 0] = -d[axis, 0]  # n - w, exact
+    if rows:
+        near[rows, 0] = -d[rows, 0]  # n - w, exact
     den = wn * near * far
     sign = (-1.0) ** m
     s = np.sin(math.pi * d) * sign  # sin(pi w)
@@ -371,9 +374,9 @@ def _lp_canprod_even(p: int, z: np.ndarray):
 
 
 def _canprod_axis(p: int, x: float):
-    """Integer n, x^(1/p) - n and (n^p - x) / 2^p for the even-p product at -x < 0.
+    """Integer n, x^(1/p) - n and (n^p - x) / 2^p for the product at -x < 0.
 
-    The real root pair is +-x^(1/p).  With n the integer nearest x^(1/p)
+    The real root is x^(1/p).  With n the integer nearest x^(1/p)
     and x - n^p exact in integers, delta = x^(1/p) - n comes out to full
     relative accuracy even where the root has no fractional digit left.
     None where the float route stays: x = inf, and x^(1/p) below 1/2,
@@ -407,43 +410,28 @@ def _iroot(k: int, p: int) -> int:
 def _lp_canprod_odd(p: int, z: np.ndarray):
     """Odd p: log f = log(n^p + z) - sum_w [loggamma(1 - w) + log(n - w)].
 
-    The summand is regular at w = n, and z = -n^p gives log 0 = -inf.
+    The summand is regular at w = n, and z = -n^p gives log 0 = -inf.  On
+    an axis row (_canprod_roots) the real root n + delta takes the
+    reflected summand -loggamma(n + delta) - log[(-1)^(n+1) sinc delta]
+    (DLMF 5.5.3), and the other roots are rebuilt from the same n + delta:
+    their loggamma terms cancel only between roots of one modulus.  f is
+    real there, so their imaginary parts, which cancel between conjugate
+    roots but reach 1e99, are dropped and the phase stays +-1.
     """
-    w, n, head = _canprod_roots(p, z, p)
-    log_f = np.log(head) + math.log(2.0**p) - (loggamma(1.0 - w) + np.log(n[:, None] - w)).sum(axis=-1)
-    # a non-finite log at a finite point reads as a zero: z = -n^p, or a root
-    # that rounded onto the pole of Gamma; rounding can fake both, so real
-    # points are re-checked exactly
-    zero = ~(np.isfinite(log_f.real) & np.isfinite(log_f.imag))
-    for at in np.flatnonzero(zero & (z.imag == 0) & np.isfinite(z.real)):
-        log_f[at] = _canprod_flagged(p, n[at], z.real[at], w[at])
-        zero[at] = np.isneginf(log_f[at].real)
-    logmod = np.where(zero, -np.inf, log_f.real)
-    phase = np.where(zero, 1.0 + 0j, np.exp(1j * log_f.imag))
+    w, n, head, (rows, delta, odd) = _canprod_roots(p, z, p)
+    if rows:
+        root = n[rows] + delta
+        w[rows] = root[:, None] * _unit_roots(p, p)
+    terms = loggamma(1.0 - w) + np.log(n[:, None] - w)
+    if rows:
+        # log (-1)^(n+1) is i pi for even n
+        terms[rows, 0] = -loggamma(root) - (np.log(np.sinc(delta)) + 1j * math.pi * (1 - odd))
+        terms[rows, 1:] = terms[rows, 1:].real
+    log_f = np.log(head) + math.log(2.0**p) - terms.sum(axis=-1)
+    phase = np.exp(1j * log_f.imag)
+    phase[head == 0] = 1.0  # a true zero: log 0 = -inf
     # a non-finite z gets the NaN pole marker
-    return np.where(np.isfinite(z), logmod, np.nan), phase
-
-
-def _canprod_flagged(p: int, n: float, x: float, roots: np.ndarray) -> complex:
-    """log canprod(p), p odd, at a real x whose float evaluation reads as a zero.
-
-    n^p + x is decided in exact rational arithmetic: zero means a true
-    zero (-inf).  Otherwise its log is the head, and a root equal to n in
-    floats takes the limit of its summand, log[(-1)^(n-1) / (n-1)!].
-    This is as accurate as the rounded roots allow: about 1e-16 of the
-    largest loggamma term, n log n.
-    """
-    exact = Fraction(int(n)) ** p + Fraction(x)
-    if exact == 0:
-        return complex(-math.inf, 0.0)
-    head = complex(
-        math.log(abs(exact.numerator)) - math.log(exact.denominator),
-        math.pi if exact < 0 else 0.0,
-    )
-    off = roots != n
-    rest = loggamma(1.0 - roots[off]) + np.log(n - roots[off])
-    limit = complex(-float(loggamma(n).real), math.pi * ((int(n) - 1) % 2))
-    return head - complex(rest.sum()) - int((~off).sum()) * limit
+    return np.where(np.isfinite(z), log_f.real, np.nan), phase
 
 
 def _lp_lacunary(node: LacunarySeries, z: np.ndarray):

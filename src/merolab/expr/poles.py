@@ -350,7 +350,7 @@ def _tan_lattice(argument: Node, radius: float):
     for k in range(-k_max, k_max + 1):
         loc = ((k + 0.5) * math.pi - b) / a
         if abs(loc) <= radius * (1 + 1e-12) + _MERGE_TOL:
-            _merge_pole(out, loc, 1)
+            out[loc] = 1  # lattice poles lie pi/|a| apart: none merge
     return out
 
 

@@ -174,9 +174,6 @@ class PolygonDomain:
         return best
 
 
-_SIMPLY_CONNECTED = (Disk, HalfPlane, PolygonDomain)
-
-
 # ---------------------------------------------------------------------------
 # densities and distances
 # ---------------------------------------------------------------------------

@@ -307,6 +307,29 @@ def test_config_with_both_sources(tmp_path):
     assert main(["analyze", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("command", ["analyze", "check", "render", "trace"])
+@pytest.mark.parametrize(
+    "bad",
+    [{"budget": "64"}, {"rmax": "100"}, {"alpha": None}, {"res": 8.5},
+     {"resc": True}, {"corpus": 3}, {"window": [0, 2]}],
+)
+def test_config_value_of_the_wrong_type(tmp_path, capsys, command, bad):
+    # the value is refused before any work, so nothing is written
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"corpus": "zsq", **bad}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and repr(next(iter(bad))) in err
+    assert not out.exists()
+
+
+def test_config_int_stands_for_a_float_and_null_for_a_null_default(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"corpus": "expz", "rmax": 200, "alpha": 0, "scales": None}))
+    assert main(["trace", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+
 # ---------------------------------------------------------------------------
 # determinism and the installed entry point
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from merolab import (
     corpus_function,
     exceptional_set,
     log_density,
+    log_max_modulus,
     log_min_modulus,
     nevanlinna,
     parse,
@@ -310,6 +311,17 @@ def test_entire_conditions_canprod(canprod4, canprod_profile):
     assert all(v.holds_on_grid for v in verdicts)
 
 
+@pytest.mark.parametrize("name, profile", [("expz", "exp_profile"), ("canprod4", "canprod_profile")])
+def test_power_doubling_witnesses_replay(request, name, profile):
+    # every lhs is log M(r^m) itself, out to r^m = 1e18
+    f = request.getfixturevalue(name)
+    verdicts = check_entire_conditions(f, request.getfixturevalue(profile))
+    witnesses = {v.condition: v for v in verdicts}["entire-power-doubling"].witnesses
+    assert max(w.t for w in witnesses) > 1e6
+    for w in witnesses:
+        assert w.lhs == log_max_modulus(f, w.t)
+
+
 def test_entire_conditions_monomial_fails(zsq):
     # the lower-order slope for a polynomial decays like 1/log(r), so the
     # grid has to reach ~1e9 before the estimate drops under the floor
@@ -356,7 +368,9 @@ def test_growth_chain_canprod_deep(canprod4, canprod_deep_profile):
     assert rep.applicable and rep.holds
     third = rep.links[2]
     assert third.lhs / third.rhs == pytest.approx(1.095, abs=0.05)
-    assert "lower bound" in rep.note
+    # r^3 is about 8e39: link 1 is still a full circle scan
+    assert rep.note == ""
+    assert rep.links[0].lhs == log_max_modulus(canprod4, rep.r**3)
 
 
 # ---------------------------------------------------------------------------

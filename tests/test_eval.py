@@ -195,6 +195,24 @@ def test_canprod_no_false_zero_from_rounding(p):
     assert np.isneginf(log_modulus(parse("canprod(2)"), np.array([-(2.0**60)]))).all()
 
 
+def _assert_canprod_on_negative_axis(p, x):
+    # f is real at -x, so the phase is +-1, even where the odd-p loggamma
+    # terms reach 1e99
+    mpmath = pytest.importorskip("mpmath")
+    lm, phase = log_polar(parse(f"canprod({p})"), np.array([complex(-x, 0.0)]))
+    with mpmath.workdps(500):
+        # log prod_w 1/Gamma(1 - w) = sum_w log[Gamma(w) sin(pi w) / pi]
+        rho = mpmath.mpf(x) ** (mpmath.mpf(1) / p)
+        ref = mpmath.fsum(
+            mpmath.loggamma(w) + mpmath.log(mpmath.sin(mpmath.pi * w) / mpmath.pi)
+            for w in (rho * mpmath.expj(2 * mpmath.pi * j / p) for j in range(p))
+        )
+        want = float(ref.real)
+        unit = complex(mpmath.expj(ref.imag))
+    assert abs(lm[0] - want) <= 1e-12 * max(1.0, abs(want))
+    assert abs(phase[0] - unit) <= 1e-12
+
+
 @pytest.mark.parametrize(
     "p, x",
     [(2, 1e30), (2, 1e40), (2, 1.7e308), (2, 2.25), (2, 12.25), (4, 5.0625), (6, 11.390625)],
@@ -204,18 +222,21 @@ def test_even_canprod_on_negative_axis(p, x):
     # so the value needs n and x - n^p from the exact double; at a root
     # k + 1/2 (k odd for all but 12.25), a rounding tie, n may be k or k + 1
     # but must be the same n throughout
-    mpmath = pytest.importorskip("mpmath")
-    lm, phase = log_polar(parse(f"canprod({p})"), np.array([complex(-x, 0.0)]))
-    with mpmath.workdps(400):
-        rho = mpmath.mpf(x) ** (mpmath.mpf(1) / p)
-        ref = mpmath.fprod(
-            mpmath.sin(mpmath.pi * w) / (mpmath.pi * w)
-            for w in (rho * mpmath.expj(2 * mpmath.pi * j / p) for j in range(p // 2))
-        )
-        want = float(mpmath.log(abs(ref)))
-        unit = complex(ref / abs(ref))
-    assert abs(lm[0] - want) <= 1e-12 * max(1.0, abs(want))
-    assert abs(phase[0] - unit) <= 1e-12
+    _assert_canprod_on_negative_axis(p, x)
+
+
+@pytest.mark.parametrize(
+    "p, x",
+    [(3, 1e150), (3, 2.78e298), (5, 5.43e298),
+     (3, float(np.nextafter(1e15, math.inf))), (5, float(np.nextafter(1e15, math.inf))),
+     (3, float(np.nextafter(float(3 * 2**40) ** 3, 0.0))),
+     (5, float(np.nextafter(float(3 * 2**30) ** 5, math.inf)))],
+)
+def test_odd_canprod_on_negative_axis(p, x):
+    # the same exact axis rule for odd p: the real root's summand in its
+    # reflected form, the other roots rebuilt from the same exact n + delta;
+    # next to a zero -k^p the plain loggamma route lost whole digits
+    _assert_canprod_on_negative_axis(p, x)
 
 
 def _evaluate_module():
