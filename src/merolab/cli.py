@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -224,21 +224,13 @@ def cmd_analyze(config: RunConfig) -> None:
         {
             "function": source,
             "corpus": name,
-            "grid": {"r_min": grid.r_min, "r_max": grid.r_max, "ratio": grid.ratio},
+            "grid": asdict(grid),
             "samples": profile.records(),
         },
     )
     _write_json(
         out / "growth.json",
-        {
-            "function": source,
-            "corpus": name,
-            "order": summary.order,
-            "lower_order": summary.lower_order,
-            "deficiency": summary.deficiency,
-            "fit_window": list(summary.fit_window),
-            "residual": summary.residual,
-        },
+        {"function": source, "corpus": name, **asdict(summary)},
     )
 
 
@@ -261,7 +253,7 @@ def cmd_check(config: RunConfig) -> None:
             "function": source,
             "corpus": name,
             "params": {"alpha": config.alpha, "d": config.d, "D": config.D},
-            "grid": {"r_min": grid.r_min, "r_max": grid.r_max, "ratio": grid.ratio},
+            "grid": asdict(grid),
             "conditions": {v.condition: v.as_dict() for v in verdicts},
         },
     )
@@ -282,11 +274,11 @@ def cmd_render(config: RunConfig) -> None:
     report = {
         "function": source,
         "corpus": name,
-        "window": {"center": [center.real, center.imag], "half_width": half_width},
+        "window": {"center": center, "half_width": half_width},
         "resolution": config.res,
         "budget": config.budget,
         "escape_radius": config.resc,
-        "cycles": [[c.real, c.imag] for c in labeled.cycles],
+        "cycles": labeled.cycles,
         "components": component_summaries(labeled),
         "class_counts": counts,
         "undecided_fraction": counts["undecided"] / labeled.classes.size,

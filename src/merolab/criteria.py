@@ -17,7 +17,7 @@ deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -86,15 +86,6 @@ class Witness:
     rhs: float
     margin: float
 
-    def as_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "t": self.t,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-        }
-
 
 @dataclass(frozen=True)
 class CriterionVerdict:
@@ -104,12 +95,7 @@ class CriterionVerdict:
     first_failure: dict | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "holds_on_grid": self.holds_on_grid,
-            "witnesses": [w.as_dict() for w in self.witnesses],
-            "first_failure": self.first_failure,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -131,10 +117,7 @@ class DensityReport:
             raise ValueError("lower logarithmic density must lie in [0, 1]")
 
     def as_dict(self) -> dict:
-        return {
-            "intervals": [[lo, hi] for lo, hi in self.intervals],
-            "lower_log_density": self.lower_log_density,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -143,9 +126,6 @@ class ChainLink:
     lhs: float
     rhs: float
     holds: bool
-
-    def as_dict(self) -> dict:
-        return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs, "holds": self.holds}
 
 
 @dataclass(frozen=True)
@@ -166,13 +146,7 @@ class ChainReport:
         return self.applicable and self.holds
 
     def as_dict(self) -> dict:
-        return {
-            "applicable": self.applicable,
-            "holds": self.holds,
-            "r": self.r,
-            "links": [link.as_dict() for link in self.links],
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ travels with the verdict so its epistemic status stays auditable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import IntEnum
 from functools import lru_cache
 
@@ -122,15 +122,12 @@ class ComponentReport:
     observations: tuple
 
     def as_dict(self) -> dict:
-        return {
-            "id": self.component_id,
-            "class": self.orbit_class,
-            "pixels": self.pixels,
-            "touches_boundary": self.touches_boundary,
-            "verdict": self.verdict,
-            "scales": list(self.scales),
-            "observations": list(self.observations),
-        }
+        # components.json keeps its keys "id" and "class"; "class" is a
+        # keyword, so no field can carry that name
+        out = asdict(self)
+        out["id"] = out.pop("component_id")
+        out["class"] = out.pop("orbit_class")
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ __all__ = [
 
 _MERGE_TOL = 1e-9       # poles closer than this are merged
 _BOX_DIAMETER = 1e-6    # numeric search stops at this box diameter
-_GRID_CELLS = 2**19     # most in-disk cells a numeric search may lay out
+_GRID_CELLS = 2**19     # most in-disk cells, or tan lattice poles, a catalog may lay out
 _EDGE_START = 64        # segments per cell edge at the first winding level
 _EDGE_CAP = 2**15       # segments per cell edge at the last level
 _MAX_STEP = 2.8         # largest unambiguous phase step between samples (rad)
@@ -68,7 +68,7 @@ class WindingConvergenceError(ArithmeticError):
 
 
 class UnresolvedRegionError(ArithmeticError):
-    """Numeric pole search could not resolve part of the disk."""
+    """A pole catalog could not resolve the disk within its budget."""
 
     def __init__(self, detail):
         super().__init__(f"unresolved singular region: {detail}")
@@ -347,6 +347,11 @@ def _tan_lattice(argument: Node, radius: float):
     b, a = coeffs
     out: dict = {}
     k_max = int(math.ceil((abs(a) * radius + abs(b) + 0.5 * math.pi + 1.0) / math.pi))
+    if 2 * k_max + 1 > _GRID_CELLS:
+        raise UnresolvedRegionError(
+            f"{2 * k_max + 1} tan lattice indices for the disk of radius {radius:g} "
+            f"exceed the budget of {_GRID_CELLS}"
+        )
     for k in range(-k_max, k_max + 1):
         loc = ((k + 0.5) * math.pi - b) / a
         if abs(loc) <= radius * (1 + 1e-12) + _MERGE_TOL:
@@ -563,7 +568,7 @@ def poles_in_disk(f, radius: float) -> SingularityList:
     down, so sweeping a radius grid reuses one search.  Raises
     UnsupportedExpressionError for expressions with finite non-polar
     singularities and UnresolvedRegionError when the numeric search
-    cannot settle.
+    cannot settle or a catalog would exceed its size budget.
     """
     if not radius > 0:
         raise ValueError("radius must be positive")

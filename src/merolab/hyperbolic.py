@@ -21,7 +21,7 @@ every inequality numerically instead of asserting it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import stdtr
@@ -422,15 +422,7 @@ class DistortionReport:
     truncated: bool
 
     def as_dict(self) -> dict:
-        return {
-            "max_ratio": self.max_ratio,
-            "per_step": list(self.per_step),
-            "steps_used": self.steps_used,
-            "trend_detected": self.trend_detected,
-            "slope": self.slope,
-            "p_value": self.p_value,
-            "truncated": self.truncated,
-        }
+        return asdict(self)
 
 
 def _trend(logs: np.ndarray) -> tuple[float, float]:
@@ -457,7 +449,7 @@ def distortion_check(f, sample_set, n_max: int, r_esc: float = 1e6) -> Distortio
     at the 5% level on the log ratios over the last half of the usable
     steps.
     """
-    from .dynamics import OrbitClass, iterate_orbit
+    from .dynamics import OrbitClass, _classify_points
 
     expr = as_expr(f)
     pts = np.asarray([complex(z) for z in sample_set], dtype=np.complex128)
@@ -465,14 +457,16 @@ def distortion_check(f, sample_set, n_max: int, r_esc: float = 1e6) -> Distortio
         raise ValueError("sample set must be nonempty")
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    budget = max(200, 4 * n_max)
-    for i, z in enumerate(pts):
-        res = iterate_orbit(expr, complex(z), max_steps=budget, R_esc=r_esc)
-        if res.orbit_class is not OrbitClass.ESCAPING:
-            raise NonEscapingSampleError(
-                "sample %d (%s) classified %s, not escaping"
-                % (i, z, res.orbit_class.name)
-            )
+    if not r_esc >= 10.0:
+        raise ValueError("escape radius must be at least 10")
+    classes = _classify_points(expr, pts, max(200, 4 * n_max), float(r_esc))[0]
+    stuck = np.flatnonzero(classes != OrbitClass.ESCAPING)
+    if stuck.size:
+        i = stuck[0]
+        raise NonEscapingSampleError(
+            "sample %d (%s) classified %s, not escaping"
+            % (i, pts[i], OrbitClass(int(classes[i])).name)
+        )
     ratios = []
     cur = pts.copy()
     truncated = False
@@ -627,14 +621,7 @@ class ConstantAudit:
     chain_holds: bool
 
     def as_dict(self) -> dict:
-        return {
-            "inverse_log_six_fifths": self.inverse_log_six_fifths,
-            "counting_multiplier": self.counting_multiplier,
-            "six_log_ten_e": self.six_log_ten_e,
-            "kernel_bound": self.kernel_bound,
-            "ceiling": self.ceiling,
-            "chain_holds": self.chain_holds,
-        }
+        return asdict(self)
 
 
 def circle_bound_constant_audit() -> ConstantAudit:

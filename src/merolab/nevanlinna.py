@@ -14,12 +14,12 @@ m uses the standard 1/(2pi) circle-average normalization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .expr import MeroExpr, as_expr, log_modulus, poles_in_disk
+from .expr import HUGE, LOG_HUGE, MeroExpr, as_expr, log_modulus, poles_in_disk
 
 __all__ = [
     "RadiusGrid",
@@ -40,7 +40,6 @@ __all__ = [
     "circle_bound_witness",
 ]
 
-_HUGE = 1e300
 _POLE_RADIUS_TOL = 1e-9     # a circle this close to a pole modulus is perturbed
 _QUAD_PANELS = 64
 _QUAD_TOL = 1e-10
@@ -126,17 +125,12 @@ class RadialSample:
             raise ValueError("min modulus above max modulus")
 
     def record(self) -> dict:
-        return {
-            "r": self.r,
-            "m": self.m,
-            "N": self.N,
-            "T": self.T,
-            "L": self.L,
-            "M": self.M,
-            "quadrature_nodes": self.quadrature_nodes,
-            "m_converged": self.m_converged,
-            "perturbed_from": self.perturbed_from,
-        }
+        """The fields without log_L and log_M, which can be infinite: the
+        JSON reports refuse non-finite values, and -inf has no JSON
+        convention yet."""
+        out = asdict(self)
+        del out["log_L"], out["log_M"]
+        return out
 
 
 @dataclass(frozen=True)
@@ -198,7 +192,7 @@ def _logplus_samples(f, r: float, theta: np.ndarray) -> np.ndarray:
     # a pole or lost value on the circle contributes the overflow cap;
     # profile construction perturbs radii so this stays a stray-sample
     # safeguard rather than a systematic bias
-    lm = np.where(np.isnan(lm) | np.isposinf(lm), math.log(_HUGE), lm)
+    lm = np.where(np.isnan(lm) | np.isposinf(lm), LOG_HUGE, lm)
     return np.maximum(lm, 0.0)
 
 
@@ -471,8 +465,8 @@ def max_modulus(f, r: float) -> float:
 def _saturate(log_value: float) -> float:
     if log_value == -math.inf:
         return 0.0
-    if log_value >= math.log(_HUGE):
-        return _HUGE
+    if log_value >= LOG_HUGE:
+        return HUGE
     return float(np.exp(log_value))
 
 

@@ -2,6 +2,7 @@ import argparse
 import ast
 import inspect
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -12,6 +13,10 @@ import pytest
 
 from merolab import cli
 from merolab.cli import RunConfig, main
+from merolab.criteria import ChainLink, ChainReport, CriterionVerdict, DensityReport, Witness
+from merolab.dynamics import ComponentReport
+from merolab.hyperbolic import DistortionReport, circle_bound_constant_audit
+from merolab.nevanlinna import RadialSample
 
 _CONDITIONS = {
     "L-over-r-growth",
@@ -328,6 +333,63 @@ def test_config_int_stands_for_a_float_and_null_for_a_null_default(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"corpus": "expz", "rmax": 200, "alpha": 0, "scales": None}))
     assert main(["trace", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+
+# ---------------------------------------------------------------------------
+# report layouts
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "dump, keys, nested",
+    [
+        (
+            CriterionVerdict("main-growth", True, (Witness(2.0, 4.0, 1.0, 0.5, 0.5),)).as_dict,
+            {"condition", "holds_on_grid", "witnesses", "first_failure"},
+            ("witnesses", {"r", "t", "lhs", "rhs", "margin"}),
+        ),
+        (
+            ChainReport(True, True, 10.0, (ChainLink("power", 2.0, 1.0, True),)).as_dict,
+            {"applicable", "holds", "r", "links", "note"},
+            ("links", {"name", "lhs", "rhs", "holds"}),
+        ),
+        (
+            DensityReport(((1.0, 2.0),), 0.5).as_dict,
+            {"intervals", "lower_log_density"},
+            None,
+        ),
+        (
+            DistortionReport(1.1, (1.0, 1.1), 2, False, 0.0, 1.0, False).as_dict,
+            {"max_ratio", "per_step", "steps_used", "trend_detected", "slope", "p_value",
+             "truncated"},
+            None,
+        ),
+        (
+            circle_bound_constant_audit().as_dict,
+            {"inverse_log_six_fifths", "counting_multiplier", "six_log_ten_e", "kernel_bound",
+             "ceiling", "chain_holds"},
+            None,
+        ),
+        (
+            ComponentReport(1, "attracted", 4, False, "inconclusive", (4.0,),
+                            ({"half_width": 4.0, "component": None},)).as_dict,
+            {"id", "class", "pixels", "touches_boundary", "verdict", "scales", "observations"},
+            None,
+        ),
+        (
+            RadialSample(1.0, 0.0, 0.0, 0.0, 1.0, 2.0, 960, 0.0, math.log(2.0)).record,
+            {"r", "m", "N", "T", "L", "M", "quadrature_nodes", "m_converged", "perturbed_from"},
+            None,
+        ),
+    ],
+)
+def test_report_keys(dump, keys, nested):
+    # the JSON layout of each report; a field rename must show up here
+    report = dump()
+    assert set(report) == keys
+    if nested is not None:
+        field, inner = nested
+        assert report[field] and all(set(item) == inner for item in report[field])
 
 
 # ---------------------------------------------------------------------------

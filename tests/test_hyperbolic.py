@@ -283,6 +283,12 @@ def test_distortion_degenerate_sample_is_flat(zsq):
 def test_distortion_rejects_non_escaping(zsq):
     with pytest.raises(NonEscapingSampleError):
         distortion_check(zsq, [0.5, 2.0], 8)
+    # the first sample that does not escape is named
+    with pytest.raises(NonEscapingSampleError,
+                       match=r"^sample 1 \(\(0\.5\+0j\)\) classified ATTRACTED, not escaping$"):
+        distortion_check(zsq, [2.0, 0.5], 8)
+    with pytest.raises(ValueError, match="escape radius"):
+        distortion_check(zsq, [2.0], 8, r_esc=5.0)
     with pytest.raises(ValueError):
         distortion_check(zsq, [], 8)
     with pytest.raises(ValueError):

@@ -245,3 +245,27 @@ def test_cli_refuses_unbudgeted_numeric_catalog(tmp_path, capsys):
     assert rc == 3
     assert "exceed the budget" in capsys.readouterr().err
     assert not (tmp_path / "profile.json").exists()
+
+
+def test_tan_lattice_budget_refuses_before_walking(monkeypatch):
+    poles._catalog_at.cache_clear()
+    monkeypatch.setattr(poles, "_GRID_CELLS", 64)
+    # k runs over -129..129: 259 indices
+    with pytest.raises(UnresolvedRegionError, match=r"259 tan lattice indices .* radius 4 "):
+        poles_in_disk(parse("tan(100*z)"), 4.0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # about 4e13 lattice poles in the disk of radius 2048
+        ["analyze", "--function", "tan(3e10*z)"],
+        # T(3 R_1) needs about 9e13 lattice poles
+        ["trace", "--corpus", "tanz", "--alpha", "0.5", "--d", "2", "--D", "4"],
+    ],
+)
+def test_cli_refuses_oversized_tan_lattice(argv, tmp_path, capsys):
+    rc = main(argv + ["--out", str(tmp_path)])
+    assert rc == 3
+    assert "tan lattice indices" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
