@@ -190,6 +190,8 @@ def _extract_cycles(expr, seeds: np.ndarray, registry: list):
 
 
 def _classify_points(expr, pts: np.ndarray, budget: int, r_esc: float):
+    if not r_esc >= 10.0:
+        raise ValueError("escape radius must be at least 10")
     n = pts.size
     classes = np.zeros(n, dtype=np.uint8)
     steps = np.full(n, budget, dtype=np.int32)
@@ -263,8 +265,6 @@ def iterate_orbit(f, z0: complex, max_steps: int = 1000, R_esc: float = _ESCAPE_
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    if not R_esc >= 10.0:
-        raise ValueError("escape radius must be at least 10")
     expr = as_expr(f)
     classes, steps, cyc, final, _ = _classify_points(
         expr, np.array([z0], dtype=np.complex128), max_steps, float(R_esc)
@@ -304,8 +304,6 @@ def classify_grid(f, window, resolution: int, budget: int, r_esc: float = _ESCAP
         raise ValueError("budget must be at least 1")
     if not half_width > 0:
         raise ValueError("window half-width must be positive")
-    if not r_esc >= 10.0:
-        raise ValueError("escape radius must be at least 10")
     expr = as_expr(f)
     pts = _pixel_centers(center, half_width, resolution).reshape(-1)
     classes, steps, cyc, _, registry = _classify_points(expr, pts, int(budget), float(r_esc))

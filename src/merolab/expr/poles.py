@@ -51,7 +51,8 @@ __all__ = [
 
 _MERGE_TOL = 1e-9       # poles closer than this are merged
 _BOX_DIAMETER = 1e-6    # numeric search stops at this box diameter
-_GRID_CELLS = 2**19     # most in-disk cells, or tan lattice poles, a catalog may lay out
+_GRID_CELLS = 2**19     # most in-disk cells a numeric search may lay out
+_LATTICE_POLES = 2**21  # most tan lattice indices a catalog may walk (see README)
 _EDGE_START = 64        # segments per cell edge at the first winding level
 _EDGE_CAP = 2**15       # segments per cell edge at the last level
 _MAX_STEP = 2.8         # largest unambiguous phase step between samples (rad)
@@ -345,16 +346,21 @@ def _tan_lattice(argument: Node, radius: float):
     if coeffs is None or len(coeffs) != 2 or coeffs[1] == 0:
         return None
     b, a = coeffs
-    out: dict = {}
-    k_max = int(math.ceil((abs(a) * radius + abs(b) + 0.5 * math.pi + 1.0) / math.pi))
-    if 2 * k_max + 1 > _GRID_CELLS:
+    # a pole lies in the disk only if |(k + 1/2) pi - b| <= |a| r, so
+    # (k + 1/2) pi lies within |a| r of Re(b); the window drops the 1/2 and
+    # so keeps half an index of slack at each end
+    limit = radius * (1 + 1e-12) + _MERGE_TOL
+    k_lo = (b.real - abs(a) * limit) / math.pi
+    k_hi = (b.real + abs(a) * limit) / math.pi
+    if not k_hi - k_lo <= _LATTICE_POLES:
         raise UnresolvedRegionError(
-            f"{2 * k_max + 1} tan lattice indices for the disk of radius {radius:g} "
-            f"exceed the budget of {_GRID_CELLS}"
+            f"{k_hi - k_lo:.0f} tan lattice indices for the disk of radius {radius:g} "
+            f"exceed the budget of {_LATTICE_POLES}"
         )
-    for k in range(-k_max, k_max + 1):
+    out: dict = {}
+    for k in range(math.floor(k_lo), math.ceil(k_hi) + 1):
         loc = ((k + 0.5) * math.pi - b) / a
-        if abs(loc) <= radius * (1 + 1e-12) + _MERGE_TOL:
+        if abs(loc) <= limit:
             out[loc] = 1  # lattice poles lie pi/|a| apart: none merge
     return out
 
@@ -362,10 +368,10 @@ def _tan_lattice(argument: Node, radius: float):
 def _structural_poles(node: Node, radius: float) -> dict:
     """Pole map {location: multiplicity} inside the disk.
 
-    Raises _NeedsNumeric when the pole set is not certifiable from the
-    tree, and UnsupportedExpressionError when an entire function is
-    applied to something with poles (an essential singularity at a
-    finite point).
+    Locations lie more than _MERGE_TOL apart.  Raises _NeedsNumeric when
+    the pole set is not certifiable from the tree, and
+    UnsupportedExpressionError when an entire function is applied to
+    something with poles (an essential singularity at a finite point).
     """
     if polynomial_coefficients(node) is not None:
         return {}
@@ -390,19 +396,20 @@ def _structural_poles(node: Node, radius: float) -> dict:
             (_structural_poles(node.left, radius), node.right),
             (_structural_poles(node.right, radius), node.left),
         ):
+            fresh = not out  # a map merges into an empty one by copying
             for loc, mult in poles.items():
                 reduced = _cancel_against(other, loc, mult)
                 if reduced is None:
                     raise _NeedsNumeric
-                if reduced > 0:
+                if reduced > 0 and fresh:
+                    out[loc] = reduced
+                elif reduced > 0:
                     _merge_pole(out, loc, reduced)
         return out
     if isinstance(node, Div):
         if node.denominator_poly is None:
             raise _NeedsNumeric
-        out = {}
-        for loc, mult in _structural_poles(node.numerator, radius).items():
-            _merge_pole(out, loc, mult)
+        out = dict(_structural_poles(node.numerator, radius))
         for loc, mult in _poly_roots(node.denominator_poly):
             reduced = _cancel_against(node.numerator, loc, mult)
             if reduced is None:

@@ -457,8 +457,6 @@ def distortion_check(f, sample_set, n_max: int, r_esc: float = 1e6) -> Distortio
         raise ValueError("sample set must be nonempty")
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    if not r_esc >= 10.0:
-        raise ValueError("escape radius must be at least 10")
     classes = _classify_points(expr, pts, max(200, 4 * n_max), float(r_esc))[0]
     stuck = np.flatnonzero(classes != OrbitClass.ESCAPING)
     if stuck.size:

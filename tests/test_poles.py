@@ -249,10 +249,32 @@ def test_cli_refuses_unbudgeted_numeric_catalog(tmp_path, capsys):
 
 def test_tan_lattice_budget_refuses_before_walking(monkeypatch):
     poles._catalog_at.cache_clear()
-    monkeypatch.setattr(poles, "_GRID_CELLS", 64)
-    # k runs over -129..129: 259 indices
-    with pytest.raises(UnresolvedRegionError, match=r"259 tan lattice indices .* radius 4 "):
+    monkeypatch.setattr(poles, "_LATTICE_POLES", 64)
+    # 2 * 100 * 4 / pi = 254.6 indices
+    with pytest.raises(UnresolvedRegionError, match=r"255 tan lattice indices .* radius 4 "):
         poles_in_disk(parse("tan(100*z)"), 4.0)
+
+
+def test_tan_lattice_walks_only_the_disk(monkeypatch):
+    # the shift b = 2e6 moves the lattice, not the disk: one pole in the
+    # unit disk, within a budget of four indices
+    poles._catalog_at.cache_clear()
+    monkeypatch.setattr(poles, "_LATTICE_POLES", 4)
+    k = round(2e6 / math.pi - 0.5)
+    assert poles_in_disk(parse("tan(z+2e6)"), 1.0).entries == (
+        (complex((k + 0.5) * math.pi - 2e6), 1),
+    )
+
+
+@pytest.mark.parametrize("a, rc", [(100, 0), (101, 3)])
+def test_cli_tan_lattice_at_the_budget_edge(monkeypatch, a, rc, tmp_path):
+    # analyze up to --rmax 2 reads the bucket-4 catalog: 254.6 indices for
+    # tan(100*z), 257.2 for tan(101*z), against a budget of 255
+    poles._catalog_at.cache_clear()
+    monkeypatch.setattr(poles, "_LATTICE_POLES", 255)
+    argv = ["analyze", "--function", f"tan({a}*z)", "--rmin", "0.02", "--rmax", "2"]
+    assert main(argv + ["--out", str(tmp_path)]) == rc
+    assert (tmp_path / "profile.json").exists() == (rc == 0)
 
 
 @pytest.mark.parametrize(
@@ -269,3 +291,11 @@ def test_cli_refuses_oversized_tan_lattice(argv, tmp_path, capsys):
     assert rc == 3
     assert "tan lattice indices" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_lattice_through_rational_factors_is_copied():
+    # 12,224 lattice poles: merged pole by pole, these took seconds each
+    lattice = dict(poles_in_disk(parse("tan(300*z)"), 64.0).entries)
+    assert len(lattice) == 12224
+    assert dict(poles_in_disk(parse("(z-100)*tan(300*z)"), 64.0).entries) == lattice
+    assert dict(poles_in_disk(parse("tan(300*z)/(z-10)"), 64.0).entries) == {**lattice, 10: 1}
