@@ -8,7 +8,10 @@ Components of the stable set are approximated by 4-connected patches of
 decided pixels of the same class: the connected components of the graph
 whose edges join 4-neighbours of equal class key.  Undecided and
 pole-hit pixels have no key and act as barriers, which may oversegment
-but never merges across possible Julia points.
+but never merges across possible Julia points.  Labelling, component
+boxes and collars are numpy array passes: row runs of equal keys merged
+by hooking and pointer jumping, boxes from the runs' extents, collars
+from four shifted copies of a mask.
 
 Boundedness of a component is probed, not proved: windows are recentered
 on a seed and rescaled, and the verdict reports whether the component
@@ -24,9 +27,6 @@ from enum import IntEnum
 from functools import lru_cache
 
 import numpy as np
-from scipy import ndimage
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .expr import OVERFLOW_FLAG, POLE_FLAG, as_expr, evaluate_many, poles_in_disk
 
@@ -333,6 +333,13 @@ def _component_keys(grid: ClassifiedGrid) -> np.ndarray:
     return keys
 
 
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Raster indices of the first pixel of every row run of equal values."""
+    start = np.ones(a.shape, dtype=bool)
+    start[:, 1:] = a[:, 1:] != a[:, :-1]
+    return np.flatnonzero(start)
+
+
 def label_components(grid: ClassifiedGrid) -> ClassifiedGrid:
     """Connected components of the equal-key 4-neighbour graph.
 
@@ -341,23 +348,44 @@ def label_components(grid: ClassifiedGrid) -> ClassifiedGrid:
     Undecided and pole-hit pixels have no key, stay at label 0 and
     separate components.  Label ids count up in raster order of each
     component's first pixel.
+
+    Every row run of equal keys starts rooted at its first pixel; vertical
+    edges then merge runs by hooking and pointer jumping (Shiloach and
+    Vishkin, J. Algorithms 3, 1982): each edge between two roots hooks the
+    larger root under the smaller, and the roots' pointers jump to a
+    fixpoint, until no edge joins two roots.  Hooks point to smaller
+    indices, so a component's root is its first pixel in raster order.
     """
     res = grid.resolution
     keys = _component_keys(grid).reshape(res, res)
     # int32 indices suffice: res^2 <= 8192^2 < 2^31
-    index = np.arange(res * res, dtype=np.int32).reshape(res, res)
-    decided = keys != 0
-    across = (keys[:, 1:] == keys[:, :-1]) & decided[:, 1:]
-    down = (keys[1:, :] == keys[:-1, :]) & decided[1:, :]
-    tail = np.concatenate([index[:, :-1][across], index[:-1, :][down]])
-    head = np.concatenate([index[:, 1:][across], index[1:, :][down]])
-    edges = coo_matrix((np.ones(tail.size, dtype=np.int8), (tail, head)), shape=(res * res,) * 2)
-    _, comp = connected_components(edges, directed=False)
-    # a barrier pixel is a component of its own and keeps label 0
-    roots, first = np.unique(comp[decided.reshape(-1)], return_index=True)
-    renumber = np.zeros(comp.max() + 1, dtype=np.int32)
-    renumber[roots[np.argsort(first)]] = np.arange(1, roots.size + 1, dtype=np.int32)
-    return replace(grid, labels=renumber[comp].reshape(res, res))
+    tops = _run_starts(keys).astype(np.int32)
+    root = np.zeros(res * res, dtype=np.int32)
+    root[tops] = tops
+    root = np.maximum.accumulate(root)
+    down = np.flatnonzero((keys[1:, :] == keys[:-1, :]) & (keys[1:, :] != 0)).astype(np.int32)
+    lo, hi = root[down], root[down + res]
+    while True:
+        live = lo != hi
+        if not live.any():
+            break
+        lo, hi = np.minimum(lo[live], hi[live]), np.maximum(lo[live], hi[live])
+        # among duplicate hooks of one root any winner is a valid hook
+        root[hi] = lo
+        # hooks join roots, so the jumps run over the roots alone
+        while True:
+            parent = root[tops]
+            grand = root[parent]
+            if np.array_equal(grand, parent):
+                break
+            root[tops] = grand
+        root = root[root]
+        tops = tops[root[tops] == tops]
+        lo, hi = root[lo], root[hi]
+    # a barrier pixel keeps label 0; a component takes the rank of its root
+    decided = keys.reshape(-1) != 0
+    rank = np.cumsum(decided & (root == np.arange(res * res, dtype=np.int32)), dtype=np.int32)
+    return replace(grid, labels=np.where(decided, rank[root], 0).reshape(res, res))
 
 
 def _component_table(grid: ClassifiedGrid) -> tuple[list, list]:
@@ -365,24 +393,40 @@ def _component_table(grid: ClassifiedGrid) -> tuple[list, list]:
 
     A component's pixels share one class, read at its first pixel; it
     touches the boundary when its box reaches row or column 0 or res.
+    Boxes are (row slice, column slice) pairs, as ndimage.find_objects
+    gives them, found from the row runs of equal labels.
     """
     if grid.labels is None:
         raise ValueError("grid has no labels; run label_components first")
     res = grid.resolution
     flat = grid.labels.reshape(-1)
-    pixels = np.bincount(flat)
-    present, first = np.unique(flat, return_index=True)
-    classes = np.zeros(pixels.size, dtype=np.uint8)
-    classes[present] = grid.classes.reshape(-1)[first]
-    boxes = ndimage.find_objects(grid.labels)
+    first = _run_starts(grid.labels)
+    last = np.append(first[1:], flat.size) - 1
+    run_label = flat[first]
+    size = int(run_label.max()) + 1
+    top = np.full(size, flat.size)
+    bottom = np.zeros(size, dtype=np.intp)
+    left = np.full(size, res)
+    right = np.zeros(size, dtype=np.intp)
+    np.minimum.at(top, run_label, first)
+    np.maximum.at(bottom, run_label, last)
+    np.minimum.at(left, run_label, first % res)
+    np.maximum.at(right, run_label, last % res)
+    # label 0 (barrier pixels) is no component
+    pixels = np.bincount(flat)[1:].tolist()
+    classes = grid.classes.reshape(-1)[top[1:]].tolist()
+    boxes = [
+        (slice(r0, r1 + 1), slice(c0, c1 + 1))
+        for r0, r1, c0, c1 in zip(*(a[1:].tolist() for a in (top // res, bottom // res, left, right)))
+    ]
     summaries = [
         {
             "id": lab,
-            "class": _CLASS_NAMES[OrbitClass(int(classes[lab]))],
-            "pixels": int(pixels[lab]),
+            "class": _CLASS_NAMES[OrbitClass(cls)],
+            "pixels": count,
             "touches_boundary": 0 in (rows.start, cols.start) or res in (rows.stop, cols.stop),
         }
-        for lab, (rows, cols) in enumerate(boxes, start=1)
+        for lab, (cls, count, (rows, cols)) in enumerate(zip(classes, pixels, boxes), start=1)
     ]
     return summaries, boxes
 
@@ -408,6 +452,16 @@ def _seed_pixel(resolution: int) -> tuple[int, int]:
     return resolution // 2, resolution // 2
 
 
+def _collar(mask: np.ndarray) -> np.ndarray:
+    """Pixels outside mask 4-adjacent to it."""
+    grown = mask.copy()
+    grown[1:] |= mask[:-1]
+    grown[:-1] |= mask[1:]
+    grown[:, 1:] |= mask[:, :-1]
+    grown[:, :-1] |= mask[:, 1:]
+    return grown & ~mask
+
+
 def _component_stats(grid: ClassifiedGrid, row: int, col: int):
     lab = int(grid.labels[row, col])
     if lab == 0:
@@ -423,9 +477,7 @@ def _component_stats(grid: ClassifiedGrid, row: int, col: int):
     # collar: every pixel 4-adjacent to the component must be decided
     collar_ok = True
     if not touches:
-        mask = grid.labels == lab
-        # the default structuring element is the 4-neighbour cross
-        collar = ndimage.binary_dilation(mask) & ~mask
+        collar = _collar(grid.labels == lab)
         collar_ok = not bool((collar & (grid.classes == OrbitClass.UNDECIDED)).any())
     return {
         "label": lab,

@@ -21,7 +21,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import loggamma
 
 from .nodes import (
     Add,
@@ -405,6 +404,14 @@ def _iroot(k: int, p: int) -> int:
         if nxt >= r:
             return r
         r = nxt
+
+
+def loggamma(z):
+    """scipy.special.loggamma, imported on first use: only the odd-p route
+    needs it, and importing scipy takes longer than most CLI jobs run."""
+    from scipy.special import loggamma as scipy_loggamma
+
+    return scipy_loggamma(z)
 
 
 def _lp_canprod_odd(p: int, z: np.ndarray):

@@ -308,12 +308,53 @@ class _NeedsNumeric(Exception):
     """Internal: structural analysis cannot certify the pole set."""
 
 
-def _merge_pole(poles: dict, loc: complex, mult: int):
-    for known in poles:
-        if abs(known - loc) <= _MERGE_TOL:
-            poles[known] += mult
-            return
-    poles[loc] = mult
+def _cell(loc: complex) -> tuple:
+    # cells of side 2 _MERGE_TOL: locations within _MERGE_TOL of each other
+    # lie in the same or adjacent cells, whatever the rounding
+    return math.floor(loc.real / (2 * _MERGE_TOL)), math.floor(loc.imag / (2 * _MERGE_TOL))
+
+
+def _cells(locs: list) -> dict:
+    """Ranks in locs bucketed by cell."""
+    arr = np.array(locs, dtype=np.complex128)
+    xs = np.floor(arr.real / (2 * _MERGE_TOL)).tolist()
+    ys = np.floor(arr.imag / (2 * _MERGE_TOL)).tolist()
+    cells: dict = {}
+    for rank, key in enumerate(zip(xs, ys)):
+        cells.setdefault(key, []).append(rank)
+    return cells
+
+
+def _near(cells: dict, locs: list, loc: complex):
+    """The lowest rank in cells whose location is within _MERGE_TOL of loc, or None."""
+    cx, cy = _cell(loc)
+    hits = [
+        rank
+        for dx in (-1, 0, 1)
+        for dy in (-1, 0, 1)
+        for rank in cells.get((cx + dx, cy + dy), ())
+        if abs(locs[rank] - loc) <= _MERGE_TOL
+    ]
+    return min(hits) if hits else None
+
+
+def _merge_poles(poles: dict, pairs) -> None:
+    """Add (location, multiplicity) pairs to a pole map in order.
+
+    A pair joins the first location of the map, in insertion order, within
+    _MERGE_TOL of it, else becomes a location of its own.  Locations are
+    looked up by cell, not by a scan of the map.
+    """
+    locs = list(poles)
+    cells = _cells(locs)
+    for loc, mult in pairs:
+        rank = _near(cells, locs, loc)
+        if rank is None:
+            cells.setdefault(_cell(loc), []).append(len(locs))
+            locs.append(loc)
+            poles[loc] = mult
+        else:
+            poles[locs[rank]] += mult
 
 
 def _poly_scale(coeffs, loc: complex) -> float:
@@ -382,11 +423,11 @@ def _structural_poles(node: Node, radius: float) -> dict:
     if isinstance(node, (Add, Sub)):
         pa = _structural_poles(node.left, radius)
         pb = _structural_poles(node.right, radius)
-        for loc in pa:
-            for other in pb:
-                if abs(loc - other) <= _MERGE_TOL:
-                    # principal parts might cancel
-                    raise _NeedsNumeric
+        others = list(pb)
+        cells = _cells(others)
+        if any(_near(cells, others, loc) is not None for loc in pa):
+            # principal parts might cancel
+            raise _NeedsNumeric
         merged = dict(pa)
         merged.update(pb)
         return merged
@@ -396,26 +437,30 @@ def _structural_poles(node: Node, radius: float) -> dict:
             (_structural_poles(node.left, radius), node.right),
             (_structural_poles(node.right, radius), node.left),
         ):
-            fresh = not out  # a map merges into an empty one by copying
+            kept = []
             for loc, mult in poles.items():
                 reduced = _cancel_against(other, loc, mult)
                 if reduced is None:
                     raise _NeedsNumeric
-                if reduced > 0 and fresh:
-                    out[loc] = reduced
-                elif reduced > 0:
-                    _merge_pole(out, loc, reduced)
+                if reduced > 0:
+                    kept.append((loc, reduced))
+            if out:
+                _merge_poles(out, kept)
+            else:
+                out = dict(kept)  # one map's locations lie apart: no merging
         return out
     if isinstance(node, Div):
         if node.denominator_poly is None:
             raise _NeedsNumeric
         out = dict(_structural_poles(node.numerator, radius))
+        kept = []
         for loc, mult in _poly_roots(node.denominator_poly):
             reduced = _cancel_against(node.numerator, loc, mult)
             if reduced is None:
                 raise _NeedsNumeric
             if reduced > 0:
-                _merge_pole(out, loc, reduced)
+                kept.append((loc, reduced))
+        _merge_poles(out, kept)
         return out
     if isinstance(node, Pow):
         if node.exponent >= 0:
@@ -514,8 +559,7 @@ def _grid_search(f, radius: float, origin: float, extent: float, cell: float):
         box = (x0, x0 + cell, y0, y0 + cell)
         budget = _subdivide(f, box, int(windings[j, i]), found, budget)
     merged: dict = {}
-    for loc, mult in sorted(found, key=lambda t: (abs(t[0]), t[0].real, t[0].imag)):
-        _merge_pole(merged, loc, mult)
+    _merge_poles(merged, sorted(found, key=lambda t: (abs(t[0]), t[0].real, t[0].imag)))
     return list(merged.items())
 
 

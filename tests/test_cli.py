@@ -446,8 +446,37 @@ def test_module_invocation(tmp_path):
     assert (tmp_path / "trace.json").exists()
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    code = "import sys, merolab.cli; print('scipy.stats' in sys.modules)"
+def test_cli_leaves_out_scipy(tmp_path):
+    # scipy loads only for odd-p canonical products: the CLI's import, the
+    # corpus commands and the hyperbolic calls run on numpy alone
+    code = textwrap.dedent(
+        f"""
+        import sys
+
+        import numpy as np
+
+        def assert_no_scipy(after):
+            loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            assert not loaded, f"{{after}} loaded {{loaded[:5]}}"
+
+        from merolab.cli import main
+        assert_no_scipy("import merolab.cli")
+        assert main(["analyze", "--corpus", "expz", "--rmax", "100", "--out", {str(tmp_path / "a")!r}]) == 0
+        assert main([
+            "render", "--corpus", "zsq", "--res", "32", "--budget", "64", "--scales", "2,4",
+            "--out", {str(tmp_path / "r")!r},
+        ]) == 0
+        assert_no_scipy("analyze and render")
+        from merolab import corpus_function, distortion_check
+        distortion_check(corpus_function("fatou"), [5.0, 5.5, 6.0], 30, r_esc=50.0)
+        assert_no_scipy("distortion_check")
+
+        # the odd-p route imports loggamma on first use
+        from merolab.expr import log_polar, parse
+        log_mod, _ = log_polar(parse("canprod(3)"), np.array([0.5, 3 + 4j, -1e4 + 1j]))
+        assert np.isfinite(log_mod).all(), log_mod
+        assert "scipy.special" in sys.modules
+        """
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"

@@ -397,6 +397,73 @@ def test_labels_match_bfs_on_tiny_grids():
         assert np.array_equal(labeled.labels, _bfs_labels(classes, cyc))
 
 
+def _serpentine(res):
+    # one corridor along the even rows, joined at alternate ends
+    corridor = np.zeros((res, res), dtype=bool)
+    corridor[::2] = True
+    corridor[1::4, -1] = True
+    corridor[3::4, 0] = True
+    return corridor
+
+
+def _spiral(res):
+    # a corridor winding inward two pixels at a time, walls one pixel thick
+    corridor = np.zeros((res, res), dtype=bool)
+    row, col, (dr, dc) = 0, 0, (0, 1)
+    corridor[0, 0] = True
+    for _ in range(res * res):
+        for _turn in range(2):
+            nr, nc = row + 2 * dr, col + 2 * dc
+            if 0 <= nr < res and 0 <= nc < res and not corridor[nr, nc]:
+                corridor[row + dr, col + dc] = corridor[nr, nc] = True
+                row, col = nr, nc
+                break
+            dr, dc = dc, -dr
+        else:
+            return corridor
+    raise AssertionError("the spiral did not close")
+
+
+@pytest.mark.parametrize("shape", [_serpentine, _spiral])
+@pytest.mark.parametrize("res", [63, 64])
+@pytest.mark.parametrize("transpose", [False, True])
+def test_labels_match_bfs_on_winding_corridors(shape, res, transpose):
+    # long one-pixel paths, the deepest trees for hooking and pointer
+    # jumping; the walls are attracted pixels, so both classes wind
+    corridor = shape(res).T if transpose else shape(res)
+    classes = np.where(corridor, OrbitClass.ESCAPING, OrbitClass.ATTRACTED)
+    cyc = np.where(corridor, 0, 1)
+    labels = label_components(_blank_grid(classes, cyc)).labels
+    assert np.array_equal(labels, _bfs_labels(classes, cyc))
+    assert np.unique(labels[corridor]).size == 1
+
+
+def _random_labeled_grids(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        res = int(rng.integers(1, 40))
+        block = int(rng.integers(1, 6))
+        coarse = rng.integers(0, 4, size=(res // block + 1,) * 2)
+        classes = np.kron(coarse, np.ones((block, block), dtype=np.int64))[:res, :res]
+        cyc = np.where(classes == OrbitClass.ATTRACTED, rng.integers(1, 4, size=(res, res)), 0)
+        yield label_components(_blank_grid(classes, cyc))
+
+
+def test_component_boxes_match_find_objects():
+    ndimage = pytest.importorskip("scipy.ndimage")
+    for grid in _random_labeled_grids(19, 60):
+        assert dynamics._component_table(grid)[1] == ndimage.find_objects(grid.labels)
+
+
+def test_collar_matches_binary_dilation():
+    ndimage = pytest.importorskip("scipy.ndimage")
+    for grid in _random_labeled_grids(23, 30):
+        for lab in range(1, int(grid.labels.max(initial=0)) + 1):
+            mask = grid.labels == lab
+            expected = ndimage.binary_dilation(mask) & ~mask
+            assert np.array_equal(dynamics._collar(mask), expected)
+
+
 def _brute_force_components(grid):
     # one full-grid mask per label, as a reference for the one-pass table
     res = grid.resolution
@@ -413,15 +480,8 @@ def _brute_force_components(grid):
 
 
 def test_component_table_matches_brute_force():
-    rng = np.random.default_rng(17)
     names = {OrbitClass.ESCAPING: "escaping", OrbitClass.ATTRACTED: "attracted"}
-    for _ in range(40):
-        res = int(rng.integers(1, 40))
-        block = int(rng.integers(1, 6))
-        coarse = rng.integers(0, 4, size=(res // block + 1,) * 2)
-        classes = np.kron(coarse, np.ones((block, block), dtype=np.int64))[:res, :res]
-        cyc = np.where(classes == OrbitClass.ATTRACTED, rng.integers(1, 4, size=(res, res)), 0)
-        grid = label_components(_blank_grid(classes, cyc))
+    for grid in _random_labeled_grids(17, 40):
         reference = _brute_force_components(grid)
         summaries = component_summaries(grid)
         assert len(summaries) == len(reference)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import stdtr
 from scipy.stats import linregress
 
 from merolab import (
@@ -24,7 +25,7 @@ from merolab import (
     schwarz_pick_check,
     trace_radius_recursion,
 )
-from merolab.hyperbolic import _sample_domain, _trend
+from merolab.hyperbolic import _sample_domain, _t_tail, _trend
 from merolab.nevanlinna import characteristic
 
 _SQUARE = PolygonDomain((0j, 1.0 + 0j, 1.0 + 1.0j, 1.0j))
@@ -301,6 +302,25 @@ def _linregress_trend(logs):
     fit = linregress(np.arange(half + 1, len(logs) + 1, dtype=float), logs[half:])
     p = fit.pvalue / 2.0 if fit.slope > 0 else 1.0 - fit.pvalue / 2.0
     return float(fit.slope), float(p)
+
+
+def test_t_tail_matches_stdtr():
+    deepest = 1.0
+    for nu in range(1, 61):
+        for size in (0.0, 1e-8, 0.5, 3.0, 40.0, 1e3, 1e6, 1e10, 1e100, 1e299):
+            for t in (size, -size):
+                got = _t_tail(nu, t)
+                # stdtr reads 0.49999999526 for nu = 1 at t = 1e-8, 3.1e-9
+                # off the Cauchy tail
+                want = math.atan2(1.0, t) / math.pi if nu == 1 else float(stdtr(nu, -t))
+                if want < 1e-300:
+                    assert got < 1e-290
+                    continue
+                deepest = min(deepest, want)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert _t_tail(nu, math.inf) == 0.0
+        assert _t_tail(nu, -math.inf) == 1.0
+    assert deepest < 1e-299
 
 
 def test_trend_matches_linregress_on_noisy_series():
