@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .expr import HUGE, LOG_HUGE, MeroExpr, as_expr, log_modulus, poles_in_disk
+from .expr import HUGE, LOG_HUGE, Const, MeroExpr, Node, as_expr, log_modulus, poles_in_disk
 
 __all__ = [
     "RadiusGrid",
@@ -99,9 +99,10 @@ class RadialSample:
     nodes reads finite, see log_min_modulus).  T = m + N exactly as stored.
     perturbed_from records the grid radius when the circle was moved off a
     pole modulus.  quadrature_nodes counts the points the panel quadrature
-    of m evaluated, and m_converged goes False when its next level would
-    have passed the 2^20 node cap (m is then the best available estimate,
-    see proximity).  record() reports these three with the functionals.
+    of m evaluated, which is about half the circle's worth for a function
+    with real coefficients (see proximity), and m_converged goes False when
+    its next level would have passed the 2^20 node cap (m is then the best
+    available estimate).  record() reports these three with the functionals.
     """
 
     r: float
@@ -182,12 +183,44 @@ class GrowthSummary:
 
 
 # ---------------------------------------------------------------------------
+# conjugate symmetry
+# ---------------------------------------------------------------------------
+
+
+def _real_tree(node: Node) -> bool:
+    if isinstance(node, Const):
+        return complex(node.value).imag == 0.0
+    return all(_real_tree(child) for child in vars(node).values() if isinstance(child, Node))
+
+
+@lru_cache(maxsize=None)
+def _conjugate_symmetric(f: MeroExpr) -> bool:
+    """True when every constant of f is real.
+
+    Every other node (exp, sin, cos, tan, lacunary, canprod, integer
+    powers, quotients) has real Taylor coefficients, so then
+    f(conj z) = conj f(z) and |f(r e^{-i theta})| = |f(r e^{i theta})|: each
+    circle functional needs only theta in [0, pi].
+    """
+    return _real_tree(f.root)
+
+
+def _upper_half(r: float, theta: np.ndarray) -> np.ndarray:
+    """r e^{i theta} for angles from 0 up to a last one of pi, that one exactly -r.
+
+    r e^{i pi} is -r + 1.2e-16 r i, which misses a zero on the negative axis.
+    """
+    z = r * np.exp(1j * theta)
+    z[-1] = -r
+    return z
+
+
+# ---------------------------------------------------------------------------
 # proximity (circle average of log+ |f|)
 # ---------------------------------------------------------------------------
 
 
-def _logplus_samples(f, r: float, theta: np.ndarray) -> np.ndarray:
-    z = r * np.exp(1j * theta)
+def _logplus(f, z: np.ndarray) -> np.ndarray:
     lm = log_modulus(f, z)
     # a pole or lost value on the circle contributes the overflow cap;
     # profile construction perturbs radii so this stays a stray-sample
@@ -212,7 +245,7 @@ def _panel_rule(f, r: float, left: np.ndarray, width: float):
     x, w = _gauss_legendre()
     theta = (left[:, None] + 0.5 * width * (1.0 + x)).ravel()
     g = np.concatenate([
-        _logplus_samples(f, r, theta[i:i + _QUAD_CHUNK])
+        _logplus(f, r * np.exp(1j * theta[i:i + _QUAD_CHUNK]))
         for i in range(0, theta.size, _QUAD_CHUNK)
     ]).reshape(-1, x.size)
     return g, g @ w * (width / (4.0 * math.pi))
@@ -222,32 +255,44 @@ def _panel_rule(f, r: float, left: np.ndarray, width: float):
 def _proximity_detail(f: MeroExpr, r: float):
     """(value, nodes, converged) for the adaptive circle average, cached per circle.
 
-    Each level evaluates both halves of every open panel in one batch.  A
-    panel's error estimate is the difference between its rule and the sum
-    over its halves, plus a bound on what a kink of log+ |f| can hide
-    between a half's edge and its node next to that edge, where no rule
-    looks: the edge values come from the 64 starting edges and from the
-    centre node of each panel's own rule.  A panel whose estimate is at
-    most tol * width / 2pi is accepted, so the accepted estimates add up to
-    at most tol = 1e-10 * max(1, m0), m0 the first-level value; the others
-    are bisected.  A level that would take the node count past 2^20 is not
-    run: the value is then the accepted halves plus the open panels' last
-    estimates, and converged is False.
+    The 64 starting panels tile [0, 2pi].  For a function with real
+    coefficients (_conjugate_symmetric) only the 32 on [0, pi] and their 33
+    edges are evaluated, and their panels' shares count twice: the panels
+    on [pi, 2pi] mirror them.  Each level evaluates both halves of every
+    open panel in one batch.  A panel's error estimate is the difference
+    between its rule and the sum over its halves, plus a bound on what a
+    kink of log+ |f| can hide between a half's edge and its node next to
+    that edge, where no rule looks: the edge values come from the starting
+    edges and from the centre node of each panel's own rule.  A panel whose
+    estimate is at most tol * width / 2pi is accepted, so the accepted
+    estimates over the whole circle add up to at most
+    tol = 1e-10 * max(1, m0), m0 the first-level value; the others are
+    bisected.  nodes counts the points evaluated.  A level that would take
+    it past 2^20 is not run: the value is then the accepted halves plus the
+    open panels' last estimates, and converged is False.
     """
     x, _ = _gauss_legendre()
     centre = x.size // 2
     gap = 0.5 * (1.0 + x[0])   # a panel edge's distance to its nearest node, in widths
     width = 2.0 * math.pi / _QUAD_PANELS
-    left = width * np.arange(_QUAD_PANELS)
-    lo = _logplus_samples(f, r, left)
+    if _conjugate_symmetric(f):
+        copies = 2.0
+        left = width * np.arange(_QUAD_PANELS // 2)
+        edges = _logplus(f, _upper_half(r, np.append(left, math.pi)))
+        lo, hi = edges[:-1], edges[1:]
+    else:
+        copies = 1.0
+        left = width * np.arange(_QUAD_PANELS)
+        edges = lo = _logplus(f, r * np.exp(1j * left))
+        hi = np.roll(lo, -1)
     g, est = _panel_rule(f, r, left, width)
-    mid, hi = g[:, centre], np.roll(lo, -1)
-    nodes = lo.size + g.size
-    tol = _QUAD_TOL * max(1.0, float(est.sum()))
+    mid = g[:, centre]
+    nodes = edges.size + g.size
+    tol = _QUAD_TOL * max(1.0, copies * float(est.sum()))
     value = 0.0
     while left.size:
         if nodes + 2 * g.size > _QUAD_CAP:
-            return value + float(est.sum()), nodes, False
+            return copies * (value + float(est.sum())), nodes, False
         width *= 0.5
         left = np.column_stack([left, left + width])
         g, halves = _panel_rule(f, r, left.ravel(), width)
@@ -268,22 +313,24 @@ def _proximity_detail(f: MeroExpr, r: float):
         mid = g[open_, :, centre].ravel()
         left, est = left[open_].ravel(), halves[open_].ravel()
         g = g[open_]
-    return value, nodes, True
+    return copies * value, nodes, True
 
 
 def proximity(f, r: float) -> float:
     """m(r, f): the circle average of log+ |f| at radius r.
 
     Adaptive 15-point Gauss-Legendre panels on [0, 2pi], from 64 equal
-    panels.  A panel is bisected while its rule and the sum over its
-    halves, plus what a kink could hide between an edge and its nearest
-    node, differ by more than 1e-10 * max(1, m) in proportion to its width.
-    The kinks of log+ |f| where |f| = 1 and the log peaks next to poles
-    near the circle draw the bisections; smooth stretches pass the first
-    comparison.  As with any sampling rule, an arc of log+ |f| > 0 that
-    falls between the first comparison's nodes (about 2e-3 rad apart) goes
-    unseen.  Past the 2^20 node cap the best estimate stands (RadialSample
-    flags it).  build_profile and characteristic share its cache.
+    panels; for a function with real coefficients, on [0, pi] from 32,
+    doubled, as |f| is symmetric about the real axis.  A panel is bisected
+    while its rule and the sum over its halves, plus what a kink could hide
+    between an edge and its nearest node, differ by more than
+    1e-10 * max(1, m) in proportion to its width.  The kinks of log+ |f|
+    where |f| = 1 and the log peaks next to poles near the circle draw the
+    bisections; smooth stretches pass the first comparison.  As with any
+    sampling rule, an arc of log+ |f| > 0 that falls between the first
+    comparison's nodes (about 2e-3 rad apart) goes unseen.  Past the 2^20
+    cap on evaluated nodes the best estimate stands (RadialSample flags
+    it).  build_profile and characteristic share its cache.
     """
     if not r > 0:
         raise ValueError("radius must be positive")
@@ -364,6 +411,10 @@ def _pole_on_circle(f, r: float) -> bool:
 def _modulus_scan(f: MeroExpr, r: float):
     """Cached coarse 4096-node scan of |z| = r: the min and max (value, centers).
 
+    For a function with real coefficients (_conjugate_symmetric) nodes 0 to
+    2048, on [0, pi], are evaluated, the axis ones at exactly r and -r, and
+    mirrored onto the rest; each center past pi then folds onto its mirror
+    image in [0, pi], and duplicates go, so the refinement stays on [0, pi].
     An empty centers means the value is already the exact extremum: a
     pole marker among the samples gives (-inf, +inf) only when the catalog
     confirms a pole modulus within 1e-9 of r, and a sampled zero makes the
@@ -374,7 +425,14 @@ def _modulus_scan(f: MeroExpr, r: float):
     from below.
     """
     theta = 2.0 * math.pi * np.arange(_SCAN_NODES) / _SCAN_NODES
-    lm = log_modulus(f, r * np.exp(1j * theta))
+    node = np.arange(_SCAN_NODES)
+    if _conjugate_symmetric(f):
+        half = _SCAN_NODES // 2
+        lm = log_modulus(f, _upper_half(r, theta[:half + 1]))
+        lm = np.concatenate([lm, lm[half - 1:0:-1]])
+        node = np.minimum(node, _SCAN_NODES - node)
+    else:
+        lm = log_modulus(f, r * np.exp(1j * theta))
     marker = np.isnan(lm) | np.isposinf(lm)
     exact = np.empty(0)
     if marker.any() and _pole_on_circle(f, r):
@@ -389,7 +447,7 @@ def _modulus_scan(f: MeroExpr, r: float):
         neighbors = np.minimum(np.roll(obj, 1), np.roll(obj, -1))
         local = np.flatnonzero(obj <= neighbors)
         best = local[np.argsort(obj[local])][:8]
-        sides.append((sign * float(obj[best[0]]), theta[best]))
+        sides.append((sign * float(obj[best[0]]), theta[np.unique(node[best])]))
     return tuple(sides)
 
 
@@ -399,9 +457,10 @@ def _modulus_extrema(f: MeroExpr, r: float):
 
     Scan then refine: one golden_min call takes the brackets of both
     _modulus_scan sides (one scan step either side of each center, the
-    maximum's as -log|f|) to 1e-10 rad.  Each side is the better of its
-    scan and refined extrema, so the minimum never falls behind the scan
-    bound that _log_min_bound reports.
+    maximum's as -log|f|) to 1e-10 rad; for a function with real
+    coefficients the centers lie in [0, pi], one per mirror pair.  Each
+    side is the better of its scan and refined extrema, so the minimum
+    never falls behind the scan bound that _log_min_bound reports.
     """
     (lo, lo_centers), (hi, hi_centers) = _modulus_scan(f, r)
     centers = np.concatenate([lo_centers, hi_centers])
@@ -431,9 +490,12 @@ def log_min_modulus(f, r: float) -> float:
     """log L(r, f).
 
     -inf when one of the 4096 scan nodes hits a zero exactly, or when a
-    cataloged pole sits on the circle.  A zero on the circle between nodes
-    reads finite and very negative: canprod(4) at r = 16 reads -34.27,
-    because the node at angle pi is -16 + 2e-15i.
+    cataloged pole sits on the circle.  For a function with real
+    coefficients the nodes at angles 0 and pi are exactly r and -r, so a
+    zero on the real axis reads -inf: canprod(4) at r = 16 does.  A zero
+    on the circle off the real axis, between nodes, reads finite and very
+    negative.  (With a complex constant the node at angle pi is
+    -r + 1.2e-16 r i, so a zero at -r reads finite too.)
     """
     if not r > 0:
         raise ValueError("radius must be positive")

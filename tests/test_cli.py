@@ -46,7 +46,8 @@ def test_analyze_writes_profile_and_growth(tmp_path):
     assert profile["samples"][0]["r"] == 1.0
     for sample in profile["samples"]:
         assert sample["m_converged"] is True and sample["perturbed_from"] is None
-        assert sample["quadrature_nodes"] >= 64 * 15 * 3
+        # the 33 edges and 32 panels of [0, pi], and one full bisection level
+        assert sample["quadrature_nodes"] >= 33 + 32 * 15 * 3
     growth = _read(tmp_path / "growth.json")
     assert growth["order"] == pytest.approx(1.0, abs=0.05)
     assert growth["deficiency"] == pytest.approx(1.0, abs=0.05)

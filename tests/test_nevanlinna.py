@@ -1,8 +1,11 @@
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from merolab import (
     RadiusGrid,
@@ -21,9 +24,24 @@ from merolab import (
     parse,
     proximity,
 )
-from merolab.expr import log_modulus, poles_in_disk
+from merolab.expr import (
+    Add,
+    Const,
+    Div,
+    Func,
+    MeroExpr,
+    Mul,
+    Neg,
+    Pow,
+    Sub,
+    Var,
+    as_expr,
+    log_modulus,
+    poles_in_disk,
+)
 from merolab.nevanlinna import (
     InsufficientSpanError,
+    _conjugate_symmetric,
     _log_min_bound,
     _pole_on_circle,
     golden_min,
@@ -118,12 +136,12 @@ def test_proximity_lacunary_oracle_next_to_a_zero(lacunary2):
 
 
 def test_proximity_stops_at_its_node_cap(monkeypatch, tanz):
-    # the full quadrature of this circle takes 8,704 nodes
+    # the full quadrature of this circle evaluates 4,353 nodes on [0, pi]
     r = 8.724061861322067
     full = proximity(tanz, r)
-    monkeypatch.setattr(nevanlinna, "_QUAD_CAP", 6000)
+    monkeypatch.setattr(nevanlinna, "_QUAD_CAP", 3000)
     m, nodes, converged = nevanlinna._proximity_detail.__wrapped__(tanz, r)
-    assert not converged and nodes <= 6000
+    assert not converged and nodes <= 3000
     assert m == pytest.approx(full, rel=1e-5)
 
 
@@ -235,8 +253,7 @@ def test_scan_bound_is_an_upper_bound(name):
 
 
 def test_scan_bound_on_degenerate_circles(canprod4, tanz, invz):
-    # the zero -16 of canprod(4) lies on |z| = 16; the node at angle pi
-    # misses it by an ulp, so the value is tiny rather than -inf
+    # the zero -16 of canprod(4) lies on |z| = 16, at the scan node -16
     assert _log_min_bound(canprod4, 16.0) >= log_min_modulus(canprod4, 16.0)
     assert log_min_modulus(canprod4, 16.0) < -30.0
     # a sampled zero and a cataloged pole on the circle are exact -inf
@@ -250,9 +267,18 @@ def test_scan_bound_on_degenerate_circles(canprod4, tanz, invz):
 
 
 def _one_extremum(f, r, want_max):
-    """Reference: each extreme scanned and refined on its own."""
+    """Reference: each extreme scanned and refined on its own, on the
+    route's nodes: for real coefficients, nodes 0..2048 (the last exactly
+    -r) mirrored, and one bracket per mirror pair."""
     theta = 2.0 * math.pi * np.arange(4096) / 4096
-    lm = log_modulus(f, r * np.exp(1j * theta))
+    half = _conjugate_symmetric(as_expr(f))
+    if half:
+        z = r * np.exp(1j * theta[:2049])
+        z[-1] = -r
+        lm = log_modulus(f, z)
+        lm = np.concatenate([lm, lm[2047:0:-1]])
+    else:
+        lm = log_modulus(f, r * np.exp(1j * theta))
     sign = -1.0 if want_max else 1.0
     marker = np.isnan(lm) | np.isposinf(lm)
     if marker.any():
@@ -266,9 +292,10 @@ def _one_extremum(f, r, want_max):
     neighbors = np.minimum(np.roll(obj, 1), np.roll(obj, -1))
     local = np.flatnonzero(obj <= neighbors)
     best = local[np.argsort(obj[local])][:8]
+    centers = theta[np.unique(np.minimum(best, 4096 - best))] if half else theta[best]
     step = 2.0 * math.pi / 4096
     _, refined, _ = golden_min(lambda t: sign * log_modulus(f, r * np.exp(1j * t)),
-                               theta[best] - step, theta[best] + step, 1e-10)
+                               centers - step, centers + step, 1e-10)
     return sign * min(float(obj[best[0]]), float(refined.min()))
 
 
@@ -293,6 +320,80 @@ def test_shared_pass_equals_per_extreme_refinement_on_degenerate_circles(canprod
         _assert_extrema_match_reference(f, r)
     # a sampled zero leaves the maximum finite and refined
     assert log_min_modulus("z - 1", 1.0) == -math.inf < log_max_modulus("z - 1", 1.0)
+
+
+# ---------------------------------------------------------------------------
+# conjugate symmetry: real-coefficient functions take half of each circle
+# ---------------------------------------------------------------------------
+
+_HALF_ROUTE = ["z^2 + 1", "1/(exp(z)-2)", *(str(corpus_function(n)) for n in corpus_names())]
+
+
+@pytest.mark.parametrize("source, half", [("exp(i*z)", False), ("z + i", False), ("1/(z - i)", False),
+                                          *((source, True) for source in _HALF_ROUTE)])
+def test_circle_route(monkeypatch, source, half):
+    f = parse(source)
+    assert _conjugate_symmetric(f) is half
+    points = []
+
+    def recorded(g, z):
+        points.append(z)
+        return log_modulus(g, z)
+
+    monkeypatch.setattr(nevanlinna, "log_modulus", recorded)
+    nevanlinna._modulus_scan.__wrapped__(f, 2.5)
+    nevanlinna._proximity_detail.__wrapped__(f, 2.5)
+    assert bool(np.concatenate(points).imag.min() >= 0.0) is half
+
+
+def test_a_real_zero_on_the_circle_reads_minus_inf(canprod4):
+    # the zeros -1 and -16 of canprod(4) are the scan nodes at angle pi
+    assert log_min_modulus(canprod4, 1.0) == log_min_modulus(canprod4, 16.0) == -math.inf
+
+
+def _full_circle(f, r):
+    """(m, converged, log L, log M) from the full-circle route, forced for any f."""
+    with mock.patch.object(nevanlinna, "_conjugate_symmetric", lambda f: False), \
+            mock.patch.object(nevanlinna, "_modulus_scan", nevanlinna._modulus_scan.__wrapped__):
+        m, _, converged = nevanlinna._proximity_detail.__wrapped__(f, r)
+        return m, converged, *nevanlinna._modulus_extrema.__wrapped__(f, r)
+
+
+_LEAF = st.one_of(st.just(Var()), st.integers(-20, 20).map(lambda k: Const(complex(k / 7))))
+_REAL_TREE = st.recursive(
+    _LEAF,
+    lambda inner: st.one_of(
+        st.builds(Add, inner, inner),
+        st.builds(Sub, inner, inner),
+        st.builds(Mul, inner, inner),
+        st.builds(Neg, inner),
+        st.builds(Pow, inner, st.integers(2, 3)),
+        st.builds(Func, st.sampled_from(["exp", "sin", "cos", "tan"]), inner),
+        # one pole on the real axis, inside every sampled circle
+        st.builds(Div, inner, st.integers(-6, 6).map(lambda k: Sub(Var(), Const(complex(k / 7))))),
+    ),
+    max_leaves=5,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(tree=_REAL_TREE, radius=st.floats(1.0, 6.0))
+def test_half_circle_matches_the_full_circle(tree, radius):
+    # the radius is scaled off the constants' grid, so no zero sits at -r,
+    # where the full route's node r e^{i pi} misses it
+    f, r = MeroExpr(tree), radius * math.sqrt(2.0)
+    assert _conjugate_symmetric(f)
+    m, converged, lo, hi = _full_circle(f, r)
+    half_m, _, half_converged = nevanlinna._proximity_detail(f, r)
+    assert half_converged == converged
+    # N >= 0 for r >= 1, so this is no looser than 1e-12 * max(1, T)
+    assert abs(half_m - m) <= 1e-12 * max(1.0, m)
+    for half, full in ((log_min_modulus(f, r), lo), (log_max_modulus(f, r), hi)):
+        if math.isinf(full):
+            assert half == full
+        else:
+            # an error d in log |f| is a relative error d in |f|
+            assert abs(half - full) <= 1e-12 * max(1.0, abs(full))
 
 
 def _cold(monkeypatch, name):
