@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .expr import OVERFLOW_FLAG, POLE_FLAG, as_expr, evaluate_many, poles_in_disk
+from .expr import OK_FLAG, POLE_FLAG, as_expr, evaluate_many, poles_in_disk
 
 _ESCAPE_DEFAULT = 1e6
 _POLE_LANDING = 1e12      # |f(z)| beyond this, for a map with poles, counts
@@ -229,11 +229,12 @@ def _classify_points(expr, pts: np.ndarray, budget: int, r_esc: float):
             break
         w, fl = evaluate_many(expr, cur)
         m = np.abs(w)
-        pole = fl == POLE_FLAG
         if meromorphic:
-            pole = pole | (m >= _POLE_LANDING)
-        w, m, fl = decide(pole, OrbitClass.POLE_HIT, s - 1, cur[pole], w, m, fl)
-        over = fl == OVERFLOW_FLAG
+            pole = (fl == POLE_FLAG) | (m >= _POLE_LANDING)
+            w, m, fl = decide(pole, OrbitClass.POLE_HIT, s - 1, cur[pole], w, m, fl)
+        # without poles, a NaN flagged as a pole came from inf arithmetic:
+        # the image overflowed
+        over = fl != OK_FLAG
         w, m = decide(over, OrbitClass.ESCAPING, s, cur[over], w, m)
         grew = (cmod > r_esc) & (m > cmod)
         grow = np.where(grew, grow + 1, 0).astype(np.int16)
@@ -258,10 +259,12 @@ def iterate_orbit(f, z0: complex, max_steps: int = 1000, R_esc: float = _ESCAPE_
     """Classify the orbit of a single starting point.
 
     Escape requires the modulus to sit beyond R_esc and grow on three
-    consecutive steps (or to overflow outright); cycles are detected by
-    Brent's power-of-two test with tolerance 1e-9; 2·max_steps orbit
-    steps without a verdict yield undecided.  Failures never raise, they
-    absorb into undecided.
+    consecutive steps, or an image to overflow outright; for a map
+    without poles a NaN image (from inf arithmetic) is such an overflow,
+    so only maps with poles hit one.  Cycles are detected by Brent's
+    power-of-two test with tolerance 1e-9; 2·max_steps orbit steps
+    without a verdict yield undecided.  Failures never raise, they absorb
+    into undecided.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")

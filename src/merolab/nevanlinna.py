@@ -48,6 +48,11 @@ _QUAD_CHUNK = 2**17
 _SCAN_NODES = 4096
 _ANGLE_TOL = 1e-10
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GRID_POINTS = 33
+_GRID_SHRINK = _GRID_POINTS // 2  # a level narrows a bracket from 2 * 16 grid cells to 2
+# a level's grid in cells from the bracket centre, nearest first: ties go
+# to the point nearest the centre, and the centre wins them all
+_GRID_OFFSETS = np.array(sorted(range(-_GRID_SHRINK, _GRID_SHRINK + 1), key=abs), dtype=float)
 
 
 class InsufficientSpanError(ValueError):
@@ -402,6 +407,35 @@ def golden_min(fun, a, b, tol: float):
     return np.where(fc < fd, xc, xd), np.minimum(fc, fd), probes
 
 
+def grid_min(fun, center, half_width, tol: float):
+    """Nested-grid minima of fun on the brackets center +- half_width, one call per level.
+
+    Each level lays _GRID_POINTS evenly spaced abscissae across every
+    bracket, its centre among them, and fun maps that array (one row per
+    bracket) to the values there.  NaN ranks as +inf.  Each bracket then
+    recentres on its best point, ties going to the point nearest the
+    centre, and narrows to the two grid cells around it (16 times narrower
+    at 33 points) until every bracket is at most tol wide; a best point at
+    an end moves the bracket on by one cell.  The next level evaluates
+    each centre again at the same abscissa, so the returned (x, value) is
+    each bracket's best probe, value == fun(x); levels counts calls.
+    """
+    x = np.asarray(center, dtype=float)
+    cell = np.asarray(half_width, dtype=float) / _GRID_SHRINK
+    levels = 0
+    while True:
+        grid = x[..., None] + cell[..., None] * _GRID_OFFSETS
+        v = fun(grid)
+        v = np.where(np.isnan(v), np.inf, v)
+        best = np.argmin(v, axis=-1)[..., None]
+        x = np.take_along_axis(grid, best, -1)[..., 0]
+        value = np.take_along_axis(v, best, -1)[..., 0]
+        levels += 1
+        if float(np.max(2.0 * cell)) <= tol:
+            return x, value, levels
+        cell = cell / _GRID_SHRINK
+
+
 def _pole_on_circle(f, r: float) -> bool:
     catalog = poles_in_disk(f, r * (1.0 + 1e-6) + 1e-6)
     return any(abs(abs(b) - r) <= _POLE_RADIUS_TOL for b, _ in catalog.entries)
@@ -414,15 +448,17 @@ def _modulus_scan(f: MeroExpr, r: float):
     For a function with real coefficients (_conjugate_symmetric) nodes 0 to
     2048, on [0, pi], are evaluated, the axis ones at exactly r and -r, and
     mirrored onto the rest; each center past pi then folds onto its mirror
-    image in [0, pi], and duplicates go, so the refinement stays on [0, pi].
+    image in [0, pi], and duplicates go, so _modulus_extrema refines one
+    bracket per mirror pair.
     An empty centers means the value is already the exact extremum: a
     pole marker among the samples gives (-inf, +inf) only when the catalog
     confirms a pole modulus within 1e-9 of r, and a sampled zero makes the
     minimum -inf.  Otherwise the marker samples are dropped from both
     sides, each value is the side's scan extremum of log|f| and centers
-    holds the angles of its eight best local brackets.  Refinement can only
-    improve on the scan, so the values bound log L from above and log M
-    from below.
+    holds the angles of its eight best local brackets, one scan step
+    either side of each.  Refinement (grid_min in _modulus_extrema) can
+    only improve on the scan, so the values bound log L from above and
+    log M from below.
     """
     theta = 2.0 * math.pi * np.arange(_SCAN_NODES) / _SCAN_NODES
     node = np.arange(_SCAN_NODES)
@@ -455,9 +491,10 @@ def _modulus_scan(f: MeroExpr, r: float):
 def _modulus_extrema(f: MeroExpr, r: float):
     """(log L, log M) over the circle |z| = r.
 
-    Scan then refine: one golden_min call takes the brackets of both
+    Scan then refine: one grid_min pass takes the brackets of both
     _modulus_scan sides (one scan step either side of each center, the
-    maximum's as -log|f|) to 1e-10 rad; for a function with real
+    maximum's as -log|f|) to 1e-10 rad, all brackets of a level in one
+    log_modulus call, seven calls in all; for a function with real
     coefficients the centers lie in [0, pi], one per mirror pair.  Each
     side is the better of its scan and refined extrema, so the minimum
     never falls behind the scan bound that _log_min_bound reports.
@@ -467,10 +504,10 @@ def _modulus_extrema(f: MeroExpr, r: float):
     if centers.size == 0:
         return lo, hi
     k = lo_centers.size  # 0 when a sampled zero already made log L = -inf
-    sign = np.repeat([1.0, -1.0], [k, hi_centers.size])
+    sign = np.repeat([1.0, -1.0], [k, hi_centers.size])[:, None]
     step = 2.0 * math.pi / _SCAN_NODES
-    _, refined, _ = golden_min(lambda t: sign * log_modulus(f, r * np.exp(1j * t)),
-                               centers - step, centers + step, _ANGLE_TOL)
+    _, refined, _ = grid_min(lambda t: sign * log_modulus(f, r * np.exp(1j * t)),
+                             centers, step, _ANGLE_TOL)
     lo = min(lo, float(refined[:k].min(initial=math.inf)))
     hi = -min(-hi, float(refined[k:].min()))
     return lo, hi

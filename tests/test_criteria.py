@@ -185,16 +185,15 @@ def test_pruned_search_ties_go_to_first_exponent(closed):
 @pytest.mark.parametrize("name", ["lacunary2", "canprod4"])
 def test_pruned_search_refines_few_circles(monkeypatch, name, closed):
     f = corpus_function(name)
-    refine = nevanlinna.golden_min
+    refine = nevanlinna.grid_min
     refined = []
 
     def counted(*args):
         refined.append(args)
         return refine(*args)
 
-    # _modulus_extrema looks the helper up in nevanlinna; the exponent
-    # phase calls criteria's own binding and is not counted
-    monkeypatch.setattr(nevanlinna, "golden_min", counted)
+    # _modulus_extrema refines each circle in one grid_min pass
+    monkeypatch.setattr(nevanlinna, "grid_min", counted)
     for r in _SEARCH_RADII:
         # a cold refinement cache, so every refined circle is counted once
         fresh = functools.lru_cache(maxsize=None)(nevanlinna._modulus_extrema.__wrapped__)

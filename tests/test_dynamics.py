@@ -16,7 +16,7 @@ from merolab import (
 )
 from merolab import dynamics
 from merolab.dynamics import _PALETTE, _POLE_COLOR, ClassifiedGrid, _component_stats
-from merolab.expr import OVERFLOW_FLAG, POLE_FLAG, as_expr
+from merolab.expr import POLE_FLAG, as_expr
 
 
 def _blank_grid(classes, cycle_ids, steps=None, budget=8):
@@ -93,6 +93,24 @@ def test_orbit_lands_on_pole_after_one_step():
     assert res.steps == 1
     assert res.pole_step == 1
     assert res.final == pytest.approx(math.pi / 2.0)
+
+
+def test_orbit_overflow_of_an_entire_map_escapes():
+    # the sixth image of 1.9 + 0.3i under z^4 overflows to inf + nan*i;
+    # z^4 has no poles, so that NaN is an escape, not a pole hit
+    res = iterate_orbit("z^4", 1.9 + 0.3j)
+    assert res.orbit_class is OrbitClass.ESCAPING
+    assert res.steps == 6
+    assert res.pole_step == -1
+
+
+@pytest.mark.parametrize("f", ["z^4", "z^4 - 1.0*z", "z^3 + z", "z*exp(z)"])
+def test_grid_of_an_entire_map_has_no_pole_hits(f):
+    grid = classify_grid(f, (0j, 3.0), 32, 32)
+    assert not (grid.classes == OrbitClass.POLE_HIT).any()
+    if f == "z^4":
+        # the basin of 0 is the unit disk, as for z^2; every other orbit escapes
+        assert np.array_equal(grid.classes, classify_grid("z^2", (0j, 3.0), 32, 32).classes)
 
 
 def test_orbit_validation(zsq):
@@ -203,11 +221,11 @@ def _floyd_classify(f, pts, budget, r_esc=1e6):
         nonlocal hare, hmod, grow
         w, fl = dynamics.evaluate_many(expr, hare)
         m = np.abs(w)
-        pole = fl == POLE_FLAG
         if meromorphic:
-            pole = pole | (m >= dynamics._POLE_LANDING)
-        w, m, fl = decide(pole, OrbitClass.POLE_HIT, orbit_index, w, m, fl)
-        w, m = decide(fl == OVERFLOW_FLAG, OrbitClass.ESCAPING, orbit_index + 1, w, m)
+            pole = (fl == POLE_FLAG) | (m >= dynamics._POLE_LANDING)
+            w, m, fl = decide(pole, OrbitClass.POLE_HIT, orbit_index, w, m, fl)
+        # a map without poles flags only overflows, NaN from inf arithmetic too
+        w, m = decide(fl != 0, OrbitClass.ESCAPING, orbit_index + 1, w, m)
         grew = (hmod > r_esc) & (m > hmod)
         grow = np.where(grew, grow + 1, 0).astype(np.int16)
         hare, hmod = w, m
@@ -219,7 +237,7 @@ def _floyd_classify(f, pts, budget, r_esc=1e6):
         hare_substep(2 * loop - 2)
         hare_substep(2 * loop - 1)
         w, fl = dynamics.evaluate_many(expr, tort)
-        pole = fl == POLE_FLAG
+        pole = (fl == POLE_FLAG) & meromorphic
         w, fl = decide(pole, OrbitClass.POLE_HIT, loop - 1, w, fl)
         (tort,) = decide(fl != 0, OrbitClass.ESCAPING, loop, w)
         close = np.abs(hare - tort) <= 1e-9

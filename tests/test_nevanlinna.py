@@ -45,6 +45,7 @@ from merolab.nevanlinna import (
     _log_min_bound,
     _pole_on_circle,
     golden_min,
+    grid_min,
 )
 
 
@@ -293,9 +294,8 @@ def _one_extremum(f, r, want_max):
     local = np.flatnonzero(obj <= neighbors)
     best = local[np.argsort(obj[local])][:8]
     centers = theta[np.unique(np.minimum(best, 4096 - best))] if half else theta[best]
-    step = 2.0 * math.pi / 4096
-    _, refined, _ = golden_min(lambda t: sign * log_modulus(f, r * np.exp(1j * t)),
-                               centers - step, centers + step, 1e-10)
+    _, refined, _ = grid_min(lambda t: sign * log_modulus(f, r * np.exp(1j * t)),
+                             centers, 2.0 * math.pi / 4096, 1e-10)
     return sign * min(float(obj[best[0]]), float(refined.min()))
 
 
@@ -405,14 +405,14 @@ def _cold(monkeypatch, name):
 def test_profile_scans_and_refines_each_circle_once(monkeypatch, lacunary2):
     for name in ("_modulus_scan", "_modulus_extrema", "_proximity_detail"):
         _cold(monkeypatch, name)
-    refine = nevanlinna.golden_min
+    refine = nevanlinna.grid_min
     refinements = []
 
     def counted_refine(*args):
         refinements.append(args)
         return refine(*args)
 
-    monkeypatch.setattr(nevanlinna, "golden_min", counted_refine)
+    monkeypatch.setattr(nevanlinna, "grid_min", counted_refine)
     profile = build_profile(lacunary2, RadiusGrid(1.0, 4.0, 2.0 ** 0.5))
     scans = nevanlinna._modulus_scan.cache_info().misses
     quadratures = nevanlinna._proximity_detail.cache_info().misses
@@ -492,6 +492,118 @@ def test_golden_min_on_a_constant_is_deterministic():
     assert np.array_equal(first[1], [7.0, 7.0])
     # ties move to the upper half, so the kept point runs up to b
     assert np.all((b - tol <= first[0]) & (first[0] <= b))
+
+
+# ---------------------------------------------------------------------------
+# the nested-grid helper
+# ---------------------------------------------------------------------------
+
+# the golden-section brackets above, as centre +- half width
+_CENTRES = _MINIMISERS + (_ABOVE - _BELOW) / 2.0
+_HALF_WIDTHS = (_BELOW + _ABOVE) / 2.0
+
+
+@pytest.mark.parametrize("shape", [np.square, np.abs])
+def test_grid_min_finds_each_bracket_minimiser(shape):
+    tol = 1e-9
+
+    def fun(x):
+        return shape(x - _MINIMISERS[:, None])
+
+    x, value, _ = grid_min(fun, _CENTRES, _HALF_WIDTHS, tol)
+    assert x.shape == value.shape == _MINIMISERS.shape
+    assert np.all(np.abs(x - _MINIMISERS) <= tol)
+    assert np.array_equal(value, fun(x[:, None])[:, 0])
+
+
+def test_grid_min_takes_scalar_brackets():
+    x, value, _ = grid_min(lambda x: (x - 0.3) ** 2, 0.5, 0.5, 1e-9)
+    assert float(x) == pytest.approx(0.3, abs=1e-9)
+    assert float(value) == (float(x) - 0.3) ** 2
+
+
+def test_grid_min_never_returns_a_nan_probe():
+    def fun(x):
+        # NaN on a band around each minimiser, and everywhere in the last bracket
+        v = np.square(x - _MINIMISERS[:, None])
+        v = np.where(np.abs(x - _MINIMISERS[:, None]) < 0.05, np.nan, v)
+        v[-1] = np.nan
+        return v
+
+    x, value, _ = grid_min(fun, _CENTRES, _HALF_WIDTHS, 1e-9)
+    assert not np.isnan(value).any()
+    assert value[-1] == math.inf and x[-1] == _CENTRES[-1]
+    assert not np.isnan(fun(x[:, None])[:-1, 0]).any()
+    assert np.all(np.abs(x - _MINIMISERS)[:-1] >= 0.05)
+
+
+def test_grid_min_counts_its_calls():
+    calls = []
+
+    def fun(x):
+        calls.append(x)
+        return np.abs(x - _MINIMISERS[:, None])
+
+    for tol in (1.0, 1e-3, 1e-12):
+        calls.clear()
+        _, _, levels = grid_min(fun, _CENTRES, _HALF_WIDTHS, tol)
+        assert levels == len(calls)
+        # one call per level, each with every bracket's 33 points
+        assert all(x.shape == (_MINIMISERS.size, 33) for x in calls)
+    assert levels > 2
+
+
+def test_grid_min_on_a_constant_is_deterministic():
+    centre, half, tol = np.array([0.5, 0.5]), np.array([0.5, 1.5]), 1e-10
+    first = grid_min(lambda x: np.full(x.shape, 7.0), centre, half, tol)
+    second = grid_min(lambda x: np.full(x.shape, 7.0), centre, half, tol)
+    assert np.array_equal(first[0], second[0]) and first[2] == second[2]
+    assert np.array_equal(first[1], [7.0, 7.0])
+    # ties go to the point nearest the centre, so the centre is kept
+    assert np.array_equal(first[0], centre)
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_a_refined_circle_makes_at_most_seven_kernel_calls(monkeypatch, name):
+    # up to 16 brackets of 3.1e-3 rad, all in each call and 16 times
+    # narrower per level: 7 levels reach 1e-10 rad
+    f = corpus_function(name)
+    calls = []
+
+    def recorded(g, z):
+        calls.append(z.size)
+        return log_modulus(g, z)
+
+    for r in (0.5, 3.0, 40.0):
+        nevanlinna._modulus_scan(f, r)
+        monkeypatch.setattr(nevanlinna, "log_modulus", recorded)
+        calls.clear()
+        nevanlinna._modulus_extrema.__wrapped__(f, r)
+        monkeypatch.undo()
+        assert len(calls) <= 7
+        assert all(size > 16 for size in calls)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(tree=_REAL_TREE, radius=st.floats(1.0, 6.0))
+def test_grid_refinement_matches_golden_section(tree, radius):
+    f, r = MeroExpr(tree), radius * math.sqrt(2.0)
+    step = 2.0 * math.pi / 4096
+    (lo, lo_centers), (hi, hi_centers) = nevanlinna._modulus_scan(f, r)
+    for sign, scan, centers, value in ((1.0, lo, lo_centers, log_min_modulus(f, r)),
+                                       (-1.0, hi, hi_centers, log_max_modulus(f, r))):
+        # never worse than the scan
+        assert sign * value <= sign * scan
+        if centers.size == 0:
+            assert value == scan
+            continue
+        _, refined, _ = golden_min(lambda t: sign * log_modulus(f, r * np.exp(1j * t)),
+                                   centers - step, centers + step, 1e-10)
+        golden = sign * min(sign * scan, float(refined.min()))
+        if math.isinf(golden):
+            assert value == golden
+        else:
+            assert abs(value - golden) <= 1e-12 * max(1.0, abs(golden))
 
 
 # ---------------------------------------------------------------------------
