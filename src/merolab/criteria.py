@@ -394,10 +394,10 @@ def check_entire_conditions(f, profile: RadialProfile) -> list[CriterionVerdict]
     expr = as_expr(f)
     top = profile.samples[-1].r
     catalog = poles_in_disk(expr, top)
-    if catalog.entries:
+    if len(catalog):
         raise NotEntireError(
             "pole catalog holds %d entries inside radius %g; the entire-function"
-            " conditions do not apply" % (len(catalog.entries), top)
+            " conditions do not apply" % (len(catalog), top)
         )
     verdicts = []
     window = _entire_window(profile)

@@ -137,7 +137,7 @@ class ComponentReport:
 
 @lru_cache(maxsize=256)
 def _has_poles(expr) -> bool:
-    return bool(poles_in_disk(expr, _POLE_SCOUT_RADIUS).entries)
+    return len(poles_in_disk(expr, _POLE_SCOUT_RADIUS)) > 0
 
 
 def _canonical_rep(points) -> complex:

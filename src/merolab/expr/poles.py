@@ -7,11 +7,11 @@ eigenvalues polished by Newton steps, and tan poles from the closed-form
 lattice.  Everything else falls back to a numeric search by the argument
 principle: the disk is covered by a grid of square cells, and cells with
 negative winding (more poles than zeros) are split 2x2 until each pole
-is isolated to a 1e-6 diameter.  All windings of one grid, the top grid
-or a 2x2 split, come from one sweep (_grid_windings) that samples every
-cell edge once per level, endpoints included, so neighbouring cells
-share their common edge.  A top grid with more than 2^19 cells in the
-disk is refused before anything is evaluated.
+is isolated to a 1e-6 diameter.  One sweep (_grid_windings) gives all
+windings of a grid, sampling each shared cell edge once per level; a top
+grid with more than 2^19 cells in the disk is refused before anything is
+evaluated.  Either route gives one SingularityList per power-of-two
+bucket radius: arrays sorted by modulus, cut to a radius by within.
 """
 
 from __future__ import annotations
@@ -80,27 +80,42 @@ class UnsupportedExpressionError(ValueError):
     """The expression has a non-polar finite singularity (not supported)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SingularityList:
-    """Poles of f in a closed disk, sorted by modulus.
+    """Poles of f in a closed disk: parallel arrays sorted by (modulus, real, imag).
 
-    entries are (location, multiplicity) pairs; exact is True when the
-    catalog came from the structural route.  Numeric catalogs locate
-    poles to about 1e-6 and assume pole/zero separation above the search
-    grid cell size (see poles_in_disk).
+    moduli are the builtin abs of each location (np.abs may differ in the
+    last bit).  exact marks the structural route; numeric catalogs hold to
+    about 1e-6.  Compare catalogs by entries: (location, multiplicity) pairs.
     """
 
-    entries: tuple
+    locations: np.ndarray
+    multiplicities: np.ndarray
+    moduli: np.ndarray
     exact: bool
-    radius: float
 
     def __post_init__(self):
-        for _, mult in self.entries:
-            if mult < 1:
-                raise ValueError("pole multiplicity must be >= 1")
+        for a in (self.locations, self.multiplicities, self.moduli):
+            a.flags.writeable = False  # every cut of a cached bucket shares its arrays
+        if (self.multiplicities < 1).any():
+            raise ValueError("pole multiplicity must be >= 1")
 
-    def multiplicity_at_origin(self) -> int:
-        return sum(m for b, m in self.entries if abs(b) <= _MERGE_TOL)
+    def __len__(self) -> int:
+        return self.locations.size
+
+    @property
+    def entries(self) -> tuple:
+        return tuple(zip(self.locations.tolist(), self.multiplicities.tolist()))
+
+    def within(self, radius: float) -> SingularityList:
+        """The poles with modulus <= radius, up to the merge tolerance."""
+        k = np.searchsorted(self.moduli, radius * (1 + 1e-12) + _MERGE_TOL, side="right")
+        return SingularityList(self.locations[:k], self.multiplicities[:k], self.moduli[:k], self.exact)
+
+    def near(self, r: float, tol: float) -> bool:
+        """Whether a modulus lies within tol of r; |m - r| is monotone on each side of r."""
+        k = int(np.searchsorted(self.moduli, r))
+        return any(abs(m - r) <= tol for m in self.moduli[max(k - 1, 0):k + 1].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -595,36 +610,28 @@ def _bucket_radius(radius: float) -> float:
 @lru_cache(maxsize=512)
 def _catalog_at(f: MeroExpr, radius: float) -> SingularityList:
     try:
-        poles = _structural_poles(f.root, radius)
-        entries = [
-            (loc, m)
-            for loc, m in poles.items()
-            if abs(loc) <= radius * (1 + 1e-12) + _MERGE_TOL
-        ]
-        exact = True
+        pairs, exact = _structural_poles(f.root, radius).items(), True
     except _NeedsNumeric:
-        entries = _numeric_poles(f, radius)
         # locations below the locator's resolution snap to the origin;
         # otherwise N(r) would pick up a spurious log(r/|b|) blow-up
-        entries = [(0j if abs(loc) < 1e-6 else loc, m) for loc, m in entries]
+        pairs = [(0j if abs(loc) < 1e-6 else loc, m) for loc, m in _numeric_poles(f, radius)]
         exact = False
-    entries.sort(key=lambda t: (abs(t[0]), t[0].real, t[0].imag))
-    return SingularityList(entries=tuple(entries), exact=exact, radius=radius)
+    locs = np.array([loc for loc, _ in pairs], dtype=np.complex128)
+    moduli = np.array([abs(loc) for loc, _ in pairs], dtype=float)
+    order = np.lexsort((locs.imag, locs.real, moduli))
+    mults = np.array([m for _, m in pairs], dtype=np.int64)
+    return SingularityList(locs[order], mults[order], moduli[order], exact)
 
 
 def poles_in_disk(f, radius: float) -> SingularityList:
     """Catalog of poles with |location| <= radius.
 
-    Catalogs are computed per power-of-two bucket radius and filtered
-    down, so sweeping a radius grid reuses one search.  Raises
-    UnsupportedExpressionError for expressions with finite non-polar
-    singularities and UnresolvedRegionError when the numeric search
-    cannot settle or a catalog would exceed its size budget.
+    Catalogs are computed per power-of-two bucket radius and cut down by
+    SingularityList.within, so sweeping a radius grid reuses one search.
+    Raises UnsupportedExpressionError for expressions with finite
+    non-polar singularities and UnresolvedRegionError when the numeric
+    search cannot settle or a catalog would exceed its size budget.
     """
     if not radius > 0:
         raise ValueError("radius must be positive")
-    bucket = _catalog_at(as_expr(f), _bucket_radius(radius))
-    entries = tuple(
-        e for e in bucket.entries if abs(e[0]) <= radius * (1 + 1e-12) + _MERGE_TOL
-    )
-    return SingularityList(entries=entries, exact=bucket.exact, radius=radius)
+    return _catalog_at(as_expr(f), _bucket_radius(radius)).within(radius)

@@ -353,17 +353,15 @@ def counting(f, r: float) -> float:
     Equals the integral of n(t)/t in its integrated-by-parts form.  For
     r below 1 a pole at the origin makes this negative, matching the
     standard definition; profiles start at r >= 1 so stored samples keep
-    N >= 0.
+    N >= 0.  Summed in order, the origin term first, like a scalar loop.
     """
     if not r > 0:
         raise ValueError("radius must be positive")
     catalog = poles_in_disk(f, r)
-    n0 = catalog.multiplicity_at_origin()
-    total = n0 * math.log(r)
-    for b, mult in catalog.entries:
-        if abs(b) > 1e-9:
-            total += mult * math.log(r / abs(b))
-    return total
+    k = len(catalog.within(0.0))  # the poles at the origin, up to the merge tolerance
+    terms = catalog.multiplicities[k:] * np.log(r / catalog.moduli[k:])
+    head = int(catalog.multiplicities[:k].sum()) * math.log(r)
+    return float(np.cumsum(np.concatenate(([head], terms)))[-1])
 
 
 def characteristic(f, r: float) -> float:
@@ -436,11 +434,6 @@ def grid_min(fun, center, half_width, tol: float):
         cell = cell / _GRID_SHRINK
 
 
-def _pole_on_circle(f, r: float) -> bool:
-    catalog = poles_in_disk(f, r * (1.0 + 1e-6) + 1e-6)
-    return any(abs(abs(b) - r) <= _POLE_RADIUS_TOL for b, _ in catalog.entries)
-
-
 @lru_cache(maxsize=65536)
 def _modulus_scan(f: MeroExpr, r: float):
     """Cached coarse 4096-node scan of |z| = r: the min and max (value, centers).
@@ -471,7 +464,7 @@ def _modulus_scan(f: MeroExpr, r: float):
         lm = log_modulus(f, r * np.exp(1j * theta))
     marker = np.isnan(lm) | np.isposinf(lm)
     exact = np.empty(0)
-    if marker.any() and _pole_on_circle(f, r):
+    if marker.any() and poles_in_disk(f, r * (1.0 + 1e-6) + 1e-6).near(r, _POLE_RADIUS_TOL):
         return (-math.inf, exact), (math.inf, exact)
     sides = []
     for sign in (1.0, -1.0):
@@ -573,20 +566,20 @@ def build_profile(f, grid: RadiusGrid | None = None, function_id: str = "") -> R
     """Sample the circle functionals over a geometric radius grid.
 
     Radii whose circle passes within 1e-9 of a cataloged pole modulus
-    are nudged up by ratio^(1/16) (repeatedly if needed, up to 8 times)
-    and the original grid radius is recorded on the sample.
+    are nudged up by ratio^(1/16), up to 8 times, and the original grid
+    radius is recorded on the sample; the catalog reaches every nudge.
     """
     f = as_expr(f)
     if grid is None:
         grid = RadiusGrid()
-    pole_moduli = [abs(b) for b, _ in poles_in_disk(f, grid.r_max * 2.0).entries]
+    catalog = poles_in_disk(f, max(grid.r_max * 2.0, float(grid.radii()[-1]) * grid.ratio**0.5))
     notch = grid.ratio ** (1.0 / 16.0)
     samples = []
     for r0 in grid.radii():
         r = float(r0)
         perturbed = None
         for _ in range(8):
-            if all(abs(pm - r) > _POLE_RADIUS_TOL for pm in pole_moduli):
+            if not catalog.near(r, _POLE_RADIUS_TOL):
                 break
             perturbed = float(r0)
             r *= notch
@@ -691,10 +684,10 @@ def circle_bound_witness(f, R: float):
         raise ValueError("R must be positive")
     f = as_expr(f)
     bound = 24.0 * characteristic(f, 3.0 * R)
-    pole_moduli = [abs(b) for b, _ in poles_in_disk(f, 2.0 * R).entries]
+    catalog = poles_in_disk(f, 2.0 * R)
     for i in range(64):
         r = R * 2.0 ** ((i + 0.5) / 64.0)
-        if any(abs(pm - r) <= 1e-6 for pm in pole_moduli):
+        if catalog.near(r, 1e-6):
             continue
         max_logplus = max(log_max_modulus(f, r), 0.0)
         if max_logplus <= bound:

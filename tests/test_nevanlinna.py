@@ -43,7 +43,6 @@ from merolab.nevanlinna import (
     InsufficientSpanError,
     _conjugate_symmetric,
     _log_min_bound,
-    _pole_on_circle,
     golden_min,
     grid_min,
 )
@@ -283,7 +282,7 @@ def _one_extremum(f, r, want_max):
     sign = -1.0 if want_max else 1.0
     marker = np.isnan(lm) | np.isposinf(lm)
     if marker.any():
-        if _pole_on_circle(f, r):
+        if poles_in_disk(f, r * (1.0 + 1e-6) + 1e-6).near(r, 1e-9):
             return math.inf if want_max else -math.inf
         lm = lm.copy()
         lm[marker] = math.inf * sign
@@ -653,6 +652,17 @@ def test_profile_perturbs_pole_radius(tanz):
     assert first.record()["perturbed_from"] == first.perturbed_from
     assert first.r > math.pi / 2
     assert math.isfinite(first.M)
+
+
+@pytest.mark.parametrize("pole", [64.0, 512.0])
+def test_profile_perturbs_the_last_grid_radius(pole):
+    # radii 1, 8, 64, 512: the last one lies past 2 r_max = 200, and its
+    # nudges reach 512 * 8^(1/2); the catalog must cover them
+    f = parse("1/(z-%r)" % pole)
+    sample = build_profile(f, RadiusGrid(1.0, 100.0, 8.0)).samples[round(math.log(pole, 8))]
+    assert sample.perturbed_from == pole
+    assert sample.r == pole * 8.0 ** (1.0 / 16.0)
+    assert math.isfinite(sample.log_L) and math.isfinite(sample.log_M)
 
 
 # ---------------------------------------------------------------------------
