@@ -37,7 +37,7 @@ _CYCLE_TOL = 1e-9
 _CYCLE_MATCH_TOL = 1e-6
 _PERIOD_CAP = 32
 _MAX_RESOLUTION = 8192
-_POLE_SCOUT_RADIUS = 256.0
+_POLE_SCOUT_RADII = tuple(2.0**k for k in range(9))  # catalog buckets 1, 2, ..., 256
 _GROWTH_RUN = 3
 
 _PALETTE = (
@@ -137,7 +137,10 @@ class ComponentReport:
 
 @lru_cache(maxsize=256)
 def _has_poles(expr) -> bool:
-    return len(poles_in_disk(expr, _POLE_SCOUT_RADIUS)) > 0
+    # a numeric sweep costs in proportion to the disk's area, and most
+    # maps have a pole near the origin: grow the disk through the catalog
+    # buckets and stop at the first pole
+    return any(len(poles_in_disk(expr, r)) for r in _POLE_SCOUT_RADII)
 
 
 def _canonical_rep(points) -> complex:
@@ -209,16 +212,17 @@ def _classify_points(expr, pts: np.ndarray, budget: int, r_esc: float):
     registry: list[complex] = []
     meromorphic = _has_poles(expr)
 
-    def decide(mask, cls, step_count, values, *extra):
-        # records the orbits under mask, whose final values are given, and
-        # drops them from the loop state; returns extra filtered alike
+    def decide(mask, cls, step_count, *extra):
+        # records the orbits under mask, whose final values are those of
+        # cur, and drops them from the loop state; returns extra filtered
+        # alike
         nonlocal live, saved, cur, cmod, grow
-        idx = live[mask]
-        if idx.size == 0:
+        if not mask.any():
             return extra
+        idx = live[mask]
         classes[idx] = cls
         steps[idx] = step_count
-        final[idx] = values
+        final[idx] = cur[mask]
         keep = ~mask
         live, saved, cur, cmod, grow = (a[keep] for a in (live, saved, cur, cmod, grow))
         return tuple(a[keep] for a in extra)
@@ -231,23 +235,25 @@ def _classify_points(expr, pts: np.ndarray, budget: int, r_esc: float):
         m = np.abs(w)
         if meromorphic:
             pole = (fl == POLE_FLAG) | (m >= _POLE_LANDING)
-            w, m, fl = decide(pole, OrbitClass.POLE_HIT, s - 1, cur[pole], w, m, fl)
+            w, m, fl = decide(pole, OrbitClass.POLE_HIT, s - 1, w, m, fl)
         # without poles, a NaN flagged as a pole came from inf arithmetic:
         # the image overflowed
-        over = fl != OK_FLAG
-        w, m = decide(over, OrbitClass.ESCAPING, s, cur[over], w, m)
-        grew = (cmod > r_esc) & (m > cmod)
-        grow = np.where(grew, grow + 1, 0).astype(np.int16)
+        w, m = decide(fl != OK_FLAG, OrbitClass.ESCAPING, s, w, m)
+        # grow counts the consecutive steps beyond r_esc that grew |z|
+        grow += 1
+        grow *= (cmod > r_esc) & (m > cmod)
         cur, cmod = w, m
-        esc = grow >= _GROWTH_RUN
-        decide(esc, OrbitClass.ESCAPING, s, cur[esc])
+        decide(grow >= _GROWTH_RUN, OrbitClass.ESCAPING, s)
         close = np.abs(cur - saved) <= _CYCLE_TOL
         if close.any():
             ids, reps = _extract_cycles(expr, cur[close], registry)
             cyc[live[close]] = ids
             ok = ids > 0
+            # cur is this step's image, a new array, so no saved point
+            # changes
+            cur[close] = reps
             decide(close, np.where(ok, OrbitClass.ATTRACTED, OrbitClass.UNDECIDED),
-                   np.where(ok, s, budget), reps)
+                   np.where(ok, s, budget))
         if s & (s - 1) == 0:
             saved = cur
 

@@ -5,6 +5,11 @@ Two evaluation paths are provided:
 * a plain value path (``evaluate`` / ``evaluate_many``) returning complex
   values together with pole / overflow markers.  Magnitudes above 1e300
   become overflow markers; iteration pipelines treat them as escaped.
+  The path allocates only what it computes: a constant stays a single
+  value, z is never copied (only the root copies, so the result never
+  aliases the input), and tan's pole test takes cos only at the points
+  where |tan| > 1e11, since |sin|^2 + |cos|^2 >= 1 makes every point
+  with |cos| < 1e-12 one of them.
 
 * a log-polar path (``log_modulus``) carrying each intermediate value as
   (log modulus, unit phase).  Sums rescale by the larger operand before
@@ -56,6 +61,7 @@ HUGE = 1e300
 LOG_HUGE = math.log(HUGE)  # 690.7755278982137
 _LOG_CAP = 1e300           # cap on the log modulus itself
 _POLE_TOL = 1e-12          # proximity at which a point counts as "at a pole"
+_TAN_SUSPECT = 1e11        # |tan| beyond this may lie within _POLE_TOL of a pole
 _CANPROD_CHUNK = 8192      # points per canprod batch; bounds the (N, p) temporaries
 _TWO_BY_SQRT_PI = 2.0 / math.sqrt(math.pi)
 _LACUNARY_CELLS = 1 << 16  # (point, term) cells per lacunary batch
@@ -95,16 +101,23 @@ def _poly_derivative(coeffs):
 
 
 def _values(node: Node, z: np.ndarray) -> np.ndarray:
+    # z is one-dimensional.  A constant stays a one-element array, which
+    # broadcasts like a scalar but keeps constant subtrees on numpy's array
+    # loops (numpy's scalar arithmetic rounds a complex product
+    # differently), and z itself is never copied: only evaluate_many, at
+    # the root, copies or broadcasts.
     if isinstance(node, Const):
-        return np.full(z.shape, complex(node.value), dtype=np.complex128)
+        return np.full(1, complex(node.value), dtype=np.complex128)
     if isinstance(node, Var):
-        return z.astype(np.complex128, copy=True)
+        return z
     if isinstance(node, Add):
         return _values(node.left, z) + _values(node.right, z)
     if isinstance(node, Sub):
         return _values(node.left, z) - _values(node.right, z)
     if isinstance(node, Mul):
-        return _values(node.left, z) * _values(node.right, z)
+        # the operator may reuse the right operand's temporary with the
+        # operands swapped, which can move a complex product's last bit
+        return np.multiply(_values(node.left, z), _values(node.right, z))
     if isinstance(node, Div):
         num = _values(node.numerator, z)
         den = _values(node.denominator, z)
@@ -123,7 +136,8 @@ def _values(node: Node, z: np.ndarray) -> np.ndarray:
             return base**node.exponent
         inner = base ** (-node.exponent)
         out = 1.0 / inner
-        return np.where(np.abs(inner) < 1e-300, np.nan + 0j, out)
+        out[np.abs(inner) < 1e-300] = np.nan
+        return out
     if isinstance(node, Neg):
         return -_values(node.operand, z)
     if isinstance(node, Func):
@@ -134,11 +148,15 @@ def _values(node: Node, z: np.ndarray) -> np.ndarray:
             return np.sin(arg)
         if node.name == "cos":
             return np.cos(arg)
-        # tan: a point closer than about 1e-12 to a pole of tan has
-        # |cos| of the same size there; report the pole marker
-        c = np.cos(arg)
+        # tan: a point closer than about 1e-12 to a pole of tan has |cos|
+        # of the same size there; report the pole marker.  |sin|^2 + |cos|^2
+        # >= 1 off the real axis too, so |cos| < 1e-12 forces |tan| > 1e11:
+        # cos is needed only at the suspects, where |tan| is that large or NaN
         out = np.tan(arg)
-        return np.where(np.abs(c) < _POLE_TOL, np.nan + 0j, out)
+        suspects = np.flatnonzero(~(np.abs(out) <= _TAN_SUSPECT))
+        if suspects.size:
+            out[suspects[np.abs(np.cos(arg[suspects])) < _POLE_TOL]] = np.nan
+        return out
     if isinstance(node, (LacunarySeries, CanonicalProduct)):
         logmod, phase = _lp(node, z)
         with np.errstate(over="ignore"):
@@ -149,20 +167,23 @@ def _values(node: Node, z: np.ndarray) -> np.ndarray:
 def evaluate_many(f, z: np.ndarray):
     """Evaluate f on an array of points.
 
-    Returns (values, flags) where flags is 0 for a regular value, 1 for a
-    pole marker and 2 for an overflow marker (|value| > 1e300).
+    Returns (values, flags) of z's shape, where flags is 0 for a regular
+    value, 1 for a pole marker and 2 for an overflow marker
+    (|value| > 1e300).  The values are a new array, never a view of z.
     """
     root = as_expr(f).root
     z = np.asarray(z, dtype=np.complex128)
+    flat = z.reshape(-1)
     with np.errstate(all="ignore"):
-        vals = _values(root, z)
-    flags = np.zeros(z.shape, dtype=np.uint8)
-    absval = np.abs(vals)
-    flags[~np.isfinite(absval)] = OVERFLOW_FLAG
-    flags[absval > HUGE] = OVERFLOW_FLAG
-    nan_mask = np.isnan(vals.real) | np.isnan(vals.imag)
-    flags[nan_mask] = POLE_FLAG
-    return vals, flags
+        vals = _values(root, flat)
+        if vals.shape != flat.shape or np.may_share_memory(vals, flat):
+            # a constant function, or the identity
+            vals = np.broadcast_to(vals, flat.shape).copy()
+        # NaN in either part marks a pole; an infinite or NaN modulus
+        # fails the test as well, and a pole overrides it
+        flags = np.where(np.abs(vals) <= HUGE, np.uint8(OK_FLAG), np.uint8(OVERFLOW_FLAG))
+    flags[np.isnan(vals)] = POLE_FLAG
+    return vals.reshape(z.shape), flags.reshape(z.shape)
 
 
 def evaluate(f, z: complex):

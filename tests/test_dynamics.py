@@ -16,7 +16,7 @@ from merolab import (
 )
 from merolab import dynamics
 from merolab.dynamics import _PALETTE, _POLE_COLOR, ClassifiedGrid, _component_stats
-from merolab.expr import POLE_FLAG, as_expr
+from merolab.expr import POLE_FLAG, as_expr, poles, poles_in_disk
 
 
 def _blank_grid(classes, cycle_ids, steps=None, budget=8):
@@ -111,6 +111,33 @@ def test_grid_of_an_entire_map_has_no_pole_hits(f):
     if f == "z^4":
         # the basin of 0 is the unit disk, as for z^2; every other orbit escapes
         assert np.array_equal(grid.classes, classify_grid("z^2", (0j, 3.0), 32, 32).classes)
+
+
+@pytest.mark.parametrize("f", [
+    "z^2", "tan(z)", "z + 1 + exp(-z)", "(z^2 + 1)/(2*z)", "z^2 - 1", "z^2 - 1.3",
+    "z^2 - 0.1226 + 0.7449*i", "z^4", "z^4 - 1.0*z", "z^3 + z", "z*exp(z)",
+])
+def test_pole_scouting_agrees_with_the_disk_of_radius_256(f):
+    expr = as_expr(f)
+    assert dynamics._has_poles(expr) == (len(poles_in_disk(expr, 256.0)) > 0)
+
+
+@pytest.mark.parametrize("f", ["1/(exp(z)-2)", "z + 1/(sin(z)-0.5)"])
+def test_pole_scouting_stops_at_the_first_pole(monkeypatch, f):
+    # both maps have a pole inside the unit disk (log 2 and pi/6), so no
+    # numeric sweep may look beyond radius 1
+    radii = []
+    numeric = poles._numeric_poles
+
+    def recording(g, radius):
+        radii.append(radius)
+        return numeric(g, radius)
+
+    monkeypatch.setattr(poles, "_numeric_poles", recording)
+    poles._catalog_at.cache_clear()
+    dynamics._has_poles.cache_clear()
+    assert dynamics._has_poles(as_expr(f))
+    assert radii and max(radii) <= 1.0
 
 
 def test_orbit_validation(zsq):
