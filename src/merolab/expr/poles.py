@@ -4,14 +4,17 @@ Pole location runs on two routes.  The exact route applies when every
 pole of the expression provably comes from a polynomial denominator or a
 tan node with an affine argument; roots then come from companion-matrix
 eigenvalues polished by Newton steps, and tan poles from the closed-form
-lattice.  Everything else falls back to a numeric search by the argument
-principle: the disk is covered by a grid of square cells, and cells with
-negative winding (more poles than zeros) are split 2x2 until each pole
-is isolated to a 1e-6 diameter.  One sweep (_grid_windings) gives all
-windings of a grid, sampling each shared cell edge once per level; a top
-grid with more than 2^19 cells in the disk is refused before anything is
-evaluated.  Either route gives one SingularityList per power-of-two
-bucket radius: arrays sorted by modulus, cut to a radius by within.
+lattice.  Its tree walk holds each pole set as two arrays (locations,
+multiplicities) and finds the poles two sets share by one query on
+sorted moduli.  Everything else falls back to a numeric search by the
+argument principle: the disk is covered by a grid of square cells, and
+cells with negative winding (more poles than zeros) are split 2x2 until
+each pole is isolated to a 1e-6 diameter.  One sweep (_grid_windings)
+gives all windings of a grid, sampling each shared cell edge once per
+level; a top grid with more than 2^19 cells in the disk is refused
+before anything is evaluated.  Either route gives one SingularityList
+per power-of-two bucket radius: arrays sorted by modulus, cut to a
+radius by within.
 """
 
 from __future__ import annotations
@@ -84,9 +87,10 @@ class UnsupportedExpressionError(ValueError):
 class SingularityList:
     """Poles of f in a closed disk: parallel arrays sorted by (modulus, real, imag).
 
-    moduli are the builtin abs of each location (np.abs may differ in the
-    last bit).  exact marks the structural route; numeric catalogs hold to
-    about 1e-6.  Compare catalogs by entries: (location, multiplicity) pairs.
+    moduli are np.hypot of each location's parts, equal to the builtin abs
+    bit for bit (np.abs differs in the last bit on many points).  exact
+    marks the structural route; numeric catalogs hold to about 1e-6.
+    Compare catalogs by entries: (location, multiplicity) pairs.
     """
 
     locations: np.ndarray
@@ -283,13 +287,21 @@ def winding_count(f, box) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _poly_roots(coeffs) -> list:
-    """Roots of a polynomial as (location, multiplicity), polished."""
+def _moduli(locs: np.ndarray) -> np.ndarray:
+    """The builtin abs of each location, bit for bit (np.abs is not)."""
+    return np.hypot(locs.real, locs.imag)
+
+
+_EMPTY = (np.empty(0, dtype=np.complex128), np.empty(0, dtype=np.int64))
+
+
+def _poly_roots(coeffs):
+    """Roots of a polynomial as a pole set (locations, multiplicities), polished."""
     arr = np.array(coeffs, dtype=np.complex128)
     while arr.size > 1 and arr[-1] == 0:
         arr = arr[:-1]
     if arr.size <= 1:
-        return []
+        return _EMPTY
     raw = np.roots(arr[::-1])
     scale = max(1.0, float(np.abs(raw).max(initial=0.0)))
     clusters: list[list[complex]] = []
@@ -301,7 +313,7 @@ def _poly_roots(coeffs) -> list:
         else:
             clusters.append([r])
     deriv = tuple((k + 1) * c for k, c in enumerate(coeffs[1:]))
-    out = []
+    locs = []
     for cl in clusters:
         loc = complex(np.mean(np.array(cl)))
         if len(cl) == 1:
@@ -315,89 +327,79 @@ def _poly_roots(coeffs) -> list:
                 loc -= step
                 if abs(step) < 1e-14 * max(1.0, abs(loc)):
                     break
-        out.append((loc, len(cl)))
-    return out
+        locs.append(loc)
+    mults = np.array([len(cl) for cl in clusters], dtype=np.int64)
+    return np.array(locs, dtype=np.complex128), mults
 
 
 class _NeedsNumeric(Exception):
     """Internal: structural analysis cannot certify the pole set."""
 
 
-def _cell(loc: complex) -> tuple:
-    # cells of side 2 _MERGE_TOL: locations within _MERGE_TOL of each other
-    # lie in the same or adjacent cells, whatever the rounding
-    return math.floor(loc.real / (2 * _MERGE_TOL)), math.floor(loc.imag / (2 * _MERGE_TOL))
+def _coincident(a: np.ndarray, b: np.ndarray):
+    """Index pairs (i, j), i nondecreasing, with |a[i] - b[j]| <= _MERGE_TOL.
 
-
-def _cells(locs: list) -> dict:
-    """Ranks in locs bucketed by cell."""
-    arr = np.array(locs, dtype=np.complex128)
-    xs = np.floor(arr.real / (2 * _MERGE_TOL)).tolist()
-    ys = np.floor(arr.imag / (2 * _MERGE_TOL)).tolist()
-    cells: dict = {}
-    for rank, key in enumerate(zip(xs, ys)):
-        cells.setdefault(key, []).append(rank)
-    return cells
-
-
-def _near(cells: dict, locs: list, loc: complex):
-    """The lowest rank in cells whose location is within _MERGE_TOL of loc, or None."""
-    cx, cy = _cell(loc)
-    hits = [
-        rank
-        for dx in (-1, 0, 1)
-        for dy in (-1, 0, 1)
-        for rank in cells.get((cx + dx, cy + dy), ())
-        if abs(locs[rank] - loc) <= _MERGE_TOL
-    ]
-    return min(hits) if hits else None
-
-
-def _merge_poles(poles: dict, pairs) -> None:
-    """Add (location, multiplicity) pairs to a pole map in order.
-
-    A pair joins the first location of the map, in insertion order, within
-    _MERGE_TOL of it, else becomes a location of its own.  Locations are
-    looked up by cell, not by a scan of the map.
+    Candidates come from a searchsorted window on the sorted moduli of b,
+    since ||a| - |b|| <= |a - b|, widened for the rounding of the moduli;
+    each is tested by the builtin abs of its difference.
     """
-    locs = list(poles)
-    cells = _cells(locs)
-    for loc, mult in pairs:
-        rank = _near(cells, locs, loc)
-        if rank is None:
-            cells.setdefault(_cell(loc), []).append(len(locs))
-            locs.append(loc)
-            poles[loc] = mult
-        else:
-            poles[locs[rank]] += mult
+    mb = _moduli(b)
+    order = np.argsort(mb, kind="stable")
+    mb = mb[order]
+    ma = _moduli(a)
+    slack = 2 * _MERGE_TOL + 1e-15 * ma
+    lo = np.searchsorted(mb, ma - slack)
+    n = np.searchsorted(mb, ma + slack, side="right") - lo
+    i = np.repeat(np.arange(a.size), n)
+    j = order[np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())]
+    hit = _moduli(a[i] - b[j]) <= _MERGE_TOL
+    return i[hit], j[hit]
+
+
+def _joined(a, b):
+    """Pole set a with the poles of set b: a pole of b within _MERGE_TOL of
+    poles of a adds its multiplicity to the first, the others append."""
+    i, j = _coincident(a[0], b[0])
+    j, first = np.unique(j, return_index=True)  # i is sorted: first is the lowest
+    mults = a[1].copy()
+    np.add.at(mults, i[first], b[1][j])
+    rest = np.ones(b[0].size, dtype=bool)
+    rest[j] = False
+    return np.concatenate([a[0], b[0][rest]]), np.concatenate([mults, b[1][rest]])
 
 
 def _poly_scale(coeffs, loc: complex) -> float:
     return max(abs(c) * max(1.0, abs(loc)) ** k for k, c in enumerate(coeffs)) or 1.0
 
 
-def _cancel_against(other: Node, loc: complex, mult: int):
-    """Pole multiplicity at loc after cancellation by zeros of other.
+def _cancel_against(other: Node, poles):
+    """The pole set left after cancellation by the zeros of the factor other.
 
-    Returns the reduced multiplicity, or None when the factor vanishes
-    (or blows up) at loc and the outcome is not certifiable.
+    Raises _NeedsNumeric when a non-polynomial factor vanishes (or blows
+    up) at a pole, where the outcome is not certifiable.
     """
+    locs, mults = poles
     coeffs = polynomial_coefficients(other)
-    if coeffs is not None:
+    if coeffs is None:
+        if locs.size:
+            val = log_polar(other, locs)[0]
+            if not (np.isfinite(val) & (val >= math.log(1e-8))).all():
+                raise _NeedsNumeric
+        return poles
+    reduced = []
+    for loc, mult in zip(locs.tolist(), mults.tolist()):
         work = list(coeffs)
         k = 0
         while k < mult and work and abs(_horner(tuple(work), loc)) <= 1e-9 * _poly_scale(work, loc):
             work = [(j + 1) * c for j, c in enumerate(work[1:])]
             k += 1
-        return mult - k
-    val = log_polar(other, np.array([loc], dtype=np.complex128))[0][0]
-    if not np.isfinite(val) or val < math.log(1e-8):
-        return None
-    return mult
+        reduced.append(mult - k)
+    reduced = np.array(reduced, dtype=np.int64)
+    return locs[reduced > 0], reduced[reduced > 0]
 
 
 def _tan_lattice(argument: Node, radius: float):
-    """Poles of tan(a*z + b) in the disk, or None for non-affine arguments."""
+    """Poles of tan(a*z + b) in the disk as a pole set, or None for non-affine arguments."""
     coeffs = polynomial_coefficients(argument)
     if coeffs is None or len(coeffs) != 2 or coeffs[1] == 0:
         return None
@@ -413,88 +415,71 @@ def _tan_lattice(argument: Node, radius: float):
             f"{k_hi - k_lo:.0f} tan lattice indices for the disk of radius {radius:g} "
             f"exceed the budget of {_LATTICE_POLES}"
         )
-    out: dict = {}
-    for k in range(math.floor(k_lo), math.ceil(k_hi) + 1):
-        loc = ((k + 0.5) * math.pi - b) / a
-        if abs(loc) <= limit:
-            out[loc] = 1  # lattice poles lie pi/|a| apart: none merge
-    return out
+    # Python's complex division, not numpy's: for a != 1 they differ in the
+    # last bit on about a third of the points, which moves N(r) and T(r)
+    ks = range(math.floor(k_lo), math.ceil(k_hi) + 1)
+    locs = np.array([((k + 0.5) * math.pi - b) / a for k in ks], dtype=np.complex128)
+    locs = locs[_moduli(locs) <= limit]
+    return locs, np.ones(locs.size, dtype=np.int64)
 
 
-def _structural_poles(node: Node, radius: float) -> dict:
-    """Pole map {location: multiplicity} inside the disk.
+def _structural_poles(node: Node, radius: float):
+    """Pole set (locations complex128, multiplicities int64) inside the disk.
 
-    Locations lie more than _MERGE_TOL apart.  Raises _NeedsNumeric when
-    the pole set is not certifiable from the tree, and
-    UnsupportedExpressionError when an entire function is applied to
-    something with poles (an essential singularity at a finite point).
+    The locations of one set lie more than _MERGE_TOL apart: tan lattice
+    points pi/|a| >= radius / 2^20 apart under the index budget, polynomial
+    roots 1e-6 scale apart, and Add and Sub refuse, Mul and Div join, the
+    poles of two sets that coincide.  So only poles of different sets are
+    ever compared.  Raises _NeedsNumeric when the pole set is not
+    certifiable from the tree, and UnsupportedExpressionError when an
+    entire function is applied to something with poles (an essential
+    singularity at a finite point), whichever route finds those poles.
     """
     if polynomial_coefficients(node) is not None:
-        return {}
+        return _EMPTY
     if isinstance(node, Neg):
         return _structural_poles(node.operand, radius)
     if isinstance(node, (LacunarySeries, CanonicalProduct)):
-        return {}
+        return _EMPTY
     if isinstance(node, (Add, Sub)):
         pa = _structural_poles(node.left, radius)
         pb = _structural_poles(node.right, radius)
-        others = list(pb)
-        cells = _cells(others)
-        if any(_near(cells, others, loc) is not None for loc in pa):
+        if _coincident(pa[0], pb[0])[0].size:
             # principal parts might cancel
             raise _NeedsNumeric
-        merged = dict(pa)
-        merged.update(pb)
-        return merged
+        return np.concatenate([pa[0], pb[0]]), np.concatenate([pa[1], pb[1]])
     if isinstance(node, Mul):
-        out: dict = {}
-        for poles, other in (
-            (_structural_poles(node.left, radius), node.right),
-            (_structural_poles(node.right, radius), node.left),
-        ):
-            kept = []
-            for loc, mult in poles.items():
-                reduced = _cancel_against(other, loc, mult)
-                if reduced is None:
-                    raise _NeedsNumeric
-                if reduced > 0:
-                    kept.append((loc, reduced))
-            if out:
-                _merge_poles(out, kept)
-            else:
-                out = dict(kept)  # one map's locations lie apart: no merging
-        return out
+        pa = _structural_poles(node.left, radius)
+        pb = _structural_poles(node.right, radius)
+        return _joined(_cancel_against(node.right, pa), _cancel_against(node.left, pb))
     if isinstance(node, Div):
         if node.denominator_poly is None:
             raise _NeedsNumeric
-        out = dict(_structural_poles(node.numerator, radius))
-        kept = []
-        for loc, mult in _poly_roots(node.denominator_poly):
-            reduced = _cancel_against(node.numerator, loc, mult)
-            if reduced is None:
-                raise _NeedsNumeric
-            if reduced > 0:
-                kept.append((loc, reduced))
-        _merge_poles(out, kept)
-        return out
+        pa = _structural_poles(node.numerator, radius)
+        return _joined(pa, _cancel_against(node.numerator, _poly_roots(node.denominator_poly)))
     if isinstance(node, Pow):
         if node.exponent >= 0:
-            if node.exponent == 0:
-                return {}
-            inner = _structural_poles(node.base, radius)
-            return {loc: m * node.exponent for loc, m in inner.items()}
-        base_coeffs = polynomial_coefficients(node.base)
-        if base_coeffs is None:
-            raise _NeedsNumeric
-        return {loc: m * (-node.exponent) for loc, m in _poly_roots(base_coeffs)}
+            locs, mults = _structural_poles(node.base, radius) if node.exponent else _EMPTY
+        else:
+            base_coeffs = polynomial_coefficients(node.base)
+            if base_coeffs is None:
+                raise _NeedsNumeric
+            locs, mults = _poly_roots(base_coeffs)
+        return locs, mults * abs(node.exponent)
     if isinstance(node, Func):
-        if _structural_poles(node.argument, radius):
+        try:
+            inner = len(_structural_poles(node.argument, radius)[0])
+        except _NeedsNumeric:
+            inner = len(_catalog_at(MeroExpr(node.argument), radius))
+            if not inner:
+                raise
+        if inner:
             raise UnsupportedExpressionError(
                 "entire function applied to a subexpression with poles "
                 "creates an essential singularity at a finite point"
             )
         if node.name != "tan":
-            return {}
+            return _EMPTY
         lattice = _tan_lattice(node.argument, radius)
         if lattice is None:
             raise _NeedsNumeric
@@ -573,9 +558,8 @@ def _grid_search(f, radius: float, origin: float, extent: float, cell: float):
         x0, y0 = starts[i], starts[j]
         box = (x0, x0 + cell, y0, y0 + cell)
         budget = _subdivide(f, box, int(windings[j, i]), found, budget)
-    merged: dict = {}
-    _merge_poles(merged, sorted(found, key=lambda t: (abs(t[0]), t[0].real, t[0].imag)))
-    return list(merged.items())
+    # the boxes are disjoint and at least 3e-7 wide, so no two centres merge
+    return sorted(found, key=lambda t: (abs(t[0]), t[0].real, t[0].imag))
 
 
 def _numeric_poles(f, radius: float) -> list:
@@ -610,16 +594,18 @@ def _bucket_radius(radius: float) -> float:
 @lru_cache(maxsize=512)
 def _catalog_at(f: MeroExpr, radius: float) -> SingularityList:
     try:
-        pairs, exact = _structural_poles(f.root, radius).items(), True
+        locs, mults = _structural_poles(f.root, radius)
+        exact = True
     except _NeedsNumeric:
+        found = _numeric_poles(f, radius)
+        locs = np.array([loc for loc, _ in found], dtype=np.complex128)
+        mults = np.array([m for _, m in found], dtype=np.int64)
         # locations below the locator's resolution snap to the origin;
         # otherwise N(r) would pick up a spurious log(r/|b|) blow-up
-        pairs = [(0j if abs(loc) < 1e-6 else loc, m) for loc, m in _numeric_poles(f, radius)]
+        locs[_moduli(locs) < 1e-6] = 0
         exact = False
-    locs = np.array([loc for loc, _ in pairs], dtype=np.complex128)
-    moduli = np.array([abs(loc) for loc, _ in pairs], dtype=float)
+    moduli = _moduli(locs)
     order = np.lexsort((locs.imag, locs.real, moduli))
-    mults = np.array([m for _, m in pairs], dtype=np.int64)
     return SingularityList(locs[order], mults[order], moduli[order], exact)
 
 

@@ -83,8 +83,9 @@ def _scalar_entries(f, radius):
     f = as_expr(f)
     bucket = poles._bucket_radius(radius)
     try:
-        raw = poles._structural_poles(f.root, bucket)
-        entries = [(b, m) for b, m in raw.items() if abs(b) <= bucket * (1 + 1e-12) + _TOL]
+        locs, mults = poles._structural_poles(f.root, bucket)
+        raw = zip(locs.tolist(), mults.tolist())
+        entries = [(b, m) for b, m in raw if abs(b) <= bucket * (1 + 1e-12) + _TOL]
     except poles._NeedsNumeric:
         entries = [(0j if abs(b) < 1e-6 else b, m) for b, m in poles._numeric_poles(f, bucket)]
     entries.sort(key=lambda t: (abs(t[0]), t[0].real, t[0].imag))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from merolab.cli import main
 from merolab.expr import (
     BoundarySingularityError,
     UnresolvedRegionError,
+    UnsupportedExpressionError,
     WindingConvergenceError,
     log_polar,
     poles_in_disk,
@@ -187,9 +189,11 @@ def _per_box_numeric_poles(f, radius, base_cell=0.7):
                         budget = _per_box_subdivide(f, box, w, found, budget)
         except (BoundarySingularityError, WindingConvergenceError):
             continue
-        merged = {}
-        poles._merge_poles(merged, sorted(found, key=lambda t: (abs(t[0]), t[0].real, t[0].imag)))
-        return list(merged.items())
+        # disjoint boxes at least 3e-7 wide: no two centres are within the
+        # merge tolerance, so none merge
+        pairs = itertools.combinations([loc for loc, _ in found], 2)
+        assert all(abs(p - q) > poles._MERGE_TOL for p, q in pairs)
+        return sorted(found, key=lambda t: (abs(t[0]), t[0].real, t[0].imag))
     raise UnresolvedRegionError("grid search failed after restarts")
 
 
@@ -324,19 +328,37 @@ def test_sum_with_coincident_poles_goes_numeric():
     assert poles_in_disk(parse("tan(z)+tan(z+3.141592653589793)"), 16.0).exact is False
 
 
-def test_merge_poles_joins_the_first_location_within_tolerance():
-    merged = {0j: 1, 1.6e-9 + 0j: 1}
-    # 0.8e-9 lies within 1e-9 of both known locations and joins the first;
-    # the others join across an edge of the 2e-9 cells, on each side, and
-    # the last three join locations added in the same call
-    pairs = [
-        (0.8e-9 + 0j, 2),
-        (2.5e-9 + 0j, 1),
-        (-0.5e-9 + 0j, 1),
-        (5.0 - 0.5e-9j, 1),
-        (5.0 + 0j, 3),
-        (7.0 - 1.8e-9j, 1),
-        (7.0 - 2.3e-9j, 1),
-    ]
-    poles._merge_poles(merged, pairs)
-    assert list(merged.items()) == [(0j, 4), (1.6e-9 + 0j, 2), (5.0 - 0.5e-9j, 4), (7.0 - 1.8e-9j, 2)]
+@pytest.mark.parametrize(
+    "src, radius",
+    [
+        # the argument's poles come from the exact route
+        ("exp(1/z)", 1.0),
+        ("exp(1/z)/z", 2.0),
+        # the argument's poles (log 2 + 2 pi i k, and the zeros of exp(z) + z
+        # near -0.32 +- 1.34i) come from the numeric route
+        ("exp(1/(exp(z)-2))", 1.0),
+        ("sin(1/(exp(z)+z))", 4.0),
+    ],
+)
+def test_essential_singularities_are_refused(src, radius):
+    with pytest.raises(UnsupportedExpressionError, match="essential singularity"):
+        poles_in_disk(parse(src), radius)
+
+
+def test_pole_free_numeric_argument_stays_on_the_numeric_route():
+    cat = poles_in_disk(parse("exp(1/exp(z))"), 4.0)
+    assert cat.exact is False and cat.entries == ()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["render", "--window", "0,2", "--res", "16", "--budget", "8"],
+        ["trace"],
+    ],
+)
+def test_cli_refuses_essential_singularity_behind_a_numeric_argument(argv, tmp_path, capsys):
+    rc = main(argv + ["--function", "exp(1/(exp(z)-2))", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "essential singularity" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
