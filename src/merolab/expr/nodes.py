@@ -76,7 +76,7 @@ class Div(Node):
 
     Every quotient records, at construction time, whether its denominator
     is a polynomial in z (and if so its coefficients, low degree first).
-    Exact pole catalogs and near-pole detection key off this field.
+    Near-pole detection keys off this field.
     """
 
     numerator: Node

@@ -1,27 +1,37 @@
 """Winding counts and pole catalogs.
 
 Pole location runs on two routes.  The exact route applies when every
-pole of the expression provably comes from a polynomial denominator or a
-tan node with an affine argument; roots then come from companion-matrix
-eigenvalues polished by Newton steps, and tan poles from the closed-form
-lattice.  Its tree walk holds each pole set as two arrays (locations,
-multiplicities) and finds the poles two sets share by one query on
-sorted moduli.  Everything else falls back to a numeric search by the
-argument principle: the disk is covered by a grid of square cells, and
-cells with negative winding (more poles than zeros) are split 2x2 until
-each pole is isolated to a 1e-6 diameter.  One sweep (_grid_windings)
-gives all windings of a grid, sampling each shared cell edge once per
-level; a top grid with more than 2^19 cells in the disk is refused
-before anything is evaluated.  Either route gives one SingularityList
-per power-of-two bucket radius: arrays sorted by modulus, cut to a
-radius by within.
+pole of the expression provably comes from a denominator that is a
+polynomial times level sets g(a z + b) - c of g in exp, sin, cos, tan,
+or from a tan node with an affine argument.  Polynomial roots come from
+companion-matrix eigenvalues polished by Newton steps; level-set zeros
+and tan poles come from closed-form lattices in w = a z + b: exp(w) = c
+at Log c + 2 pi i k (none for c = 0), sin(w) = c at arcsin c + 2 pi k and
+pi - arcsin c + 2 pi k (double zeros at c = +-1), cos(w) = c at
++-arccos c + 2 pi k, tan(w) = c at arctan c + pi k (none for c = +-i), and
+the poles of tan at pi/2 + pi k.  A lattice walks only the indices whose
+points can lie in the disk and refuses more than 2^21 of them.  The tree
+walk holds each pole set as two arrays (locations, multiplicities), finds
+the poles two sets share by one query on sorted moduli, and cancels poles
+against the zeros of a polynomial factor by Horner tests and against
+those of a level-set factor by lattice membership.  Everything else falls
+back to a numeric search by the argument principle: the disk is covered
+by a grid of square cells, and cells with negative winding (more poles
+than zeros) are split 2x2 until each pole is isolated to a 1e-6
+diameter.  One sweep (_grid_windings) gives all windings of a grid,
+sampling each shared cell edge once per level; a top grid with more than
+2^19 cells in the disk is refused before anything is evaluated.  Either
+route gives one SingularityList per power-of-two bucket radius: arrays
+sorted by modulus, cut to a radius by within.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +48,7 @@ from .nodes import (
     Node,
     Pow,
     Sub,
+    _poly_mul,
     polynomial_coefficients,
 )
 from .parser import as_expr
@@ -55,7 +66,7 @@ __all__ = [
 _MERGE_TOL = 1e-9       # poles closer than this are merged
 _BOX_DIAMETER = 1e-6    # numeric search stops at this box diameter
 _GRID_CELLS = 2**19     # most in-disk cells a numeric search may lay out
-_LATTICE_POLES = 2**21  # most tan lattice indices a catalog may walk (see README)
+_LATTICE_POLES = 2**21  # most indices one lattice may walk (see README)
 _EDGE_START = 64        # segments per cell edge at the first winding level
 _EDGE_CAP = 2**15       # segments per cell edge at the last level
 _MAX_STEP = 2.8         # largest unambiguous phase step between samples (rad)
@@ -372,68 +383,199 @@ def _poly_scale(coeffs, loc: complex) -> float:
     return max(abs(c) * max(1.0, abs(loc)) ** k for k, c in enumerate(coeffs)) or 1.0
 
 
-def _cancel_against(other: Node, poles):
-    """The pole set left after cancellation by the zeros of the factor other.
+class _Coset(NamedTuple):
+    """The points ((k + shift) * period - b) / a over the integers k, each
+    of multiplicity mult; name is the function whose lattice it is."""
 
-    Raises _NeedsNumeric when a non-polynomial factor vanishes (or blows
-    up) at a pole, where the outcome is not certifiable.
+    name: str
+    a: complex
+    b: complex
+    period: complex
+    shift: float
+    mult: int
+
+
+def _level_set(node: Node):
+    """Zero cosets and pole cosets of node when it is a level set
+    g(a z + b) - c up to sign, with g one of exp, sin, cos, tan and a != 0:
+    g(w) - c, c - g(w), g(w) + c, c + g(w), a bare g(w) (c = 0) or Neg of
+    any of these; otherwise None.
+
+    In w = a z + b, exp(w) = c at Log c + 2 pi i k (none for c = 0);
+    sin(w) = c at arcsin c + 2 pi k and pi - arcsin c + 2 pi k, cos(w) = c
+    at +-arccos c + 2 pi k; tan(w) = c at arctan c + pi k (none for
+    c = +-i).  Where the two cosets of sin or cos coincide (c = +-1), the
+    zeros are double: joins and _hits add their multiplicities.  Only tan
+    has poles, at (k + 1/2) pi.
     """
-    locs, mults = poles
-    coeffs = polynomial_coefficients(other)
-    if coeffs is None:
-        if locs.size:
-            val = log_polar(other, locs)[0]
-            if not (np.isfinite(val) & (val >= math.log(1e-8))).all():
-                raise _NeedsNumeric
-        return poles
-    reduced = []
-    for loc, mult in zip(locs.tolist(), mults.tolist()):
-        work = list(coeffs)
-        k = 0
-        while k < mult and work and abs(_horner(tuple(work), loc)) <= 1e-9 * _poly_scale(work, loc):
-            work = [(j + 1) * c for j, c in enumerate(work[1:])]
-            k += 1
-        reduced.append(mult - k)
-    reduced = np.array(reduced, dtype=np.int64)
-    return locs[reduced > 0], reduced[reduced > 0]
-
-
-def _tan_lattice(argument: Node, radius: float):
-    """Poles of tan(a*z + b) in the disk as a pole set, or None for non-affine arguments."""
-    coeffs = polynomial_coefficients(argument)
+    while isinstance(node, Neg):
+        node = node.operand
+    c = 0j
+    if isinstance(node, (Add, Sub)):
+        sign = -1 if isinstance(node, Add) else 1
+        for func, const in ((node.left, node.right), (node.right, node.left)):
+            k = polynomial_coefficients(const)
+            if isinstance(func, Func) and k is not None and len(k) == 1:
+                node, c = func, sign * k[0]
+                break
+    if not isinstance(node, Func):
+        return None
+    coeffs = polynomial_coefficients(node.argument)
     if coeffs is None or len(coeffs) != 2 or coeffs[1] == 0:
         return None
     b, a = coeffs
-    # a pole lies in the disk only if |(k + 1/2) pi - b| <= |a| r, so
-    # (k + 1/2) pi lies within |a| r of Re(b); the window drops the 1/2 and
-    # so keeps half an index of slack at each end
+    name = node.name
+    poles = [_Coset(name, a, b, math.pi, 0.5, 1)] if name == "tan" else []
+    if name == "exp":
+        roots = [cmath.log(c)] if c != 0 else []
+        return [_Coset(name, a, b - w, 2j * math.pi, 0.0, 1) for w in roots], poles
+    if name == "tan":
+        roots = [cmath.atan(c)] if c not in (1j, -1j) else []
+        return [_Coset(name, a, b - w, math.pi, 0.0, 1) for w in roots], poles
+    w = cmath.asin(c) if name == "sin" else cmath.acos(c)
+    roots = [w, math.pi - w] if name == "sin" else [w, -w]
+    return [_Coset(name, a, b - v, 2 * math.pi, 0.0, 1) for v in roots], poles
+
+
+def _lattice(coset: _Coset, radius: float):
+    """The points of a coset in the disk as a pole set, in increasing k."""
+    name, a, b, period, shift, mult = coset
+    # a point lies in the disk only if |(k + shift) period - b| <= |a| r, so
+    # (k + shift) |period| lies within |a| r of the component of b along
+    # the period; walking k from floor(k_lo) - 1 keeps at least half an
+    # index of slack at each end
     limit = radius * (1 + 1e-12) + _MERGE_TOL
-    k_lo = (b.real - abs(a) * limit) / math.pi
-    k_hi = (b.real + abs(a) * limit) / math.pi
+    step = abs(period)
+    along = (b / (period / step)).real
+    k_lo = (along - abs(a) * limit) / step
+    k_hi = (along + abs(a) * limit) / step
     if not k_hi - k_lo <= _LATTICE_POLES:
         raise UnresolvedRegionError(
-            f"{k_hi - k_lo:.0f} tan lattice indices for the disk of radius {radius:g} "
+            f"{k_hi - k_lo:.0f} {name} lattice indices for the disk of radius {radius:g} "
             f"exceed the budget of {_LATTICE_POLES}"
         )
     # Python's complex division, not numpy's: for a != 1 they differ in the
     # last bit on about a third of the points, which moves N(r) and T(r)
-    ks = range(math.floor(k_lo), math.ceil(k_hi) + 1)
-    locs = np.array([((k + 0.5) * math.pi - b) / a for k in ks], dtype=np.complex128)
+    ks = range(math.floor(k_lo) - 1, math.ceil(k_hi) + 1)
+    locs = np.array([((k + shift) * period - b) / a for k in ks], dtype=np.complex128)
     locs = locs[_moduli(locs) <= limit]
-    return locs, np.ones(locs.size, dtype=np.int64)
+    return locs, np.full(locs.size, mult, dtype=np.int64)
+
+
+def _hits(cosets, locs: np.ndarray) -> np.ndarray:
+    """Per location, the summed multiplicity of the coset points within
+    _MERGE_TOL of it: one nearest index per coset, no window, no budget.
+
+    A location farther than that but within rounding (1e-13 relative) of a
+    coset point cannot be certified either way and raises _NeedsNumeric.
+    """
+    total = np.zeros(locs.size, dtype=np.int64)
+    for _, a, b, period, shift, mult in cosets:
+        with np.errstate(over="ignore", invalid="ignore"):
+            k = np.rint(((a * locs + b) / period).real - shift)
+            dist = _moduli(((k + shift) * period - b) / a - locs)
+        if ((dist > _MERGE_TOL) & (dist <= 1e-13 * _moduli(locs))).any():
+            raise _NeedsNumeric
+        total += np.where(dist <= _MERGE_TOL, mult, 0)
+    return total
+
+
+def _reduced(poles, orders: np.ndarray):
+    """The pole set with each multiplicity lowered by the order of a zero
+    there (at most to 0), poles of multiplicity 0 dropped."""
+    locs, mults = poles
+    left = mults - np.minimum(mults, orders)
+    return locs[left > 0], left[left > 0]
+
+
+def _cancel_against(other: Node, poles):
+    """The pole set left after cancellation by the zeros of the factor other.
+
+    A polynomial's zeros are found by Horner tests and a level set's (see
+    _level_set) by lattice membership.  For any other factor, raises
+    _NeedsNumeric when it vanishes (or blows up) at a pole, where the
+    outcome is not certifiable.
+    """
+    locs, mults = poles
+    coeffs = polynomial_coefficients(other)
+    if coeffs is not None:
+        orders = []
+        for loc, mult in zip(locs.tolist(), mults.tolist()):
+            work = list(coeffs)
+            k = 0
+            while k < mult and work and abs(_horner(tuple(work), loc)) <= 1e-9 * _poly_scale(work, loc):
+                work = [(j + 1) * c for j, c in enumerate(work[1:])]
+                k += 1
+            orders.append(k)
+        return _reduced(poles, np.array(orders, dtype=np.int64))
+    level = _level_set(other)
+    if level is not None:
+        return _reduced(poles, _hits(level[0], locs))
+    if locs.size:
+        val = log_polar(other, locs)[0]
+        if not (np.isfinite(val) & (val >= math.log(1e-8))).all():
+            raise _NeedsNumeric
+    return poles
+
+
+def _factors(node: Node, power: int = 1) -> list:
+    """(factor, power) pairs of a product: Neg and Mul are split and a
+    positive Pow raises the power; polynomial subtrees stay whole."""
+    if polynomial_coefficients(node) is None:
+        if isinstance(node, Neg):
+            return _factors(node.operand, power)
+        if isinstance(node, Mul):
+            return _factors(node.left, power) + _factors(node.right, power)
+        if isinstance(node, Pow) and node.exponent > 0:
+            return _factors(node.base, power * node.exponent)
+    return [(node, power)]
+
+
+def _divisor(node: Node, radius: float):
+    """Zeros and poles of a polynomial times level sets (see _level_set).
+
+    Returns the zeros (polynomial roots, and level-set lattices in the
+    disk) as a pole set, and the pole cosets.  Raises _NeedsNumeric for
+    other trees, and where a zero of one factor meets a pole of another.
+    """
+    coeffs = polynomial_coefficients(node)
+    if coeffs is not None:
+        return _poly_roots(coeffs), []
+    poly, lattices, poles = (1 + 0j,), [], []
+    for factor, power in _factors(node):
+        coeffs = polynomial_coefficients(factor)
+        if coeffs is not None:
+            for _ in range(power):
+                poly = _poly_mul(poly, coeffs)
+                if poly is None:
+                    raise _NeedsNumeric
+            continue
+        level = _level_set(factor)
+        if level is None:
+            raise _NeedsNumeric
+        zero_cosets, pole_cosets = level
+        lattices += [_lattice(c._replace(mult=c.mult * power), radius) for c in zero_cosets]
+        poles += [c._replace(mult=c.mult * power) for c in pole_cosets]
+    zeros = _poly_roots(poly)
+    for lattice in lattices:
+        zeros = _joined(zeros, lattice)
+    if _hits(poles, zeros[0]).any():
+        raise _NeedsNumeric
+    return zeros, poles
 
 
 def _structural_poles(node: Node, radius: float):
     """Pole set (locations complex128, multiplicities int64) inside the disk.
 
-    The locations of one set lie more than _MERGE_TOL apart: tan lattice
-    points pi/|a| >= radius / 2^20 apart under the index budget, polynomial
-    roots 1e-6 scale apart, and Add and Sub refuse, Mul and Div join, the
-    poles of two sets that coincide.  So only poles of different sets are
-    ever compared.  Raises _NeedsNumeric when the pole set is not
-    certifiable from the tree, and UnsupportedExpressionError when an
-    entire function is applied to something with poles (an essential
-    singularity at a finite point), whichever route finds those poles.
+    The locations of one set lie more than _MERGE_TOL apart: lattice
+    points at least |period| / |a| >= radius / 2^20 apart under the index
+    budget, polynomial roots 1e-6 scale apart, and Add and Sub refuse, Mul
+    and Div join, the poles of two sets that coincide.  So only poles of
+    different sets are ever compared.  Raises _NeedsNumeric when the pole
+    set is not certifiable from the tree, and UnsupportedExpressionError
+    when an entire function is applied to something with poles (an
+    essential singularity at a finite point), whichever route finds those
+    poles.
     """
     if polynomial_coefficients(node) is not None:
         return _EMPTY
@@ -453,18 +595,17 @@ def _structural_poles(node: Node, radius: float):
         pb = _structural_poles(node.right, radius)
         return _joined(_cancel_against(node.right, pa), _cancel_against(node.left, pb))
     if isinstance(node, Div):
-        if node.denominator_poly is None:
-            raise _NeedsNumeric
+        zeros, den_poles = _divisor(node.denominator, radius)
         pa = _structural_poles(node.numerator, radius)
-        return _joined(pa, _cancel_against(node.numerator, _poly_roots(node.denominator_poly)))
+        if den_poles:
+            # a pole of the denominator is a zero of the quotient
+            pa = _reduced(pa, _hits(den_poles, pa[0]))
+        return _joined(pa, _cancel_against(node.numerator, zeros))
     if isinstance(node, Pow):
         if node.exponent >= 0:
             locs, mults = _structural_poles(node.base, radius) if node.exponent else _EMPTY
         else:
-            base_coeffs = polynomial_coefficients(node.base)
-            if base_coeffs is None:
-                raise _NeedsNumeric
-            locs, mults = _poly_roots(base_coeffs)
+            locs, mults = _divisor(node.base, radius)[0]
         return locs, mults * abs(node.exponent)
     if isinstance(node, Func):
         try:
@@ -480,10 +621,10 @@ def _structural_poles(node: Node, radius: float):
             )
         if node.name != "tan":
             return _EMPTY
-        lattice = _tan_lattice(node.argument, radius)
-        if lattice is None:
+        level = _level_set(node)
+        if level is None:
             raise _NeedsNumeric
-        return lattice
+        return _lattice(level[1][0], radius)
     raise _NeedsNumeric
 
 
@@ -564,6 +705,10 @@ def _grid_search(f, radius: float, origin: float, extent: float, cell: float):
 
 def _numeric_poles(f, radius: float) -> list:
     """Locate poles by winding-number search over a grid of boxes.
+
+    This serves the trees the exact route cannot certify, such as
+    1/(exp(z) + z); a denominator that is a polynomial times level sets of
+    exp, sin, cos and tan, such as 1/(exp(z) - 2), takes the exact route.
 
     Boxes with nonnegative net winding are pruned, so a pole and enough
     zeros inside one cell mask each other; _BASE_CELL must stay below the

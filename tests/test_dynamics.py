@@ -122,10 +122,8 @@ def test_pole_scouting_agrees_with_the_disk_of_radius_256(f):
     assert dynamics._has_poles(expr) == (len(poles_in_disk(expr, 256.0)) > 0)
 
 
-@pytest.mark.parametrize("f", ["1/(exp(z)-2)", "z + 1/(sin(z)-0.5)"])
-def test_pole_scouting_stops_at_the_first_pole(monkeypatch, f):
-    # both maps have a pole inside the unit disk (log 2 and pi/6), so no
-    # numeric sweep may look beyond radius 1
+def _scouted_radii(monkeypatch, f):
+    """Whether pole scouting finds a pole of f, and the radii of its numeric sweeps."""
     radii = []
     numeric = poles._numeric_poles
 
@@ -136,8 +134,22 @@ def test_pole_scouting_stops_at_the_first_pole(monkeypatch, f):
     monkeypatch.setattr(poles, "_numeric_poles", recording)
     poles._catalog_at.cache_clear()
     dynamics._has_poles.cache_clear()
-    assert dynamics._has_poles(as_expr(f))
-    assert radii and max(radii) <= 1.0
+    return dynamics._has_poles(as_expr(f)), radii
+
+
+@pytest.mark.parametrize("f", ["1/(exp(z)+z)", "z + 1/(cos(z)-z)"])
+def test_pole_scouting_stops_at_the_first_pole(monkeypatch, f):
+    # both maps have a pole inside the unit disk (-W(1) = -0.567 and the
+    # fixed point 0.739 of cos), so no numeric sweep may look beyond radius 1
+    found, radii = _scouted_radii(monkeypatch, f)
+    assert found and radii and max(radii) <= 1.0
+
+
+@pytest.mark.parametrize("f, found", [
+    ("1/(exp(z)-2)", True), ("z + 1/(sin(z)-0.5)", True), ("1/exp(z)", False),
+])
+def test_pole_scouting_of_level_sets_sweeps_nothing(monkeypatch, f, found):
+    assert _scouted_radii(monkeypatch, f) == (found, [])
 
 
 def test_orbit_validation(zsq):

@@ -128,6 +128,16 @@ def _ref_cancel_against(other: Node, loc: complex, mult: int):
             work = [(j + 1) * c for j, c in enumerate(work[1:])]
             k += 1
         return mult - k
+    arg = polynomial_coefficients(other.argument) if isinstance(other, Func) else None
+    if arg is not None and len(arg) == 2:
+        # g(a z + b): the zeros of sin, cos and tan are simple, at
+        # offset + pi k in w = a z + b; exp has none
+        b, a = arg
+        offset = {"exp": None, "sin": 0.0, "cos": math.pi / 2, "tan": 0.0}[other.name]
+        if offset is None:
+            return mult
+        k = round(((a * loc + b - offset) / math.pi).real)
+        return mult - (abs((k * math.pi + offset - b) / a - loc) <= _MERGE_TOL)
     val = log_polar(other, np.array([loc], dtype=np.complex128))[0][0]
     if not np.isfinite(val) or val < math.log(1e-8):
         return None

@@ -87,14 +87,27 @@ def test_counting_radius_monotone():
 
 
 def test_numeric_catalog_closed_form():
-    # poles of 1/(exp(z) - 2): log 2 + 2 pi i k
-    cat = poles_in_disk(parse("1/(exp(z)-2)"), 32.0)
+    # poles of 1/(exp(z) + z): -W_k(1) over the branches k of Lambert's W
+    mpmath = pytest.importorskip("mpmath")
+    cat = poles_in_disk(parse("1/(exp(z)+z)"), 16.0)
     assert cat.exact is False
-    expected = [complex(math.log(2.0), 2 * math.pi * k) for k in range(-5, 6)]
+    expected = [complex(-mpmath.lambertw(1, k)) for k in range(-2, 3)]
+    assert all(abs(b) <= 16.0 for b in expected) and abs(complex(mpmath.lambertw(1, 3))) > 16.0
+    assert len(cat.entries) == 5
+    for want in expected:
+        assert [m for b, m in cat.entries if abs(b - want) < 1e-6] == [1]
+
+
+def test_exact_catalog_closed_form():
+    # poles of 1/(exp(z) - 2): log 2 + 2 pi i k, from the exp lattice
+    mpmath = pytest.importorskip("mpmath")
+    cat = poles_in_disk(parse("1/(exp(z)-2)"), 32.0)
+    assert cat.exact is True
+    expected = [complex(mpmath.log(2) + 2j * mpmath.pi * k) for k in range(-5, 6)]
     assert all(abs(b) <= 32.0 for b in expected) and abs(complex(math.log(2.0), 12 * math.pi)) > 32.0
     assert len(cat.entries) == 11
     for want in expected:
-        assert [m for b, m in cat.entries if abs(b - want) < 1e-6] == [1]
+        assert [m for b, m in cat.entries if abs(b - want) <= 1e-12 * abs(want)] == [1]
 
 
 def _per_box_winding(f, box, n_start=256, n_cap=2**17):
@@ -244,10 +257,16 @@ def test_grid_budget_refuses_before_evaluating(monkeypatch):
 
 def test_cli_refuses_unbudgeted_numeric_catalog(tmp_path, capsys):
     # defaults ask for the bucket-2048 catalog, about 27 M cells
-    rc = main(["analyze", "--function", "1/(exp(z)-2)", "--out", str(tmp_path)])
+    rc = main(["analyze", "--function", "1/(exp(z)+z)", "--out", str(tmp_path)])
     assert rc == 3
     assert "exceed the budget" in capsys.readouterr().err
     assert not (tmp_path / "profile.json").exists()
+
+
+def test_cli_analyzes_an_exp_level_set_with_defaults(tmp_path):
+    # the bucket-2048 catalog is the exp lattice: about 650 poles
+    assert main(["analyze", "--function", "1/(exp(z)-2)", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "profile.json").exists()
 
 
 def test_tan_lattice_budget_refuses_before_walking(monkeypatch):
@@ -331,12 +350,13 @@ def test_sum_with_coincident_poles_goes_numeric():
 @pytest.mark.parametrize(
     "src, radius",
     [
-        # the argument's poles come from the exact route
+        # the argument's poles come from the exact route (log 2 + 2 pi i k
+        # for exp(z) - 2)
         ("exp(1/z)", 1.0),
         ("exp(1/z)/z", 2.0),
-        # the argument's poles (log 2 + 2 pi i k, and the zeros of exp(z) + z
-        # near -0.32 +- 1.34i) come from the numeric route
         ("exp(1/(exp(z)-2))", 1.0),
+        # the argument's pole (the zero -0.567 of exp(z) + z) comes from
+        # the numeric route
         ("sin(1/(exp(z)+z))", 4.0),
     ],
 )
@@ -346,8 +366,13 @@ def test_essential_singularities_are_refused(src, radius):
 
 
 def test_pole_free_numeric_argument_stays_on_the_numeric_route():
-    cat = poles_in_disk(parse("exp(1/exp(z))"), 4.0)
+    cat = poles_in_disk(parse("exp(1/exp(z^2))"), 2.0)
     assert cat.exact is False and cat.entries == ()
+
+
+def test_pole_free_exact_argument_stays_exact():
+    cat = poles_in_disk(parse("exp(1/exp(z))"), 4.0)
+    assert cat.exact is True and cat.entries == ()
 
 
 @pytest.mark.parametrize(
@@ -358,6 +383,21 @@ def test_pole_free_numeric_argument_stays_on_the_numeric_route():
     ],
 )
 def test_cli_refuses_essential_singularity_behind_a_numeric_argument(argv, tmp_path, capsys):
+    rc = main(argv + ["--function", "exp(1/(exp(z)+z))", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "essential singularity" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze"],
+        ["render", "--window", "0,2", "--res", "16", "--budget", "8"],
+        ["trace"],
+    ],
+)
+def test_cli_refuses_essential_singularity_behind_an_exact_argument(argv, tmp_path, capsys):
     rc = main(argv + ["--function", "exp(1/(exp(z)-2))", "--out", str(tmp_path)])
     assert rc == 2
     assert "essential singularity" in capsys.readouterr().err
