@@ -216,7 +216,7 @@ def _out_dir(config: RunConfig) -> Path:
 def cmd_analyze(config: RunConfig) -> None:
     expr, source, name = _resolve_function(config)
     grid = _grid(config)
-    profile = build_profile(expr, grid, function_id=name or source)
+    profile = build_profile(expr, grid)
     summary = growth_summary(profile)
     out = _out_dir(config)
     _write_json(
@@ -238,7 +238,7 @@ def cmd_check(config: RunConfig) -> None:
     expr, source, name = _resolve_function(config)
     grid = _grid(config)
     params = CriterionParams(config.alpha, config.d, config.D, grid=grid)
-    profile = build_profile(expr, grid, function_id=name or source)
+    profile = build_profile(expr, grid)
     verdicts = [
         check_L_over_r(expr, grid),
         check_main(expr, params),

@@ -5,24 +5,21 @@ pole of the expression provably comes from a denominator that is a
 polynomial times level sets g(a z + b) - c of g in exp, sin, cos, tan,
 or from a tan node with an affine argument.  Polynomial roots come from
 companion-matrix eigenvalues polished by Newton steps; level-set zeros
-and tan poles come from closed-form lattices in w = a z + b: exp(w) = c
-at Log c + 2 pi i k (none for c = 0), sin(w) = c at arcsin c + 2 pi k and
-pi - arcsin c + 2 pi k (double zeros at c = +-1), cos(w) = c at
-+-arccos c + 2 pi k, tan(w) = c at arctan c + pi k (none for c = +-i), and
-the poles of tan at pi/2 + pi k.  A lattice walks only the indices whose
-points can lie in the disk and refuses more than 2^21 of them.  The tree
-walk holds each pole set as two arrays (locations, multiplicities), finds
-the poles two sets share by one query on sorted moduli, and cancels poles
-against the zeros of a polynomial factor by Horner tests and against
-those of a level-set factor by lattice membership.  Everything else falls
-back to a numeric search by the argument principle: the disk is covered
-by a grid of square cells, and cells with negative winding (more poles
-than zeros) are split 2x2 until each pole is isolated to a 1e-6
-diameter.  One sweep (_grid_windings) gives all windings of a grid,
-sampling each shared cell edge once per level; a top grid with more than
-2^19 cells in the disk is refused before anything is evaluated.  Either
-route gives one SingularityList per power-of-two bucket radius: arrays
-sorted by modulus, cut to a radius by within.
+and tan poles come from closed-form lattices in w = a z + b (see
+_level_set), and exp of a polynomial has no zeros.  A lattice walks only
+the indices whose points can lie in the disk and refuses more than 2^21
+of them.  The tree walk holds each pole set as two arrays (locations,
+multiplicities), finds the poles two sets share by one query on sorted
+moduli, and lowers a pole by the orders of the zeros of a polynomial or
+level-set factor within 1e-9 of it.  Everything else falls back to a
+numeric search by the argument principle: the disk is covered by a grid
+of square cells, and cells with negative winding (more poles than zeros)
+are split 2x2 until each pole is isolated to a 1e-6 diameter.  One sweep
+(_grid_windings) gives all windings of a grid, sampling each shared cell
+edge once per level; a top grid with more than 2^19 cells in the disk is
+refused before anything is evaluated.  Either route gives one
+SingularityList per power-of-two bucket radius: arrays sorted by
+modulus, cut to a radius by within.
 """
 
 from __future__ import annotations
@@ -379,10 +376,6 @@ def _joined(a, b):
     return np.concatenate([a[0], b[0][rest]]), np.concatenate([mults, b[1][rest]])
 
 
-def _poly_scale(coeffs, loc: complex) -> float:
-    return max(abs(c) * max(1.0, abs(loc)) ** k for k, c in enumerate(coeffs)) or 1.0
-
-
 class _Coset(NamedTuple):
     """The points ((k + shift) * period - b) / a over the integers k, each
     of multiplicity mult; name is the function whose lattice it is."""
@@ -399,7 +392,7 @@ def _level_set(node: Node):
     """Zero cosets and pole cosets of node when it is a level set
     g(a z + b) - c up to sign, with g one of exp, sin, cos, tan and a != 0:
     g(w) - c, c - g(w), g(w) + c, c + g(w), a bare g(w) (c = 0) or Neg of
-    any of these; otherwise None.
+    any of these, or exp(p(z)) of any polynomial p (no zeros); else None.
 
     In w = a z + b, exp(w) = c at Log c + 2 pi i k (none for c = 0);
     sin(w) = c at arcsin c + 2 pi k and pi - arcsin c + 2 pi k, cos(w) = c
@@ -421,20 +414,21 @@ def _level_set(node: Node):
     if not isinstance(node, Func):
         return None
     coeffs = polynomial_coefficients(node.argument)
+    if node.name == "exp" and c == 0 and coeffs is not None:
+        return [], []
     if coeffs is None or len(coeffs) != 2 or coeffs[1] == 0:
         return None
     b, a = coeffs
     name = node.name
     poles = [_Coset(name, a, b, math.pi, 0.5, 1)] if name == "tan" else []
     if name == "exp":
-        roots = [cmath.log(c)] if c != 0 else []
-        return [_Coset(name, a, b - w, 2j * math.pi, 0.0, 1) for w in roots], poles
-    if name == "tan":
-        roots = [cmath.atan(c)] if c not in (1j, -1j) else []
-        return [_Coset(name, a, b - w, math.pi, 0.0, 1) for w in roots], poles
-    w = cmath.asin(c) if name == "sin" else cmath.acos(c)
-    roots = [w, math.pi - w] if name == "sin" else [w, -w]
-    return [_Coset(name, a, b - v, 2 * math.pi, 0.0, 1) for v in roots], poles
+        period, roots = 2j * math.pi, [cmath.log(c)]
+    elif name == "tan":
+        period, roots = math.pi, [cmath.atan(c)] if c not in (1j, -1j) else []
+    else:
+        w = cmath.asin(c) if name == "sin" else cmath.acos(c)
+        period, roots = 2 * math.pi, [w, math.pi - w] if name == "sin" else [w, -w]
+    return [_Coset(name, a, b - v, period, 0.0, 1) for v in roots], poles
 
 
 def _lattice(coset: _Coset, radius: float):
@@ -480,6 +474,22 @@ def _hits(cosets, locs: np.ndarray) -> np.ndarray:
     return total
 
 
+def _vanishing_order(coeffs, locs: np.ndarray) -> np.ndarray:
+    """Per location, the largest k >= 2 (else 0) such that a k-fold root is
+    within _MERGE_TOL: the first k - 1 of the polynomial and its derivatives
+    vanish within rounding (1e-13 of their terms' moduli) and the Newton
+    step of the next is that short; the zero polynomial vanishes to all k."""
+    p, idx = np.array(coeffs[::-1]), np.arange(locs.size)
+    order = np.full(locs.size, 0 if p.any() else np.iinfo(np.int64).max)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(2, p.size):
+            size = np.polyval(np.abs(p), _moduli(locs[idx]))
+            idx = idx[(np.abs(np.polyval(p, locs[idx])) <= 1e-13 * size) & (size < np.inf)]
+            p, dp, z = np.polyder(p), np.polyder(p, 2), locs[idx]
+            order[idx[np.abs(np.polyval(p, z)) <= _MERGE_TOL * np.abs(np.polyval(dp, z))]] = k
+    return order
+
+
 def _reduced(poles, orders: np.ndarray):
     """The pole set with each multiplicity lowered by the order of a zero
     there (at most to 0), poles of multiplicity 0 dropped."""
@@ -488,39 +498,8 @@ def _reduced(poles, orders: np.ndarray):
     return locs[left > 0], left[left > 0]
 
 
-def _cancel_against(other: Node, poles):
-    """The pole set left after cancellation by the zeros of the factor other.
-
-    A polynomial's zeros are found by Horner tests and a level set's (see
-    _level_set) by lattice membership.  For any other factor, raises
-    _NeedsNumeric when it vanishes (or blows up) at a pole, where the
-    outcome is not certifiable.
-    """
-    locs, mults = poles
-    coeffs = polynomial_coefficients(other)
-    if coeffs is not None:
-        orders = []
-        for loc, mult in zip(locs.tolist(), mults.tolist()):
-            work = list(coeffs)
-            k = 0
-            while k < mult and work and abs(_horner(tuple(work), loc)) <= 1e-9 * _poly_scale(work, loc):
-                work = [(j + 1) * c for j, c in enumerate(work[1:])]
-                k += 1
-            orders.append(k)
-        return _reduced(poles, np.array(orders, dtype=np.int64))
-    level = _level_set(other)
-    if level is not None:
-        return _reduced(poles, _hits(level[0], locs))
-    if locs.size:
-        val = log_polar(other, locs)[0]
-        if not (np.isfinite(val) & (val >= math.log(1e-8))).all():
-            raise _NeedsNumeric
-    return poles
-
-
 def _factors(node: Node, power: int = 1) -> list:
-    """(factor, power) pairs of a product: Neg and Mul are split and a
-    positive Pow raises the power; polynomial subtrees stay whole."""
+    """(factor, power) pairs of a product; polynomial subtrees stay whole."""
     if polynomial_coefficients(node) is None:
         if isinstance(node, Neg):
             return _factors(node.operand, power)
@@ -531,17 +510,14 @@ def _factors(node: Node, power: int = 1) -> list:
     return [(node, power)]
 
 
-def _divisor(node: Node, radius: float):
-    """Zeros and poles of a polynomial times level sets (see _level_set).
-
-    Returns the zeros (polynomial roots, and level-set lattices in the
-    disk) as a pole set, and the pole cosets.  Raises _NeedsNumeric for
-    other trees, and where a zero of one factor meets a pole of another.
-    """
+def _zero_set(node: Node):
+    """Zeros and poles of a polynomial times level sets (see _level_set) at
+    any radius: the roots of its polynomial part as a pole set, the zero
+    cosets and the pole cosets.  Raises _NeedsNumeric for other trees."""
     coeffs = polynomial_coefficients(node)
     if coeffs is not None:
-        return _poly_roots(coeffs), []
-    poly, lattices, poles = (1 + 0j,), [], []
+        return _poly_roots(coeffs), [], []
+    poly, zeros, poles = (1 + 0j,), [], []
     for factor, power in _factors(node):
         coeffs = polynomial_coefficients(factor)
         if coeffs is not None:
@@ -553,15 +529,44 @@ def _divisor(node: Node, radius: float):
         level = _level_set(factor)
         if level is None:
             raise _NeedsNumeric
-        zero_cosets, pole_cosets = level
-        lattices += [_lattice(c._replace(mult=c.mult * power), radius) for c in zero_cosets]
-        poles += [c._replace(mult=c.mult * power) for c in pole_cosets]
-    zeros = _poly_roots(poly)
-    for lattice in lattices:
-        zeros = _joined(zeros, lattice)
+        zeros += [c._replace(mult=c.mult * power) for c in level[0]]
+        poles += [c._replace(mult=c.mult * power) for c in level[1]]
+    return _poly_roots(poly), zeros, poles
+
+
+def _divisor(node: Node, radius: float):
+    """The zeros of _zero_set(node) in the disk as one pole set, and its pole
+    cosets; a zero of one factor on a pole of another raises _NeedsNumeric."""
+    zeros, zero_cosets, poles = _zero_set(node)
+    for coset in zero_cosets:
+        zeros = _joined(zeros, _lattice(coset, radius))
     if _hits(poles, zeros[0]).any():
         raise _NeedsNumeric
     return zeros, poles
+
+
+def _cancel_against(other: Node, poles):
+    """The pole set left after cancellation by the zeros of the factor other:
+    a polynomial or level-set factor lowers each pole by the summed
+    multiplicity of the zeros of _zero_set(other) within _MERGE_TOL of it
+    (_coincident, _hits), a polynomial at least by its _vanishing_order, as
+    the computed roots of a multiple root scatter farther.  Any other factor
+    raises _NeedsNumeric where it vanishes (or blows up) at a pole."""
+    locs = poles[0]
+    coeffs = polynomial_coefficients(other)
+    if coeffs is not None or _level_set(other) is not None:
+        (roots, orders), cosets, _ = _zero_set(other)
+        hits = _hits(cosets, locs)
+        i, j = _coincident(locs, roots)
+        np.add.at(hits, i, orders[j])
+        if coeffs is not None:
+            hits = np.maximum(hits, _vanishing_order(coeffs, locs))
+        return _reduced(poles, hits)
+    if locs.size:
+        val = log_polar(other, locs)[0]
+        if not (np.isfinite(val) & (val >= math.log(1e-8))).all():
+            raise _NeedsNumeric
+    return poles
 
 
 def _structural_poles(node: Node, radius: float):
@@ -597,9 +602,8 @@ def _structural_poles(node: Node, radius: float):
     if isinstance(node, Div):
         zeros, den_poles = _divisor(node.denominator, radius)
         pa = _structural_poles(node.numerator, radius)
-        if den_poles:
-            # a pole of the denominator is a zero of the quotient
-            pa = _reduced(pa, _hits(den_poles, pa[0]))
+        # a pole of the denominator is a zero of the quotient
+        pa = _reduced(pa, _hits(den_poles, pa[0]))
         return _joined(pa, _cancel_against(node.numerator, zeros))
     if isinstance(node, Pow):
         if node.exponent >= 0:
@@ -619,12 +623,7 @@ def _structural_poles(node: Node, radius: float):
                 "entire function applied to a subexpression with poles "
                 "creates an essential singularity at a finite point"
             )
-        if node.name != "tan":
-            return _EMPTY
-        level = _level_set(node)
-        if level is None:
-            raise _NeedsNumeric
-        return _lattice(level[1][0], radius)
+        return _lattice(_zero_set(node)[2][0], radius) if node.name == "tan" else _EMPTY
     raise _NeedsNumeric
 
 

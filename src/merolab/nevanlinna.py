@@ -144,7 +144,6 @@ class RadialProfile:
     """Samples on a geometric radius grid for one function."""
 
     samples: tuple
-    function_id: str = ""
 
     def __post_init__(self):
         base = [
@@ -562,7 +561,7 @@ def _saturate(log_value: float) -> float:
     return float(np.exp(log_value))
 
 
-def build_profile(f, grid: RadiusGrid | None = None, function_id: str = "") -> RadialProfile:
+def build_profile(f, grid: RadiusGrid | None = None) -> RadialProfile:
     """Sample the circle functionals over a geometric radius grid.
 
     Radii whose circle passes within 1e-9 of a cataloged pole modulus
@@ -602,7 +601,7 @@ def build_profile(f, grid: RadiusGrid | None = None, function_id: str = "") -> R
                 perturbed_from=perturbed,
             )
         )
-    return RadialProfile(samples=tuple(samples), function_id=function_id)
+    return RadialProfile(samples=tuple(samples))
 
 
 # ---------------------------------------------------------------------------

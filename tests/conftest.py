@@ -40,18 +40,18 @@ def canprod4():
 
 @pytest.fixture(scope="session")
 def tan_profile(tanz):
-    return build_profile(tanz, RadiusGrid(1.0, 100.0), function_id="tanz")
+    return build_profile(tanz, RadiusGrid(1.0, 100.0))
 
 
 @pytest.fixture(scope="session")
 def exp_profile(expz):
-    return build_profile(expz, RadiusGrid(1.0, 100.0), function_id="expz")
+    return build_profile(expz, RadiusGrid(1.0, 100.0))
 
 
 @pytest.fixture(scope="session")
 def canprod_profile(canprod4):
     # seven decades; enough span for a stable order/deficiency fit
-    return build_profile(canprod4, RadiusGrid(1.0, 1.0e7, 2.0**0.25), function_id="canprod4")
+    return build_profile(canprod4, RadiusGrid(1.0, 1.0e7, 2.0**0.25))
 
 
 @pytest.fixture(scope="session")
@@ -64,6 +64,4 @@ def canprod_main(canprod4):
 @pytest.fixture(scope="session")
 def canprod_deep_profile(canprod4):
     # the third chain link only crosses over near r ~ 1e13
-    return build_profile(
-        canprod4, RadiusGrid(1.0e6, 2.0e13, 2.0**0.5), function_id="canprod4-deep"
-    )
+    return build_profile(canprod4, RadiusGrid(1.0e6, 2.0e13, 2.0**0.5))

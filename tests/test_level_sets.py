@@ -123,6 +123,12 @@ def test_polynomial_times_level_sets():
     assert got[2j * math.pi] == got[-2j * math.pi] == 1 and len(got) == 9
 
 
+@pytest.mark.parametrize("src", ["1/exp(z^2)", "z/exp(z^3)", "(z-1)/(2*exp(z^2 - 3*z))"])
+def test_exp_of_a_polynomial_has_no_zeros(src):
+    cat = poles_in_disk(parse(src), 64.0)
+    assert cat.exact and cat.entries == ()
+
+
 def test_numeric_route_stays_for_other_denominators():
     for src in ("1/(exp(z)+z)", "1/(exp(z^2)-2)"):
         assert poles_in_disk(parse(src), 2.0).exact is False
@@ -169,6 +175,73 @@ def test_numerator_lattice_cancels_a_level_set_zero():
     assert cat.exact
     assert sorted(round(b.imag / (2 * math.pi)) for b, _ in cat.entries) == [-3, -2, -1, 1, 2, 3]
     assert all(b.real == 0 and m == 1 for b, m in cat.entries)
+
+
+# a polynomial zero cancels a pole only within 1e-9 of it, whatever its order
+_NEAR_MISSES = [
+    # a double zero 3.7e-6 from pi/2
+    ("tan(z)*(z-1.5708)^2", "tan(z)", 2.0, 2),
+    ("(z-1.5708)^2/cos(z)", "1/cos(z)", 2.0, 2),
+    # a triple zero at 1, 6.8e-4 and 1.3e-3 from the nearest poles
+    ("(z-1)^3*tan(1608*z)", "tan(1608*z)", 2.0, 2048),
+    # a simple zero 5e-7 from the pole 500.5 pi
+    (f"tan(z)*(z-{500.5 * math.pi + 5e-7!r})", "tan(z)", 1600.0, 1018),
+    # multiple zeros 7.3e-8 and 3.3e-7 from pi/2, where the polynomial is
+    # within rounding of 0
+    ("tan(z)*(z-1.5707964)^2", "tan(z)", 2.0, 2),
+    ("tan(z)*(z-1.570796)^3", "tan(z)", 2.0, 2),
+    # two simple zeros 1e-5 either side of pi/2, where the derivative vanishes
+    ("tan(z)*((z-1.5707963267948966)^2-1e-10)", "tan(z)", 2.0, 2),
+]
+
+
+@pytest.mark.parametrize("src, lattice, radius, count", _NEAR_MISSES)
+def test_polynomial_zero_near_a_pole_cancels_nothing(src, lattice, radius, count):
+    cat = poles_in_disk(parse(src), radius)
+    assert cat.exact and len(cat) == count
+    assert cat.entries == poles_in_disk(parse(lattice), radius).entries
+
+
+_HALF_PI = repr(math.pi / 2)
+
+
+@pytest.mark.parametrize(
+    "src, left",
+    [
+        (f"tan(z)*(z-{_HALF_PI})^3*(z+{_HALF_PI})^2", {}),
+        (f"tan(z)*(z-{_HALF_PI})^4", {-math.pi / 2: 1}),
+        (f"(z-{_HALF_PI})^5/cos(z)", {-math.pi / 2: 1}),
+        (f"tan(z)^2*(z-{_HALF_PI})^3", {-math.pi / 2: 2}),
+        (f"tan(z)^3*(z-{_HALF_PI})^2", {-math.pi / 2: 3, math.pi / 2: 1}),
+        ("0*tan(z)", {}),
+    ],
+)
+def test_multiple_polynomial_root_on_a_pole_cancels_it(src, left):
+    # eigenvalues scatter a triple or higher root by 1e-5 or more, past the
+    # merge tolerance, yet its order counts at pi/2; a double root found
+    # both ways counts once, and the zero polynomial cancels every pole
+    cat = poles_in_disk(parse(src), 2.0)
+    assert cat.exact and dict(cat.entries) == left
+
+
+@pytest.mark.parametrize("src", ["z^200*tan(z)", "(z+1)^200*tan(z)"])
+def test_high_degree_polynomial_cancels_no_pole(src):
+    # the polynomial overflows at the poles beyond |z| = 34.7, and near -1
+    # the expanded (z+1)^200 is all rounding, not a zero
+    cat = poles_in_disk(parse(src), 64.0)
+    assert cat.exact and cat.entries == poles_in_disk(parse("tan(z)"), 64.0).entries
+
+
+def test_polynomial_zeros_cancel_without_a_call_per_pole(monkeypatch):
+    # z has one root; the 524,126 poles of tan(402 z) at radius 2048 must
+    # not each be tested against it
+    calls = []
+    horner = poles._horner
+    monkeypatch.setattr(poles, "_horner", lambda c, z: calls.append(z) or horner(c, z))
+    poles._catalog_at.cache_clear()
+    cat = poles_in_disk(parse("z*tan(402*z)"), 2048.0)
+    assert cat.exact and len(cat) == 524126
+    assert len(calls) <= 8
 
 
 # ---------------------------------------------------------------------------

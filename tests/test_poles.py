@@ -366,8 +366,13 @@ def test_essential_singularities_are_refused(src, radius):
 
 
 def test_pole_free_numeric_argument_stays_on_the_numeric_route():
-    cat = poles_in_disk(parse("exp(1/exp(z^2))"), 2.0)
+    cat = poles_in_disk(parse("exp(1/exp(exp(z)))"), 2.0)
     assert cat.exact is False and cat.entries == ()
+
+
+def test_pole_free_polynomial_exp_argument_is_exact():
+    cat = poles_in_disk(parse("exp(1/exp(z^2))"), 2.0)
+    assert cat.exact is True and cat.entries == ()
 
 
 def test_pole_free_exact_argument_stays_exact():
