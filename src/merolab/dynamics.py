@@ -4,6 +4,12 @@ Orbits are classified into escaping, attracted (to a finite cycle),
 pole-hit, or undecided.  Cycle detection runs Brent's power-of-two test
 on the iteration: one saved point per orbit and one map evaluation per
 step, so the same code path serves single points and full pixel grids.
+Orbits run in tiles of about 2^16 points, a grid's tile being a band of
+whole rows, and each tile finishes all its steps before the next one
+starts: loop state is sized to a tile, and a grid keeps 9 bytes per
+pixel (class, step count, cycle id).  Cycle ids are numbered as one
+batch of all orbits would number them, by orbit step and then index of
+each cycle's first detection, so the tiling never shows in the output.
 Components of the stable set are approximated by 4-connected patches of
 decided pixels of the same class: the connected components of the graph
 whose edges join 4-neighbours of equal class key.  Undecided and
@@ -37,6 +43,8 @@ _CYCLE_TOL = 1e-9
 _CYCLE_MATCH_TOL = 1e-6
 _PERIOD_CAP = 32
 _MAX_RESOLUTION = 8192
+_TILE_PIXELS = 2**16      # orbits run together; a grid tile is a band of
+                          # max(1, _TILE_PIXELS // resolution) whole rows
 _POLE_SCOUT_RADII = tuple(2.0**k for k in range(9))  # catalog buckets 1, 2, ..., 256
 _GROWTH_RUN = 3
 
@@ -192,25 +200,27 @@ def _extract_cycles(expr, seeds: np.ndarray, registry: list):
     return ids, reps
 
 
-def _classify_points(expr, pts: np.ndarray, budget: int, r_esc: float):
-    if not r_esc >= 10.0:
-        raise ValueError("escape radius must be at least 10")
-    n = pts.size
-    classes = np.zeros(n, dtype=np.uint8)
-    steps = np.full(n, budget, dtype=np.int32)
-    cyc = np.zeros(n, dtype=np.int32)
-    final = np.empty(n, dtype=np.complex128)
+def _classify_tile(expr, pts, budget, r_esc, meromorphic, classes, steps, cyc, final):
+    """Run every orbit of one tile to its verdict.
+
+    Writes each orbit's class, step count and cycle id into classes, steps
+    and cyc, and its final value into final unless that is None; all four
+    are tile-sized views.  Cycle ids count from 1 in a registry local to
+    the tile.  Returns that registry as (step, index, rep) rows, one per
+    id: the orbit step that first detected the cycle, the tile index of
+    the first pixel then found on it, and that pixel's rep.
+    """
     # Loop state holds only the undecided orbits, row k being pixel live[k]:
     # most pixels settle early, and gathering from and scattering into
-    # whole-grid arrays at every step costs more than evaluating the map.
+    # tile-sized arrays at every step costs more than evaluating the map.
     # Boolean filtering keeps live ascending, so cycles register in pixel
     # order.
-    live = np.arange(n)
-    saved = cur = np.asarray(pts, dtype=np.complex128)
+    live = np.arange(pts.size)
+    saved = cur = pts
     cmod = np.abs(cur)
-    grow = np.zeros(n, dtype=np.int16)
+    grow = np.zeros(pts.size, dtype=np.int16)
     registry: list[complex] = []
-    meromorphic = _has_poles(expr)
+    first: list[tuple[int, int]] = []
 
     def decide(mask, cls, step_count, *extra):
         # records the orbits under mask, whose final values are those of
@@ -222,7 +232,8 @@ def _classify_points(expr, pts: np.ndarray, budget: int, r_esc: float):
         idx = live[mask]
         classes[idx] = cls
         steps[idx] = step_count
-        final[idx] = cur[mask]
+        if final is not None:
+            final[idx] = cur[mask]
         keep = ~mask
         live, saved, cur, cmod, grow = (a[keep] for a in (live, saved, cur, cmod, grow))
         return tuple(a[keep] for a in extra)
@@ -246,8 +257,12 @@ def _classify_points(expr, pts: np.ndarray, budget: int, r_esc: float):
         decide(grow >= _GROWTH_RUN, OrbitClass.ESCAPING, s)
         close = np.abs(cur - saved) <= _CYCLE_TOL
         if close.any():
+            known = len(registry)
             ids, reps = _extract_cycles(expr, cur[close], registry)
-            cyc[live[close]] = ids
+            idx = live[close]
+            cyc[idx] = ids
+            # a new entry's first pixel is the first seed that took its id
+            first += [(s, int(idx[np.argmax(ids == j)])) for j in range(known + 1, len(registry) + 1)]
             ok = ids > 0
             # cur is this step's image, a new array, so no saved point
             # changes
@@ -257,8 +272,73 @@ def _classify_points(expr, pts: np.ndarray, budget: int, r_esc: float):
         if s & (s - 1) == 0:
             saved = cur
 
-    final[live] = cur
-    return classes, steps, cyc, final, tuple(registry)
+    if final is not None:
+        final[live] = cur
+    return [(s, i, rep) for (s, i), rep in zip(first, registry)]
+
+
+def _classify_tiles(expr, n, tiles, budget, r_esc, with_final):
+    """Classify n orbits tile by tile.
+
+    tiles yields (start, points): consecutive tiles of the n starting
+    points, start being the index of a tile's first point.  Each tile runs
+    all its orbit steps before the next one starts, so loop state is
+    tile-sized and only the class, step count and cycle id (9 bytes) are
+    kept per orbit, plus the final value (16 bytes) when with_final is
+    set; otherwise final is None.  Returns (classes, steps, cycle ids,
+    final, cycle registry).
+
+    Cycle ids are those of one batch of all n orbits: ids count from 1 in
+    the order (step, index) of each cycle's first detection, and a cycle's
+    rep is the one from that detection.  After the last tile the local
+    registries merge in that order, each entry taking the first global
+    entry within match tolerance or else a new id, and every tile's local
+    ids are remapped to the global ones.
+    """
+    if not r_esc >= 10.0:
+        raise ValueError("escape radius must be at least 10")
+    classes = np.zeros(n, dtype=np.uint8)
+    steps = np.full(n, budget, dtype=np.int32)
+    cyc = np.zeros(n, dtype=np.int32)
+    final = np.empty(n, dtype=np.complex128) if with_final else None
+    meromorphic = _has_poles(expr)
+    spans = []
+    entries = []
+    for start, pts in tiles:
+        part = slice(start, start + pts.size)
+        local = _classify_tile(expr, pts, budget, r_esc, meromorphic, classes[part], steps[part],
+                               cyc[part], None if final is None else final[part])
+        spans.append((part, len(entries), len(local)))
+        entries += [(s, start + i, rep) for s, i, rep in local]
+    # a batch of all orbits detects in step order, and within a step in
+    # pixel order
+    order = sorted(range(len(entries)), key=lambda k: entries[k][:2])
+    reps = np.empty(len(entries), dtype=np.complex128)
+    gid = np.zeros(len(entries), dtype=np.int32)
+    size = 0
+    for k in order:
+        rep = entries[k][2]
+        hit = np.flatnonzero(np.abs(reps[:size] - rep) <= _CYCLE_MATCH_TOL)
+        if hit.size:
+            gid[k] = hit[0] + 1
+        else:
+            reps[size] = rep
+            size += 1
+            gid[k] = size
+    for part, offset, count in spans:
+        cyc[part] = np.concatenate(([0], gid[offset:offset + count]))[cyc[part]]
+    return classes, steps, cyc, final, tuple(complex(r) for r in reps[:size])
+
+
+def _classify_points(expr, pts: np.ndarray, budget: int, r_esc: float):
+    """Classify the orbit of each point in tiles of _TILE_PIXELS points.
+
+    Returns (classes, steps, cycle ids, final values, cycle registry),
+    exactly as one batch of all points would give them.
+    """
+    pts = np.asarray(pts, dtype=np.complex128)
+    tiles = ((lo, pts[lo:lo + _TILE_PIXELS]) for lo in range(0, pts.size, _TILE_PIXELS))
+    return _classify_tiles(expr, pts.size, tiles, budget, r_esc, True)
 
 
 def iterate_orbit(f, z0: complex, max_steps: int = 1000, R_esc: float = _ESCAPE_DEFAULT) -> OrbitResult:
@@ -289,10 +369,16 @@ def iterate_orbit(f, z0: complex, max_steps: int = 1000, R_esc: float = _ESCAPE_
 # ---------------------------------------------------------------------------
 
 
-def _pixel_centers(center: complex, half_width: float, resolution: int) -> np.ndarray:
+def _pixel_axes(center: complex, half_width: float, resolution: int):
+    """Real parts of the pixel columns and imaginary parts of the rows."""
     frac = (np.arange(resolution) + 0.5) / resolution
     xs = center.real - half_width + 2.0 * half_width * frac
     ys = center.imag + half_width - 2.0 * half_width * frac
+    return xs, ys
+
+
+def _pixel_centers(center: complex, half_width: float, resolution: int) -> np.ndarray:
+    xs, ys = _pixel_axes(center, half_width, resolution)
     return xs[None, :] + 1j * ys[:, None]
 
 
@@ -302,6 +388,13 @@ def classify_grid(f, window, resolution: int, budget: int, r_esc: float = _ESCAP
     window is (center, half_width); row 0 is the top of the window and
     pixels are sampled at their centers; orbits take 2·budget steps.  The
     output is a pure function of (f, window, resolution, budget, r_esc).
+
+    Orbits run in tiles, bands of max(1, 2^16 // resolution) whole rows
+    whose pixel centers are built as each band starts, so loop state is
+    sized to a tile and the grid keeps 9 bytes per pixel: class, steps and
+    cycle id.  Cycle ids count from 1 in the order of each cycle's first
+    detection, by orbit step and then raster index, as one batch of the
+    whole grid would number them.
     """
     center, half_width = window
     center = complex(center)
@@ -314,8 +407,12 @@ def classify_grid(f, window, resolution: int, budget: int, r_esc: float = _ESCAP
     if not half_width > 0:
         raise ValueError("window half-width must be positive")
     expr = as_expr(f)
-    pts = _pixel_centers(center, half_width, resolution).reshape(-1)
-    classes, steps, cyc, _, registry = _classify_points(expr, pts, int(budget), float(r_esc))
+    xs, ys = _pixel_axes(center, half_width, resolution)
+    rows = max(1, _TILE_PIXELS // resolution)
+    tiles = ((r * resolution, (xs[None, :] + 1j * ys[r:r + rows, None]).reshape(-1))
+             for r in range(0, resolution, rows))
+    classes, steps, cyc, _, registry = _classify_tiles(
+        expr, resolution * resolution, tiles, int(budget), float(r_esc), False)
     shape = (resolution, resolution)
     return ClassifiedGrid(
         center,
@@ -332,13 +429,13 @@ def classify_grid(f, window, resolution: int, budget: int, r_esc: float = _ESCAP
 
 def _component_keys(grid: ClassifiedGrid) -> np.ndarray:
     # one key per labelable class; 0 marks barrier pixels (undecided and
-    # pole-hit alike, the latter being Julia-adjacent)
+    # pole-hit alike, the latter being Julia-adjacent); int32 holds
+    # 2 + 4·id for ids up to res^2 <= 2^26
     classes = grid.classes.reshape(-1)
-    cyc = grid.cycle_ids.reshape(-1).astype(np.int64)
-    keys = np.zeros(classes.size, dtype=np.int64)
+    keys = np.zeros(classes.size, dtype=np.int32)
     keys[classes == OrbitClass.ESCAPING] = 1
     attracted = classes == OrbitClass.ATTRACTED
-    keys[attracted] = 2 + cyc[attracted] * 4
+    keys[attracted] = 2 + 4 * grid.cycle_ids.reshape(-1)[attracted]
     return keys
 
 
@@ -372,7 +469,9 @@ def label_components(grid: ClassifiedGrid) -> ClassifiedGrid:
     root = np.zeros(res * res, dtype=np.int32)
     root[tops] = tops
     root = np.maximum.accumulate(root)
-    down = np.flatnonzero((keys[1:, :] == keys[:-1, :]) & (keys[1:, :] != 0)).astype(np.int32)
+    same = keys[1:] == keys[:-1]
+    same &= keys[1:] != 0
+    down = np.flatnonzero(same).astype(np.int32)
     lo, hi = root[down], root[down + res]
     while True:
         live = lo != hi

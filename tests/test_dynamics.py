@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -330,6 +331,43 @@ def test_grid_evaluates_once_per_orbit_step(monkeypatch):
     # no orbit is decided, so all 16^2 take the full 2 * 8 orbit steps
     assert (grid.classes == OrbitClass.UNDECIDED).all()
     assert sum(points) == 16 * 16 * 16
+
+
+@pytest.mark.parametrize("f, window, res, budget", [
+    ("(2*z^3 + 1)/(3*z^2)", (0j, 2.0), 48, 64),
+    ("z^2 - 0.1226 + 0.7449*i", (0j, 1.5), 48, 64),
+    ("z^2 - 1", (0j, 2.0), 48, 64),
+    ("(z^2 + 1)/(2*z)", (0j, 2.0), 48, 64),
+    # spurious cycles far out, first detected at many different steps
+    ("z + 1 + exp(-z)", (0j, 2.0), 64, 64),
+])
+def test_grid_tiles_number_cycles_as_one_batch(monkeypatch, f, window, res, budget):
+    whole = classify_grid(f, window, res, budget)
+    # one row per tile: a cycle first found at an earlier step in a later
+    # row must still take the smaller id
+    monkeypatch.setattr(dynamics, "_TILE_PIXELS", 1)
+    rows = classify_grid(f, window, res, budget)
+    assert np.array_equal(rows.classes, whole.classes)
+    assert np.array_equal(rows.steps, whole.steps)
+    assert np.array_equal(rows.cycle_ids, whole.cycle_ids)
+    assert rows.cycles == whole.cycles
+
+
+def test_grid_memory_is_bounded_by_the_tile():
+    # 9 bytes per pixel (9 MiB at 1024^2) plus one tile's loop state; one
+    # batch of the whole grid traced 144 MiB here
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        classify_grid("z^2", (0j, 2.0), 1024, 64)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 32 * 2**20
 
 
 def test_grid_validation(zsq):
