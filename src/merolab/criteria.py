@@ -32,7 +32,7 @@ from .nevanlinna import (
     log_max_modulus,
     log_min_modulus,
     poles_in_disk,
-    _log_min_bound,
+    _log_min_subset_bound,
 )
 
 _DEFAULT_GRID = RadiusGrid(1.0, 1000.0)
@@ -198,9 +198,10 @@ def _ladder_exponents(d: float, closed: bool) -> list[float]:
 def _search_log_L(expr, r: float, d: float, closed: bool) -> tuple[float, float]:
     """Maximize log L(r^e) over ladder exponents e, with golden refinement.
 
-    Returns (t, value) where t = r**e_best.  Every ladder circle is
-    scanned, but refined only while it can still win: circles go in
-    descending order of their scan bound (never below the refined log L),
+    Returns (t, value) where t = r**e_best.  Every ladder circle gets a
+    bound from every 16th node of its circle scan (_log_min_subset_bound,
+    never below the refined log L), but is scanned in full and refined only
+    while it can still win: circles go in descending order of their bound,
     and the walk stops at the first bound strictly below the best refined
     value.  Ties go to the lowest ladder index, so the winner is the
     exhaustive ladder's argmax, bit for bit.  golden_min then refines the
@@ -208,7 +209,7 @@ def _search_log_L(expr, r: float, d: float, closed: bool) -> tuple[float, float]
     the winner only when strictly larger, so the ladder maximum is a floor.
     """
     exps = _ladder_exponents(d, closed)
-    bounds = [_log_min_bound(expr, r**e) for e in exps]
+    bounds = [_log_min_subset_bound(expr, r**e) for e in exps]
     k, best_v = 0, -math.inf
     for j in sorted(range(len(exps)), key=lambda j: (-bounds[j], j)):
         if bounds[j] < best_v:
@@ -275,13 +276,14 @@ def check_main(f, params: CriterionParams) -> CriterionVerdict:
 
     At every tested radius r two things must happen: some t strictly
     inside (r, r^d) has log L(t) > alpha * T(r), and T(r^d) >= D * T(r).
-    The t search scans 64 log-uniform candidate circles per unit
-    exponent, refines the minimum modulus only on circles whose scan can
-    still beat the best refined value (the winner is the one an
-    exhaustive ladder would pick), and then refines the exponent around
-    that winner.  The search itself never looks at alpha,
-    so a verdict that holds at some alpha holds at every smaller alpha
-    with identical witnesses.
+    The t search bounds log L on 64 log-uniform candidate circles per
+    unit exponent from every 16th node of each circle's scan, scans and
+    refines the minimum modulus only on circles whose bound can still
+    beat the best refined value (the winner is the one an exhaustive
+    ladder would pick), and then refines the exponent around that
+    winner.  The search itself never looks at alpha, so a verdict that
+    holds at some alpha holds at every smaller alpha with identical
+    witnesses.
     """
     expr = as_expr(f)
     radii = _tested_radii(params.grid)

@@ -46,6 +46,9 @@ _QUAD_TOL = 1e-10
 _QUAD_CAP = 2**20
 _QUAD_CHUNK = 2**17
 _SCAN_NODES = 4096
+_SCAN_THETA = 2.0 * math.pi * np.arange(_SCAN_NODES) / _SCAN_NODES
+_SCAN_THETA.flags.writeable = False
+_BOUND_STRIDE = 16  # a ladder circle's pruning bound reads every 16th scan node
 _ANGLE_TOL = 1e-10
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_POINTS = 33
@@ -433,6 +436,11 @@ def grid_min(fun, center, half_width, tol: float):
         cell = cell / _GRID_SHRINK
 
 
+def _pole_on_circle(f: MeroExpr, r: float) -> bool:
+    """True when the catalog confirms a pole modulus within 1e-9 of r."""
+    return poles_in_disk(f, r * (1.0 + 1e-6) + 1e-6).near(r, _POLE_RADIUS_TOL)
+
+
 @lru_cache(maxsize=65536)
 def _modulus_scan(f: MeroExpr, r: float):
     """Cached coarse 4096-node scan of |z| = r: the min and max (value, centers).
@@ -452,18 +460,17 @@ def _modulus_scan(f: MeroExpr, r: float):
     only improve on the scan, so the values bound log L from above and
     log M from below.
     """
-    theta = 2.0 * math.pi * np.arange(_SCAN_NODES) / _SCAN_NODES
     node = np.arange(_SCAN_NODES)
     if _conjugate_symmetric(f):
         half = _SCAN_NODES // 2
-        lm = log_modulus(f, _upper_half(r, theta[:half + 1]))
+        lm = log_modulus(f, _upper_half(r, _SCAN_THETA[:half + 1]))
         lm = np.concatenate([lm, lm[half - 1:0:-1]])
         node = np.minimum(node, _SCAN_NODES - node)
     else:
-        lm = log_modulus(f, r * np.exp(1j * theta))
+        lm = log_modulus(f, r * np.exp(1j * _SCAN_THETA))
     marker = np.isnan(lm) | np.isposinf(lm)
     exact = np.empty(0)
-    if marker.any() and poles_in_disk(f, r * (1.0 + 1e-6) + 1e-6).near(r, _POLE_RADIUS_TOL):
+    if marker.any() and _pole_on_circle(f, r):
         return (-math.inf, exact), (math.inf, exact)
     sides = []
     for sign in (1.0, -1.0):
@@ -475,7 +482,7 @@ def _modulus_scan(f: MeroExpr, r: float):
         neighbors = np.minimum(np.roll(obj, 1), np.roll(obj, -1))
         local = np.flatnonzero(obj <= neighbors)
         best = local[np.argsort(obj[local])][:8]
-        sides.append((sign * float(obj[best[0]]), theta[np.unique(node[best])]))
+        sides.append((sign * float(obj[best[0]]), _SCAN_THETA[np.unique(node[best])]))
     return tuple(sides)
 
 
@@ -513,6 +520,29 @@ def _log_min_bound(f, r: float) -> float:
     beaten.
     """
     return _modulus_scan(as_expr(f), float(r))[0][0]
+
+
+@lru_cache(maxsize=65536)
+def _log_min_subset_bound(f: MeroExpr, r: float) -> float:
+    """Upper bound on log L(r, f) from every 16th node of the _modulus_scan nodes.
+
+    For a function with real coefficients these are nodes 0, 16, ..., 2048
+    of the half circle (129 points, the last exactly -r), else every 16th
+    of the 4096 (256 points).  Each sample is bit-identical to that node's
+    scan sample, so the bound is never below _log_min_bound, which is never
+    below log_min_modulus.  The scan's marker rule holds: a pole marker
+    gives -inf when the catalog confirms a pole modulus within 1e-9 of r,
+    and any other marker is dropped.  A criteria search prunes its ladder
+    with it at a sixteenth of the scan's kernel points.
+    """
+    if _conjugate_symmetric(f):
+        lm = log_modulus(f, _upper_half(r, _SCAN_THETA[:_SCAN_NODES // 2 + 1:_BOUND_STRIDE]))
+    else:
+        lm = log_modulus(f, r * np.exp(1j * _SCAN_THETA[::_BOUND_STRIDE]))
+    marker = np.isnan(lm) | np.isposinf(lm)
+    if marker.any() and _pole_on_circle(f, r):
+        return -math.inf
+    return float(lm[~marker].min(initial=math.inf))
 
 
 def log_min_modulus(f, r: float) -> float:

@@ -173,6 +173,35 @@ def test_pruned_search_equals_exhaustive_ladder(name, closed):
 
 
 @pytest.mark.parametrize("closed", [False, True])
+@pytest.mark.parametrize("source", ["tan(z)", "1/z", "exp(z) + 0.5*i", "1/(exp(z)-2)"])
+def test_pruned_search_equals_exhaustive_ladder_with_poles(source, closed):
+    # poles on the ladder circles, and a complex constant (full-circle nodes)
+    f = parse(source)
+    for r in _SEARCH_RADII:
+        assert _search_log_L(f, r, 2.0, closed) == _exhaustive_search(f, r, 2.0, closed)
+
+
+def test_pruned_search_kernel_point_budget(monkeypatch, canprod4):
+    kernel = nevanlinna.log_modulus
+    points = []
+
+    def counted(g, z):
+        points.append(np.size(z))
+        return kernel(g, z)
+
+    monkeypatch.setattr(nevanlinna, "log_modulus", counted)
+    # cold caches, so every circle is evaluated here
+    for name in ("_modulus_scan", "_modulus_extrema"):
+        fresh = functools.lru_cache(maxsize=None)(getattr(nevanlinna, name).__wrapped__)
+        monkeypatch.setattr(nevanlinna, name, fresh)
+    fresh = functools.lru_cache(maxsize=None)(nevanlinna._log_min_subset_bound.__wrapped__)
+    monkeypatch.setattr("merolab.criteria._log_min_subset_bound", fresh)
+    _search_log_L(canprod4, 40.0, 2.0, False)
+    # 164,703 points when every ladder circle paid a full 4096-node scan
+    assert sum(points) <= 50_000
+
+
+@pytest.mark.parametrize("closed", [False, True])
 def test_pruned_search_ties_go_to_first_exponent(closed):
     const = parse("2")
     t, value = _search_log_L(const, 10.0, 2.0, closed)

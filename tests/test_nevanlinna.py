@@ -43,6 +43,7 @@ from merolab.nevanlinna import (
     InsufficientSpanError,
     _conjugate_symmetric,
     _log_min_bound,
+    _log_min_subset_bound,
     golden_min,
     grid_min,
 )
@@ -264,6 +265,42 @@ def test_scan_bound_on_degenerate_circles(canprod4, tanz, invz):
     # constant modulus: the scan is already exact
     assert _log_min_bound(invz, 3.0) == log_min_modulus(invz, 3.0)
     assert log_min_modulus(invz, 3.0) == pytest.approx(-math.log(3.0), rel=1e-15)
+
+
+def _subset_reference(f, r):
+    """Reference: every 16th sample of one whole-route scan batch, markers
+    dropped, or -inf for a pole marker the catalog confirms."""
+    theta = 2.0 * math.pi * np.arange(4096) / 4096
+    if _conjugate_symmetric(f):
+        z = r * np.exp(1j * theta[:2049])
+        z[-1] = -r
+    else:
+        z = r * np.exp(1j * theta)
+    lm = log_modulus(f, z)[::16]
+    marker = np.isnan(lm) | np.isposinf(lm)
+    if marker.any() and poles_in_disk(f, r * (1.0 + 1e-6) + 1e-6).near(r, 1e-9):
+        return -math.inf
+    return float(lm[~marker].min(initial=math.inf))
+
+
+@pytest.mark.parametrize("source", [*(str(corpus_function(n)) for n in corpus_names()),
+                                    "exp(z) + 0.5*i"])
+def test_subset_bound_is_above_the_scan_bound(source):
+    # exp(z) + 0.5*i has a complex constant: the subset spans the full circle
+    f = parse(source)
+    for r in (0.5, 1.0, 10.0, 40.0, 160.0):
+        assert _log_min_subset_bound(f, r) >= _log_min_bound(f, r) >= log_min_modulus(f, r)
+        # the subset's samples are the scan's own, bit for bit
+        assert _log_min_subset_bound(f, r) == _subset_reference(f, r)
+
+
+def test_subset_bound_on_degenerate_circles(canprod4):
+    # a sampled zero and a cataloged pole on the circle are exact -inf
+    assert _log_min_subset_bound(parse("z - 1"), 1.0) == -math.inf
+    assert _log_min_subset_bound(parse("1/(z-1)"), 1.0) == -math.inf
+    # the scan minimum of canprod(4) at r = 16 sits on node 2048, which is -16
+    # and one of the subset's nodes
+    assert _log_min_subset_bound(canprod4, 16.0) == _log_min_bound(canprod4, 16.0)
 
 
 def _one_extremum(f, r, want_max):
