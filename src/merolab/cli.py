@@ -35,6 +35,7 @@ from .criteria import (
     check_strong,
 )
 from .dynamics import (
+    absorbing_half_plane,
     boundedness_probe,
     class_counts,
     classify_grid,
@@ -283,6 +284,13 @@ def cmd_render(config: RunConfig) -> None:
         "class_counts": counts,
         "undecided_fraction": counts["undecided"] / labeled.classes.size,
     }
+    # only a map with a certified escape region gets the key, so every
+    # other report keeps its bytes
+    plane = absorbing_half_plane(expr)
+    if plane is not None:
+        report["absorbing_half_plane"] = {
+            "direction": plane[0], "s": plane[1], "certified_pixels": labeled.certified_pixels,
+        }
     if scales is not None:
         probe = boundedness_probe(
             expr, center, scales, resolution=config.res, budget=config.budget,

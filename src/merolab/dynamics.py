@@ -10,6 +10,13 @@ starts: loop state is sized to a tile, and a grid keeps 9 bytes per
 pixel (class, step count, cycle id).  Cycle ids are numbered as one
 batch of all orbits would number them, by orbit step and then index of
 each cycle's first detection, so the tiling never shows in the output.
+Escape is decided by growth beyond r_esc or, for maps of the form
+f = z + c + h(z) with c != 0 and h a finite sum of a_k exp(alpha_k z + d_k)
+that decays along u = c/|c| (alpha_k = -beta_k conj(u), beta_k > 0), by an
+absorbing half-plane H_s = {Re(conj(u) z) > s}: s is chosen so that
+|h| <= 3|c|/4 on H_s, so Re(conj(u) f(z)) >= Re(conj(u) z) + |c|/4 there, H_s
+is forward-invariant and every orbit that enters it tends to infinity.  An
+orbit is escaping at the first step that lands in H_s.
 Components of the stable set are approximated by 4-connected patches of
 decided pixels of the same class: the connected components of the graph
 whose edges join 4-neighbours of equal class key.  Undecided and
@@ -30,11 +37,25 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 from enum import IntEnum
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .expr import OK_FLAG, POLE_FLAG, as_expr, evaluate_many, poles_in_disk
+from .expr import (
+    OK_FLAG,
+    POLE_FLAG,
+    Add,
+    Div,
+    Func,
+    Mul,
+    Neg,
+    Sub,
+    as_expr,
+    evaluate_many,
+    poles_in_disk,
+    polynomial_coefficients,
+)
 
 _ESCAPE_DEFAULT = 1e6
 _POLE_LANDING = 1e12      # |f(z)| beyond this, for a map with poles, counts
@@ -112,6 +133,7 @@ class ClassifiedGrid:
     cycle_ids: np.ndarray
     cycles: tuple
     labels: np.ndarray | None = None
+    certified_pixels: int = 0  # escapes decided by the absorbing half-plane
 
     def pixel_centers(self) -> np.ndarray:
         return _pixel_centers(self.center, self.half_width, self.resolution)
@@ -149,6 +171,104 @@ def _has_poles(expr) -> bool:
     # maps have a pole near the origin: grow the disk through the catalog
     # buckets and stop at the first pole
     return any(len(poles_in_disk(expr, r)) for r in _POLE_SCOUT_RADII)
+
+
+def _summands(node, sign=1.0):
+    """(sign, node) for each summand of a tree of Add, Sub and Neg nodes;
+    a polynomial subtree is one summand."""
+    if polynomial_coefficients(node) is None:
+        if isinstance(node, (Add, Sub)):
+            yield from _summands(node.left, sign)
+            yield from _summands(node.right, -sign if isinstance(node, Sub) else sign)
+            return
+        if isinstance(node, Neg):
+            yield from _summands(node.operand, -sign)
+            return
+    yield sign, node
+
+
+def _constant(node):
+    coeffs = polynomial_coefficients(node)
+    return coeffs[0] if coeffs is not None and len(coeffs) == 1 else None
+
+
+def _exp_term(node):
+    """(a, alpha, d) when node is a exp(alpha z + d) with a constant factor a
+    (Neg, or Mul or Div by a constant) and alpha != 0, else None."""
+    if isinstance(node, Func):
+        arg = polynomial_coefficients(node.argument) if node.name == "exp" else None
+        return (1.0, arg[1], arg[0]) if arg is not None and len(arg) == 2 else None
+    if isinstance(node, Neg):
+        a, inner = -1.0, node.operand
+    elif isinstance(node, Mul):
+        a, inner = _constant(node.left), node.right
+        if a is None:
+            a, inner = _constant(node.right), node.left
+    elif isinstance(node, Div):
+        a, inner = _constant(node.denominator), node.numerator
+        a = 1.0 / a if a else None
+    else:
+        return None
+    term = None if a is None else _exp_term(inner)
+    return None if term is None else (a * term[0], *term[1:])
+
+
+@lru_cache(maxsize=256)
+def _absorbing_half_plane(expr):
+    c = slope = 0j
+    terms = []
+    for sign, node in _summands(expr.root):
+        coeffs = polynomial_coefficients(node)
+        if coeffs is None:
+            term = _exp_term(node)
+            if term is None:
+                return None
+            terms.append((sign * term[0], *term[1:]))
+        elif len(coeffs) <= 2:
+            lo, hi = (*coeffs, 0j)[:2]
+            c += sign * lo
+            slope += sign * hi
+        else:
+            return None
+    size = math.hypot(c.real, c.imag)
+    if slope != 1 or not terms or not 0 < size < math.inf:
+        return None
+    u = c / size
+    bounds = []
+    for a, alpha, d in terms:
+        if not (a and math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
+            return None
+        # beta = -alpha / conj(u) = -alpha u: alpha c must be real exactly in
+        # the constants' binary values, and beta positive
+        ar, ai, cr, ci = map(Fraction, (alpha.real, alpha.imag, c.real, c.imag))
+        beta = -(alpha * u).real
+        if ar * ci + ai * cr != 0 or not beta > 0:
+            return None
+        # on H_s this term is at most |a| exp(Re d - beta s), which is
+        # 3|c| / (4 n) at the s below: the n terms sum to at most 3|c|/4
+        log_a = math.log(math.hypot(a.real, a.imag))
+        bounds.append((d.real + log_a + math.log(4 * len(terms) / 3) - math.log(size)) / beta)
+    # a non-finite a, d or beta leaves no usable threshold
+    if not all(map(math.isfinite, bounds)):
+        return None
+    return u, max(bounds)
+
+
+def absorbing_half_plane(f):
+    """Certified escape region of f as (u, s), or None.
+
+    For f = z + c + sum_k a_k exp(alpha_k z + d_k) with c != 0, u = c/|c|
+    and every beta_k = -alpha_k / conj(u) real and positive, |h| <= 3|c|/4
+    on H_s = {Re(conj(u) z) > s}, so f moves every point of H_s at least
+    |c|/4 further along u: H_s is forward-invariant and every orbit that
+    enters it tends to infinity.  s is the largest of the per-term
+    thresholds that hold each of the n terms to 3|c|/(4n); for one term it
+    is the smallest such s (log(4/3) for z + 1 + exp(-z)).  The form is
+    recognised structurally (summands through Add, Sub and Neg; constant
+    factors through Neg, Mul and Div; linear exponents), once per map; any
+    other map gives None.
+    """
+    return _absorbing_half_plane(as_expr(f))
 
 
 def _canonical_rep(points) -> complex:
@@ -200,15 +320,17 @@ def _extract_cycles(expr, seeds: np.ndarray, registry: list):
     return ids, reps
 
 
-def _classify_tile(expr, pts, budget, r_esc, meromorphic, classes, steps, cyc, final):
+def _classify_tile(expr, pts, budget, r_esc, meromorphic, plane, classes, steps, cyc, final):
     """Run every orbit of one tile to its verdict.
 
     Writes each orbit's class, step count and cycle id into classes, steps
     and cyc, and its final value into final unless that is None; all four
-    are tile-sized views.  Cycle ids count from 1 in a registry local to
-    the tile.  Returns that registry as (step, index, rep) rows, one per
-    id: the orbit step that first detected the cycle, the tile index of
-    the first pixel then found on it, and that pixel's rep.
+    are tile-sized views.  plane is the map's absorbing half-plane (u, s)
+    or None.  Cycle ids count from 1 in a registry local to the tile.
+    Returns (rows, certified): the registry as (step, index, rep) rows,
+    one per id (the orbit step that first detected the cycle, the tile
+    index of the first pixel then found on it, and that pixel's rep), and
+    the number of orbits the half-plane decided.
     """
     # Loop state holds only the undecided orbits, row k being pixel live[k]:
     # most pixels settle early, and gathering from and scattering into
@@ -221,6 +343,7 @@ def _classify_tile(expr, pts, budget, r_esc, meromorphic, classes, steps, cyc, f
     grow = np.zeros(pts.size, dtype=np.int16)
     registry: list[complex] = []
     first: list[tuple[int, int]] = []
+    certified = 0
 
     def decide(mask, cls, step_count, *extra):
         # records the orbits under mask, whose final values are those of
@@ -255,6 +378,11 @@ def _classify_tile(expr, pts, budget, r_esc, meromorphic, classes, steps, cyc, f
         grow *= (cmod > r_esc) & (m > cmod)
         cur, cmod = w, m
         decide(grow >= _GROWTH_RUN, OrbitClass.ESCAPING, s)
+        if plane is not None:
+            u, depth = plane
+            inside = cur.real * u.real + cur.imag * u.imag > depth
+            certified += int(np.count_nonzero(inside))
+            decide(inside, OrbitClass.ESCAPING, s)
         close = np.abs(cur - saved) <= _CYCLE_TOL
         if close.any():
             known = len(registry)
@@ -274,7 +402,7 @@ def _classify_tile(expr, pts, budget, r_esc, meromorphic, classes, steps, cyc, f
 
     if final is not None:
         final[live] = cur
-    return [(s, i, rep) for (s, i), rep in zip(first, registry)]
+    return [(s, i, rep) for (s, i), rep in zip(first, registry)], certified
 
 
 def _classify_tiles(expr, n, tiles, budget, r_esc, with_final):
@@ -286,7 +414,8 @@ def _classify_tiles(expr, n, tiles, budget, r_esc, with_final):
     tile-sized and only the class, step count and cycle id (9 bytes) are
     kept per orbit, plus the final value (16 bytes) when with_final is
     set; otherwise final is None.  Returns (classes, steps, cycle ids,
-    final, cycle registry).
+    final, cycle registry, count of escapes the absorbing half-plane
+    decided).
 
     Cycle ids are those of one batch of all n orbits: ids count from 1 in
     the order (step, index) of each cycle's first detection, and a cycle's
@@ -302,12 +431,15 @@ def _classify_tiles(expr, n, tiles, budget, r_esc, with_final):
     cyc = np.zeros(n, dtype=np.int32)
     final = np.empty(n, dtype=np.complex128) if with_final else None
     meromorphic = _has_poles(expr)
+    plane = _absorbing_half_plane(expr)
     spans = []
     entries = []
+    certified = 0
     for start, pts in tiles:
         part = slice(start, start + pts.size)
-        local = _classify_tile(expr, pts, budget, r_esc, meromorphic, classes[part], steps[part],
-                               cyc[part], None if final is None else final[part])
+        local, count = _classify_tile(expr, pts, budget, r_esc, meromorphic, plane, classes[part],
+                                      steps[part], cyc[part], None if final is None else final[part])
+        certified += count
         spans.append((part, len(entries), len(local)))
         entries += [(s, start + i, rep) for s, i, rep in local]
     # a batch of all orbits detects in step order, and within a step in
@@ -327,14 +459,14 @@ def _classify_tiles(expr, n, tiles, budget, r_esc, with_final):
             gid[k] = size
     for part, offset, count in spans:
         cyc[part] = np.concatenate(([0], gid[offset:offset + count]))[cyc[part]]
-    return classes, steps, cyc, final, tuple(complex(r) for r in reps[:size])
+    return classes, steps, cyc, final, tuple(complex(r) for r in reps[:size]), certified
 
 
 def _classify_points(expr, pts: np.ndarray, budget: int, r_esc: float):
     """Classify the orbit of each point in tiles of _TILE_PIXELS points.
 
-    Returns (classes, steps, cycle ids, final values, cycle registry),
-    exactly as one batch of all points would give them.
+    Returns (classes, steps, cycle ids, final values, cycle registry,
+    certified count), exactly as one batch of all points would give them.
     """
     pts = np.asarray(pts, dtype=np.complex128)
     tiles = ((lo, pts[lo:lo + _TILE_PIXELS]) for lo in range(0, pts.size, _TILE_PIXELS))
@@ -347,15 +479,18 @@ def iterate_orbit(f, z0: complex, max_steps: int = 1000, R_esc: float = _ESCAPE_
     Escape requires the modulus to sit beyond R_esc and grow on three
     consecutive steps, or an image to overflow outright; for a map
     without poles a NaN image (from inf arithmetic) is such an overflow,
-    so only maps with poles hit one.  Cycles are detected by Brent's
-    power-of-two test with tolerance 1e-9; 2·max_steps orbit steps
-    without a verdict yield undecided.  Failures never raise, they absorb
+    so only maps with poles hit one.  A map with an absorbing half-plane
+    H_s (see absorbing_half_plane; z + 1 + exp(-z) has Re z > log(4/3))
+    escapes at the first orbit step that lands in H_s, since from there
+    every step moves at least |c|/4 further along u.  Cycles are
+    detected by Brent's power-of-two test with tolerance 1e-9;
+    2·max_steps orbit steps without a verdict yield undecided.  Failures never raise, they absorb
     into undecided.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
     expr = as_expr(f)
-    classes, steps, cyc, final, _ = _classify_points(
+    classes, steps, cyc, final, _, _ = _classify_points(
         expr, np.array([z0], dtype=np.complex128), max_steps, float(R_esc)
     )
     cls = OrbitClass(int(classes[0]))
@@ -411,7 +546,7 @@ def classify_grid(f, window, resolution: int, budget: int, r_esc: float = _ESCAP
     rows = max(1, _TILE_PIXELS // resolution)
     tiles = ((r * resolution, (xs[None, :] + 1j * ys[r:r + rows, None]).reshape(-1))
              for r in range(0, resolution, rows))
-    classes, steps, cyc, _, registry = _classify_tiles(
+    classes, steps, cyc, _, registry, certified = _classify_tiles(
         expr, resolution * resolution, tiles, int(budget), float(r_esc), False)
     shape = (resolution, resolution)
     return ClassifiedGrid(
@@ -424,6 +559,7 @@ def classify_grid(f, window, resolution: int, budget: int, r_esc: float = _ESCAP
         steps.reshape(shape),
         cyc.reshape(shape),
         registry,
+        certified_pixels=certified,
     )
 
 

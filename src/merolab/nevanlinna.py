@@ -496,7 +496,7 @@ def _modulus_extrema(f: MeroExpr, r: float):
     log_modulus call, seven calls in all; for a function with real
     coefficients the centers lie in [0, pi], one per mirror pair.  Each
     side is the better of its scan and refined extrema, so the minimum
-    never falls behind the scan bound that _log_min_bound reports.
+    never falls behind the scan minimum.
     """
     (lo, lo_centers), (hi, hi_centers) = _modulus_scan(f, r)
     centers = np.concatenate([lo_centers, hi_centers])
@@ -512,16 +512,6 @@ def _modulus_extrema(f: MeroExpr, r: float):
     return lo, hi
 
 
-def _log_min_bound(f, r: float) -> float:
-    """Scan upper bound on log L(r, f), without refinement.
-
-    Never below log_min_modulus(f, r), and equal to it on the degenerate
-    circles; a search can skip refining any circle whose bound is already
-    beaten.
-    """
-    return _modulus_scan(as_expr(f), float(r))[0][0]
-
-
 @lru_cache(maxsize=65536)
 def _log_min_subset_bound(f: MeroExpr, r: float) -> float:
     """Upper bound on log L(r, f) from every 16th node of the _modulus_scan nodes.
@@ -529,10 +519,11 @@ def _log_min_subset_bound(f: MeroExpr, r: float) -> float:
     For a function with real coefficients these are nodes 0, 16, ..., 2048
     of the half circle (129 points, the last exactly -r), else every 16th
     of the 4096 (256 points).  Each sample is bit-identical to that node's
-    scan sample, so the bound is never below _log_min_bound, which is never
-    below log_min_modulus.  The scan's marker rule holds: a pole marker
-    gives -inf when the catalog confirms a pole modulus within 1e-9 of r,
-    and any other marker is dropped.  A criteria search prunes its ladder
+    scan sample, so the bound is never below the scan minimum
+    _modulus_scan(f, r)[0][0], which is never below log_min_modulus.  The
+    scan's marker rule holds: a pole marker gives -inf when the catalog
+    confirms a pole modulus within 1e-9 of r, and any other marker is
+    dropped.  A criteria search prunes its ladder
     with it at a sixteenth of the scan's kernel points.
     """
     if _conjugate_symmetric(f):

@@ -144,6 +144,20 @@ def test_render_drifting_map_escapes_everywhere(tmp_path):
     assert only["class"] == "escaping"
     assert only["pixels"] == 32 * 32
     assert only["touches_boundary"] is True
+    # every pixel starts in Re z > log(4/3) and escapes through it at step 1
+    assert report["absorbing_half_plane"] == {
+        "direction": [1.0, 0.0], "s": math.log(4.0 / 3.0), "certified_pixels": 32 * 32,
+    }
+
+
+def test_render_of_a_map_without_a_half_plane_has_no_certificate_key(tmp_path):
+    for name in ("zsq", "tanz"):
+        rc = main([
+            "render", "--corpus", name, "--res", "16", "--budget", "8",
+            "--out", str(tmp_path / name),
+        ])
+        assert rc == 0
+        assert "absorbing_half_plane" not in _read(tmp_path / name / "components.json")
 
 
 def test_render_reports_class_counts(tmp_path):

@@ -18,6 +18,7 @@ from merolab import (
     check_main,
     check_strong,
     corpus_function,
+    corpus_names,
     exceptional_set,
     log_density,
     log_max_modulus,
@@ -26,6 +27,7 @@ from merolab import (
     parse,
 )
 from merolab.criteria import _ladder_exponents, _search_log_L
+from merolab.dynamics import absorbing_half_plane
 from merolab.nevanlinna import InsufficientSpanError, golden_min
 
 _GRID = RadiusGrid(1.0, 1000.0)
@@ -100,6 +102,19 @@ def test_main_fatou_fails_past_forty(fatou):
     v = check_main(fatou, CriterionParams(0.5, 2.0, 4.0, grid=_GRID))
     assert not v.holds_on_grid
     assert 40.0 < v.first_failure["r"] < 43.0
+
+
+def test_no_corpus_map_with_an_absorbing_half_plane_passes_main():
+    # an absorbing half-plane lies in an unbounded Fatou component (a Baker
+    # domain), which the main growth condition rules out: every certified
+    # map must fail it
+    certified = [name for name in corpus_names()
+                 if absorbing_half_plane(corpus_function(name)) is not None]
+    assert certified == ["fatou"]
+    for name in certified:
+        v = check_main(corpus_function(name), CriterionParams(0.5, 2.0, 4.0, grid=_GRID))
+        assert v.condition == "main-growth"
+        assert not v.holds_on_grid
 
 
 def test_main_canprod_holds(canprod_main):

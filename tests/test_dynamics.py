@@ -4,6 +4,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from merolab import (
     OrbitClass,
@@ -17,7 +19,9 @@ from merolab import (
 )
 from merolab import dynamics
 from merolab.dynamics import _PALETTE, _POLE_COLOR, ClassifiedGrid, _component_stats
-from merolab.expr import POLE_FLAG, as_expr, poles, poles_in_disk
+from merolab.expr import (
+    POLE_FLAG, Add, Const, Func, MeroExpr, Mul, Var, as_expr, poles, poles_in_disk,
+)
 
 
 def _blank_grid(classes, cycle_ids, steps=None, budget=8):
@@ -234,11 +238,13 @@ def _floyd_classify(f, pts, budget, r_esc=1e6):
     """The Floyd tortoise-and-hare loop that Brent's test replaced, kept as
     the reference: per loop the hare takes two orbit steps and the tortoise
     one, and a coincidence within 1e-9 marks a cycle.  Returns the classes,
-    the steps in loop units for attracted orbits, and the cycle registry."""
+    the steps in loop units for attracted orbits, the cycle ids and the
+    cycle registry."""
     expr = as_expr(f)
     n = pts.size
     classes = np.zeros(n, dtype=np.uint8)
     steps = np.full(n, budget, dtype=np.int32)
+    cycle_ids = np.zeros(n, dtype=np.int32)
     live = np.arange(n)
     tort = hare = np.asarray(pts, dtype=np.complex128)
     hmod = np.abs(hare)
@@ -283,10 +289,32 @@ def _floyd_classify(f, pts, budget, r_esc=1e6):
         close = np.abs(hare - tort) <= 1e-9
         if close.any():
             ids, _ = dynamics._extract_cycles(expr, tort[close], registry)
+            cycle_ids[live[close]] = ids
             ok = ids > 0
             decide(close, np.where(ok, OrbitClass.ATTRACTED, OrbitClass.UNDECIDED),
                    np.where(ok, loop, budget))
-    return classes, steps, registry
+    return classes, steps, cycle_ids, registry
+
+
+def _half_plane_entry(f, pts, budget):
+    """The first orbit step, up to 2 budget, at which each orbit lands in the
+    absorbing half-plane of f, found by plain iteration; 2 budget + 1 when
+    it does not, or when f has no such half-plane.  An orbit whose image is
+    flagged stops there."""
+    entry = np.full(pts.size, 2 * budget + 1)
+    plane = dynamics.absorbing_half_plane(f)
+    if plane is None:
+        return entry
+    u, s = plane
+    expr = as_expr(f)
+    cur = pts
+    alive = np.ones(pts.size, dtype=bool)
+    for k in range(1, 2 * budget + 1):
+        w, fl = dynamics.evaluate_many(expr, cur)
+        alive &= fl == 0
+        cur = np.where(alive, w, 0j)
+        entry[alive & (entry > k) & (cur.real * u.real + cur.imag * u.imag > s)] = k
+    return entry
 
 
 @pytest.mark.parametrize("budget", [7, 37])
@@ -301,11 +329,28 @@ def _floyd_classify(f, pts, budget, r_esc=1e6):
 ])
 def test_grid_matches_floyd_reference(f, window, budget):
     grid = classify_grid(f, window, 24, budget)
-    ref_classes, ref_steps, ref_cycles = _floyd_classify(
-        f, grid.pixel_centers().reshape(-1), budget)
+    pts = grid.pixel_centers().reshape(-1)
+    ref_classes, ref_steps, ref_ids, ref_cycles = _floyd_classify(f, pts, budget)
     classes = grid.classes.reshape(-1)
     steps = grid.steps.reshape(-1)
-    # both loops walk the same orbit, so escapes and pole hits agree exactly
+    # a pixel the certificate touches is one still live when its orbit
+    # lands in the absorbing half-plane: it escapes there, no later than the
+    # reference escapes, and the reference finds no pole on it.  The only
+    # cycles the reference finds there are rounding fixed points far
+    # beyond r_esc, where z + 1 rounds to z and exp(-z) underflows
+    touched = _half_plane_entry(f, pts, budget) <= steps
+    ref_escape = np.where(ref_classes == OrbitClass.ESCAPING, ref_steps, 2 * budget)
+    assert (classes[touched] == OrbitClass.ESCAPING).all()
+    assert (steps[touched] <= ref_escape[touched]).all()
+    assert not (ref_classes[touched] == OrbitClass.POLE_HIT).any()
+    spurious = np.array([0j, *ref_cycles])[ref_ids[touched & (ref_classes == OrbitClass.ATTRACTED)]]
+    assert (np.abs(spurious) > 1e6).all()
+    assert np.array_equal(dynamics.evaluate_many(as_expr(f), spurious)[0], spurious)
+    # every other pixel: both loops walk the same orbit, so escapes and
+    # pole hits agree exactly
+    ref_cycles = [ref_cycles[i - 1] for i in np.unique(ref_ids[~touched]) if i]
+    classes, steps = classes[~touched], steps[~touched]
+    ref_classes, ref_steps = ref_classes[~touched], ref_steps[~touched]
     sure = np.isin(ref_classes, (OrbitClass.ESCAPING, OrbitClass.POLE_HIT))
     assert np.array_equal(np.isin(classes, (OrbitClass.ESCAPING, OrbitClass.POLE_HIT)), sure)
     assert np.array_equal(classes[sure], ref_classes[sure])
@@ -338,8 +383,10 @@ def test_grid_evaluates_once_per_orbit_step(monkeypatch):
     ("z^2 - 0.1226 + 0.7449*i", (0j, 1.5), 48, 64),
     ("z^2 - 1", (0j, 2.0), 48, 64),
     ("(z^2 + 1)/(2*z)", (0j, 2.0), 48, 64),
-    # spurious cycles far out, first detected at many different steps
     ("z + 1 + exp(-z)", (0j, 2.0), 64, 64),
+    # outside the absorbing half-plane family: spurious cycles far out,
+    # first detected at many different steps
+    ("z + 1 + exp(-z^2)", (0j, 2.0), 64, 64),
 ])
 def test_grid_tiles_number_cycles_as_one_batch(monkeypatch, f, window, res, budget):
     whole = classify_grid(f, window, res, budget)
@@ -379,6 +426,97 @@ def test_grid_validation(zsq):
         classify_grid(zsq, (0j, 2.0), 16, 0)
     with pytest.raises(ValueError):
         classify_grid(zsq, (0j, -1.0), 16, 16)
+
+
+# ---------------------------------------------------------------------------
+# absorbing half-planes
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("f, direction", [
+    ("z + 1 + exp(-z)", 1), ("z - 1 + exp(z)", -1), ("z + i + exp(i*z)", 1j),
+    ("exp(-z) + z + 1", 1), ("-(-z - 1 - exp(-z))", 1), ("fatou(z)", 1),
+])
+def test_half_plane_of_one_exp_term(f, direction):
+    # |a| = 1, d = 0 and beta = 1: e^(-s) = 3/4 at the smallest s
+    u, s = dynamics.absorbing_half_plane(f)
+    assert u == direction
+    assert s == pytest.approx(math.log(4.0 / 3.0), rel=1e-15)
+
+
+def test_half_plane_of_several_terms():
+    # each of the n terms is held to 3|c|/(4n): (Re d + log|a| + log(4n/3)
+    # - log|c|) / beta, the largest over the terms
+    u, s = dynamics.absorbing_half_plane("z + 2 - 3*exp(-2*z + 1)/2 + exp(-z - i)")
+    assert u == 1
+    assert s == pytest.approx((1.0 + math.log(1.5) + math.log(8.0 / 3.0) - math.log(2.0)) / 2.0)
+    # alpha = -(1 - i) points against conj(u) = (1 - i)/sqrt(2): beta = sqrt(2)
+    u, s = dynamics.absorbing_half_plane("z + (1 + i) + exp(-(1 - i)*z)")
+    assert u == pytest.approx((1 + 1j) / math.sqrt(2.0), rel=1e-15)
+    assert s == pytest.approx((math.log(4.0 / 3.0) - math.log(math.sqrt(2.0))) / math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("f", [
+    "z + 1 + exp(-z^2)",       # exponent not linear
+    "z + 1 + z*exp(-z)",       # factor not constant
+    "2*z + 1 + exp(-z)",       # z-coefficient not 1
+    "z + exp(-z)",             # c = 0
+    "z + 1 + exp(z)",          # beta = -1
+    "z + 1 + exp(i*z)",        # beta = -i, not real
+    "z + (1 + i) + exp(-z)",   # beta = (1 - i)/sqrt(2), not real
+    "z + 1",                   # no exponential term
+    "z + 1 + 0*exp(-z)",
+    "z + 1 + exp(-z)/0",
+    "z + 1 + exp(-z) + sin(z)",
+    "z + 1 + exp(-z) + z^2",
+    # non-finite constants leave no usable threshold
+    "z + 1e400 + exp(-z)", "z + 1 + 1e400*exp(-z)", "z + 1 + exp(-1e400*z)",
+    "z + 1 + exp(-z + (1e400 - 1e400))",
+    "exp(-z^2)", "z*exp(-z)", "z^2", "tan(z)", "1/z",
+])
+def test_half_plane_outside_the_family(f):
+    assert dynamics.absorbing_half_plane(f) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.integers(-8, 8), q=st.integers(1, 8), flip=st.booleans(), scale=st.integers(-2, 2),
+    terms=st.lists(st.tuples(st.integers(1, 16), st.integers(0, 4), st.floats(0.01, 10.0),
+                             st.floats(-4.0, 4.0), st.floats(-2.0, 2.0), st.floats(-4.0, 4.0)),
+                   min_size=1, max_size=3),
+    depth=st.floats(1e-6, 20.0), height=st.floats(-50.0, 50.0),
+)
+def test_half_plane_is_absorbing(p, q, flip, scale, terms, depth, height):
+    # c = (p + q i) 2^scale is off the real axis, and alpha = -m 2^-e (p - q i)
+    # is exactly anti-parallel to conj(c): beta = m 2^-e |p + q i| > 0
+    q = -q if flip else q
+    c = complex(p, q) * 2.0**scale
+    root = Add(Var(), Const(c))
+    for m, e, size, angle, dr, di in terms:
+        alpha = -m * 2.0**-e * complex(p, -q)
+        arg = Add(Mul(Const(alpha), Var()), Const(complex(dr, di)))
+        root = Add(root, Mul(Const(complex(size * np.exp(1j * angle))), Func("exp", arg)))
+    f = MeroExpr(root)
+    u, s = dynamics.absorbing_half_plane(f)
+    assert u == pytest.approx(c / abs(c), rel=1e-15)
+    # a point of H_s maps into H_{s + |c|/4}
+    z = u * complex(s + depth, height)
+    w, flag = dynamics.evaluate_many(f, np.array([z]))
+    assert flag[0] == 0
+    assert (w[0] * u.conjugate()).real > s + abs(c) / 4.0
+
+
+def test_fatou_grid_is_decided_and_cycle_free():
+    grid = classify_grid("z + 1 + exp(-z)", (0j, 2.0), 256, 256)
+    assert (grid.classes == OrbitClass.ESCAPING).all()
+    assert grid.cycles == ()
+    # the rest overflow: exp(-z) for Re z far below 0
+    assert grid.certified_pixels == 64972
+
+
+@pytest.mark.parametrize("f", ["z^2", "tan(z)", "z + 1 + exp(-z^2)"])
+def test_maps_outside_the_family_certify_nothing(f):
+    assert classify_grid(f, (0j, 2.0), 16, 16).certified_pixels == 0
 
 
 # ---------------------------------------------------------------------------
