@@ -7,6 +7,11 @@ relative by construction: they assert inequalities at the sampled radii,
 never limits.  "All sufficiently large r" is operationalized as all grid
 radii at or beyond the warm-up radius 10.
 
+Every verdict is built by _verdict from the check's steps.  The growth
+checks stop at the first failing step and keep the witnesses before it;
+deficiency-order and the four entire-function conditions keep every
+witness and record the first failing step.
+
 Witness records are replayable: feeding the stored (r, t) back through
 the circle functionals reproduces lhs and rhs to within 1e-9 of the
 stored margin.  Checks for distinct radii are independent; results are
@@ -162,19 +167,25 @@ def _tested_radii(grid: RadiusGrid | None) -> list[float]:
     return radii
 
 
-def _first_failure(condition: str, steps) -> CriterionVerdict:
-    """Collect witnesses from steps until the first one that fails.
+def _verdict(condition: str, steps, every: bool = False) -> CriterionVerdict:
+    """Build the verdict of a check from its steps.
 
-    steps yields (holds, witness, diagnostics) and is not resumed after
-    a failure; the failure is recorded at the witness radius r.
+    steps yields (holds, r, witness, diagnostics); witness is None for a
+    failing step that has none, and a failure is recorded at radius r.
+    By default the verdict keeps the witnesses before the first failing
+    step and steps is not resumed after it; with every set it keeps every
+    witness and records the first failing step.
     """
     witnesses = []
-    for holds, witness, diagnostics in steps:
-        if not holds:
-            failure = {"r": witness.r, "diagnostics": diagnostics}
-            return CriterionVerdict(condition, False, tuple(witnesses), failure)
-        witnesses.append(witness)
-    return CriterionVerdict(condition, True, tuple(witnesses), None)
+    failure = None
+    for holds, r, witness, diagnostics in steps:
+        if not holds and failure is None:
+            failure = {"r": r, "diagnostics": diagnostics}
+            if not every:
+                break
+        if witness is not None:
+            witnesses.append(witness)
+    return CriterionVerdict(condition, failure is None, tuple(witnesses), failure)
 
 
 def _ladder_exponents(d: float, closed: bool) -> list[float]:
@@ -265,10 +276,10 @@ def check_L_over_r(f, grid: RadiusGrid | None = None) -> CriterionVerdict:
         for k in range(1, n_dec):
             lhs = best[k]
             rhs = best[k - 1] + math.log(2.0)
-            yield (lhs > rhs, Witness(best_r[k], best_r[k - 1], lhs, rhs, lhs - rhs),
+            yield (lhs > rhs, best_r[k], Witness(best_r[k], best_r[k - 1], lhs, rhs, lhs - rhs),
                    "decade maximum of L(r)/r failed to double")
 
-    return _first_failure("L-over-r-growth", steps())
+    return _verdict("L-over-r-growth", steps())
 
 
 def check_main(f, params: CriterionParams) -> CriterionVerdict:
@@ -293,15 +304,15 @@ def check_main(f, params: CriterionParams) -> CriterionVerdict:
             base = characteristic(expr, r)
             t, lhs = _search_log_L(expr, r, params.d, closed=False)
             rhs = params.alpha * base
-            yield (lhs > rhs, Witness(r, t, lhs, rhs, lhs - rhs),
+            yield (lhs > rhs, r, Witness(r, t, lhs, rhs, lhs - rhs),
                    "no t in (r, r^d) lifts log L above alpha*T(r)")
             top = r**params.d
             grown = characteristic(expr, top)
             need = params.D * base
-            yield (grown >= need, Witness(r, top, grown, need, grown - need),
+            yield (grown >= need, r, Witness(r, top, grown, need, grown - need),
                    "characteristic at r^d fell below D*T(r)")
 
-    return _first_failure("main-growth", steps())
+    return _verdict("main-growth", steps())
 
 
 def check_L_versus_M(f, d: float, grid: RadiusGrid | None = None) -> CriterionVerdict:
@@ -322,10 +333,10 @@ def check_L_versus_M(f, d: float, grid: RadiusGrid | None = None) -> CriterionVe
             t, lhs = _search_log_L(expr, r, d, closed=True)
             rhs = d * log_max_modulus(expr, r)
             margin = lhs - rhs
-            yield (margin >= -_BOUNDARY_TOL, Witness(r, t, lhs, rhs, max(margin, 0.0)),
+            yield (margin >= -_BOUNDARY_TOL, r, Witness(r, t, lhs, rhs, max(margin, 0.0)),
                    "no t in [r, r^d] lifts log L to d*log M(r)")
 
-    return _first_failure("L-versus-M", steps())
+    return _verdict("L-versus-M", steps())
 
 
 def check_strong(f, d: float, D: float, grid: RadiusGrid | None = None) -> CriterionVerdict:
@@ -341,10 +352,10 @@ def check_strong(f, d: float, D: float, grid: RadiusGrid | None = None) -> Crite
         for r in radii:
             t, lhs = _search_log_L(expr, r, d, closed=True)
             rhs = D * characteristic(expr, r)
-            yield (lhs > rhs, Witness(r, t, lhs, rhs, lhs - rhs),
+            yield (lhs > rhs, r, Witness(r, t, lhs, rhs, lhs - rhs),
                    "no t in [r, r^d] lifts log L above D*T(r)")
 
-    return _first_failure("strong-characteristic", steps())
+    return _verdict("strong-characteristic", steps())
 
 
 def check_deficiency_order(f, profile: RadialProfile) -> CriterionVerdict:
@@ -364,13 +375,9 @@ def check_deficiency_order(f, profile: RadialProfile) -> CriterionVerdict:
         ("lower order clears the floor", gs.lower_order, _MU_FLOOR),
         ("deficiency beats the cosine gap", gs.deficiency, gap),
     )
-    witnesses = []
-    failure = None
-    for name, lhs, rhs in subtests:
-        witnesses.append(Witness(0.0, 0.0, lhs, rhs, lhs - rhs))
-        if lhs <= rhs and failure is None:
-            failure = {"r": 0.0, "diagnostics": name + " failed"}
-    return CriterionVerdict("deficiency-order", failure is None, tuple(witnesses), failure)
+    steps = ((not lhs <= rhs, 0.0, Witness(0.0, 0.0, lhs, rhs, lhs - rhs), name + " failed")
+             for name, lhs, rhs in subtests)
+    return _verdict("deficiency-order", steps, every=True)
 
 
 def _entire_window(profile: RadialProfile) -> list:
@@ -401,89 +408,63 @@ def check_entire_conditions(f, profile: RadialProfile) -> list[CriterionVerdict]
             "pole catalog holds %d entries inside radius %g; the entire-function"
             " conditions do not apply" % (len(catalog), top)
         )
-    verdicts = []
     window = _entire_window(profile)
+    samples = profile.samples
 
-    # (1) doubling-ratio stabilization
-    witnesses = []
-    failure = None
-    if any(s.log_M <= 0.0 for s in window):
-        failure = {"r": window[0].r, "diagnostics": "log M not positive on the trailing decade"}
-    else:
-        ratios = []
-        for s in window:
-            c = log_max_modulus(expr, 2.0 * s.r) / s.log_M
-            ratios.append(c)
-            witnesses.append(Witness(s.r, 2.0 * s.r, c, 1.0, c - 1.0))
+    def ratio_steps():
+        # (1) doubling-ratio stabilization
+        if any(s.log_M <= 0.0 for s in window):
+            yield False, window[0].r, None, "log M not positive on the trailing decade"
+            return
+        ratios = [log_max_modulus(expr, 2.0 * s.r) / s.log_M for s in window]
+        for s, c in zip(window, ratios):
+            yield True, s.r, Witness(s.r, 2.0 * s.r, c, 1.0, c - 1.0), ""
         c_min, c_max = min(ratios), max(ratios)
         if c_min < 1.0 - _BOUNDARY_TOL:
-            failure = {
-                "r": window[ratios.index(c_min)].r,
-                "diagnostics": "doubling ratio of log M fell below 1",
-            }
+            yield False, window[ratios.index(c_min)].r, None, "doubling ratio of log M fell below 1"
         elif c_max - c_min > _RATIO_SPREAD:
-            failure = {
-                "r": window[ratios.index(c_max)].r,
-                "diagnostics": "doubling ratio spread %.4f exceeds %.2f" % (c_max - c_min, _RATIO_SPREAD),
-            }
-    verdicts.append(CriterionVerdict("entire-M-ratio", failure is None, tuple(witnesses), failure))
+            yield (False, window[ratios.index(c_max)].r, None,
+                   "doubling ratio spread %.4f exceeds %.2f" % (c_max - c_min, _RATIO_SPREAD))
 
-    # (2) logarithmic derivative of log M against log r
-    witnesses = []
-    failure = None
-    samples = profile.samples
-    lo_r = window[0].r
-    interior = [
-        i
-        for i in range(1, len(samples) - 1)
-        if samples[i].r >= lo_r and samples[i].log_M > 0.0
-    ]
-    if not interior:
-        failure = {"r": top, "diagnostics": "no interior samples with positive log M"}
-    else:
+    def derivative_steps():
+        # (2) logarithmic derivative of log M against log r
+        interior = [i for i in range(1, len(samples) - 1)
+                    if samples[i].r >= window[0].r and samples[i].log_M > 0.0]
+        if not interior:
+            yield False, top, None, "no interior samples with positive log M"
         for i in interior:
             x = math.log(samples[i].r)
             dx = math.log(samples[i + 1].r) - math.log(samples[i - 1].r)
             dphi = samples[i + 1].log_M - samples[i - 1].log_M
             q = x * (dphi / dx) / samples[i].log_M
-            witnesses.append(Witness(samples[i].r, 0.0, q, 1.0, q - 1.0))
-            if q <= 1.0 + _BOUNDARY_TOL and failure is None:
-                failure = {
-                    "r": samples[i].r,
-                    "diagnostics": "logarithmic derivative dropped to 1 or below",
-                }
-    verdicts.append(CriterionVerdict("entire-log-derivative", failure is None, tuple(witnesses), failure))
+            yield (not q <= 1.0 + _BOUNDARY_TOL, samples[i].r, Witness(samples[i].r, 0.0, q, 1.0, q - 1.0),
+                   "logarithmic derivative dropped to 1 or below")
 
-    # (3) power doubling of log M
-    witnesses = []
-    failure = None
-    for m in (2, 4, 8):
-        r_hi = min(top, _POWER_CAP ** (1.0 / m))
-        bases = [s for s in profile.samples if 10.0 <= s.r <= r_hi and s.r >= r_hi / 10.0]
-        if len(bases) < 2:
-            if failure is None:
-                failure = {
-                    "r": top,
-                    "diagnostics": "fewer than two usable base radii for power %d" % m,
-                }
-            continue
-        for s in bases:
-            big = s.r**m
-            lhs = log_max_modulus(expr, big)
-            rhs = float(m * m) * s.log_M
-            witnesses.append(Witness(s.r, big, lhs, rhs, lhs - rhs))
-            if lhs < rhs - _BOUNDARY_TOL and failure is None:
-                failure = {"r": s.r, "diagnostics": "power test failed at m=%d" % m}
-    verdicts.append(CriterionVerdict("entire-power-doubling", failure is None, tuple(witnesses), failure))
+    def power_steps():
+        # (3) power doubling of log M
+        for m in (2, 4, 8):
+            r_hi = min(top, _POWER_CAP ** (1.0 / m))
+            bases = [s for s in samples if 10.0 <= s.r <= r_hi and s.r >= r_hi / 10.0]
+            if len(bases) < 2:
+                yield False, top, None, "fewer than two usable base radii for power %d" % m
+                continue
+            for s in bases:
+                big = s.r**m
+                lhs = log_max_modulus(expr, big)
+                rhs = float(m * m) * s.log_M
+                yield (not lhs < rhs - _BOUNDARY_TOL, s.r, Witness(s.r, big, lhs, rhs, lhs - rhs),
+                       "power test failed at m=%d" % m)
 
     # (4) positive lower order
-    gs = growth_summary(profile)
-    w = Witness(0.0, 0.0, gs.lower_order, _MU_FLOOR, gs.lower_order - _MU_FLOOR)
-    failure = None
-    if gs.lower_order <= _MU_FLOOR:
-        failure = {"r": 0.0, "diagnostics": "lower-order estimate at or below 0.05"}
-    verdicts.append(CriterionVerdict("entire-lower-order", failure is None, (w,), failure))
-    return verdicts
+    mu = growth_summary(profile).lower_order
+    lower = (not mu <= _MU_FLOOR, 0.0, Witness(0.0, 0.0, mu, _MU_FLOOR, mu - _MU_FLOOR),
+             "lower-order estimate at or below 0.05")
+    return [
+        _verdict("entire-M-ratio", ratio_steps(), every=True),
+        _verdict("entire-log-derivative", derivative_steps(), every=True),
+        _verdict("entire-power-doubling", power_steps(), every=True),
+        _verdict("entire-lower-order", [lower], every=True),
+    ]
 
 
 def check_growth_chain(f, profile: RadialProfile, m: int, eps: float) -> ChainReport:
@@ -507,23 +488,15 @@ def check_growth_chain(f, profile: RadialProfile, m: int, eps: float) -> ChainRe
     gs = growth_summary(profile)
     lam, mu = gs.order, gs.lower_order
     r = profile.samples[-1].r
-    if (mu - eps) * m <= lam + 2.0 * eps:
-        return ChainReport(
-            False,
-            False,
-            r,
-            (),
-            "precondition (lower order - eps) * m > order + 2*eps fails for the estimates",
-        )
     lx = math.log(r)
-    if (mu - eps) * m * lx > 690.0 or m * lx > 690.0:
-        return ChainReport(
-            False,
-            False,
-            r,
-            (),
-            "power r^m overflows the double range at the top radius",
-        )
+    if (mu - eps) * m <= lam + 2.0 * eps:
+        note = "precondition (lower order - eps) * m > order + 2*eps fails for the estimates"
+    elif (mu - eps) * m * lx > 690.0 or m * lx > 690.0:
+        note = "power r^m overflows the double range at the top radius"
+    else:
+        note = ""
+    if note:
+        return ChainReport(False, False, r, (), note)
     mid = math.exp((mu - eps) * m * lx)
     low = math.exp((lam + 2.0 * eps) * lx)
     top = log_max_modulus(expr, r**m)

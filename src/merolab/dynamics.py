@@ -107,9 +107,10 @@ class OrbitResult:
 
     final holds the last orbit value for escaping and undecided orbits,
     the cycle representative for attracted ones, and the point that
-    mapped onto the pole for pole hits.  steps is the orbit step s at
-    which escape or a cycle was detected (x_s the s-th iterate), and the
-    budget for undecided orbits.  cycle_id is 0 unless attracted.
+    mapped onto the pole for pole hits.  steps counts orbit steps: the
+    step s at which escape, a cycle or a coincidence without a cycle was
+    detected (x_s the s-th iterate), or 2·budget when the budget ran out
+    undecided.  cycle_id is 0 unless attracted.
     pole_step is derived from steps: the index of the orbit point that
     landed on a pole, which is steps for pole hits, and -1 otherwise.
     """
@@ -395,8 +396,7 @@ def _classify_tile(expr, pts, budget, r_esc, meromorphic, plane, classes, steps,
             # cur is this step's image, a new array, so no saved point
             # changes
             cur[close] = reps
-            decide(close, np.where(ok, OrbitClass.ATTRACTED, OrbitClass.UNDECIDED),
-                   np.where(ok, s, budget))
+            decide(close, np.where(ok, OrbitClass.ATTRACTED, OrbitClass.UNDECIDED), s)
         if s & (s - 1) == 0:
             saved = cur
 
@@ -427,7 +427,7 @@ def _classify_tiles(expr, n, tiles, budget, r_esc, with_final):
     if not r_esc >= 10.0:
         raise ValueError("escape radius must be at least 10")
     classes = np.zeros(n, dtype=np.uint8)
-    steps = np.full(n, budget, dtype=np.int32)
+    steps = np.full(n, 2 * budget, dtype=np.int32)
     cyc = np.zeros(n, dtype=np.int32)
     final = np.empty(n, dtype=np.complex128) if with_final else None
     meromorphic = _has_poles(expr)
@@ -484,8 +484,9 @@ def iterate_orbit(f, z0: complex, max_steps: int = 1000, R_esc: float = _ESCAPE_
     escapes at the first orbit step that lands in H_s, since from there
     every step moves at least |c|/4 further along u.  Cycles are
     detected by Brent's power-of-two test with tolerance 1e-9;
-    2·max_steps orbit steps without a verdict yield undecided.  Failures never raise, they absorb
-    into undecided.
+    2·max_steps orbit steps without a verdict yield undecided, with steps
+    == 2·max_steps, since steps always counts orbit steps.  Failures never
+    raise, they absorb into undecided.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
@@ -521,8 +522,10 @@ def classify_grid(f, window, resolution: int, budget: int, r_esc: float = _ESCAP
     """Classify every pixel-center orbit in a square window.
 
     window is (center, half_width); row 0 is the top of the window and
-    pixels are sampled at their centers; orbits take 2·budget steps.  The
-    output is a pure function of (f, window, resolution, budget, r_esc).
+    pixels are sampled at their centers; orbits take up to 2·budget orbit
+    steps, and steps counts orbit steps (2·budget for an orbit the budget
+    leaves undecided).  The output is a pure function of (f, window,
+    resolution, budget, r_esc).
 
     Orbits run in tiles, bands of max(1, 2^16 // resolution) whole rows
     whose pixel centers are built as each band starts, so loop state is

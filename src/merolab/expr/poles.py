@@ -6,7 +6,7 @@ polynomial times level sets g(a z + b) - c of g in exp, sin, cos, tan,
 or from a tan node with an affine argument.  Polynomial roots come from
 companion-matrix eigenvalues polished by Newton steps; level-set zeros
 and tan poles come from closed-form lattices in w = a z + b (see
-_level_set), and exp of a polynomial has no zeros.  A lattice walks only
+_level_set), and exp of an entire tree has no zeros.  A lattice walks only
 the indices whose points can lie in the disk and refuses more than 2^21
 of them.  The tree walk holds each pole set as two arrays (locations,
 multiplicities), finds the poles two sets share by one query on sorted
@@ -388,11 +388,24 @@ class _Coset(NamedTuple):
     mult: int
 
 
+def _entire(node: Node) -> bool:
+    """Whether node is entire by construction: it divides only by nonzero
+    constants and holds no negative power and no tan."""
+    if isinstance(node, Div):
+        den = node.denominator_poly
+        if den is None or len(den) != 1 or den[0] == 0:
+            return False
+    if (isinstance(node, Pow) and node.exponent < 0) or (isinstance(node, Func) and node.name == "tan"):
+        return False
+    return all(_entire(child) for child in vars(node).values() if isinstance(child, Node))
+
+
 def _level_set(node: Node):
     """Zero cosets and pole cosets of node when it is a level set
     g(a z + b) - c up to sign, with g one of exp, sin, cos, tan and a != 0:
     g(w) - c, c - g(w), g(w) + c, c + g(w), a bare g(w) (c = 0) or Neg of
-    any of these, or exp(p(z)) of any polynomial p (no zeros); else None.
+    any of these, or exp(h(z)) of any tree h that is entire by
+    construction (no zeros, see _entire); else None.
 
     In w = a z + b, exp(w) = c at Log c + 2 pi i k (none for c = 0);
     sin(w) = c at arcsin c + 2 pi k and pi - arcsin c + 2 pi k, cos(w) = c
@@ -414,7 +427,7 @@ def _level_set(node: Node):
     if not isinstance(node, Func):
         return None
     coeffs = polynomial_coefficients(node.argument)
-    if node.name == "exp" and c == 0 and coeffs is not None:
+    if node.name == "exp" and c == 0 and _entire(node.argument):
         return [], []
     if coeffs is None or len(coeffs) != 2 or coeffs[1] == 0:
         return None

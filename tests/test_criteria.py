@@ -323,6 +323,9 @@ def test_deficiency_order_exp_fails(expz, exp_profile):
     v = check_deficiency_order(expz, exp_profile)
     assert not v.holds_on_grid
     assert len(v.witnesses) == 3  # witnesses recorded even on failure
+    # order 1 fails first; the deficiency subtest after it fails too
+    assert v.first_failure == {"r": 0.0, "diagnostics": "order stays below one half failed"}
+    assert [w.lhs > w.rhs for w in v.witnesses] == [False, True, False]
 
 
 def test_deficiency_order_tan_fails(tanz, tan_profile):
@@ -369,10 +372,34 @@ def test_entire_conditions_monomial_fails(zsq):
     # the lower-order slope for a polynomial decays like 1/log(r), so the
     # grid has to reach ~1e9 before the estimate drops under the floor
     profile = build_profile(zsq, RadiusGrid(1.0, 1.0e12))
-    verdicts = {v.condition: v for v in check_entire_conditions(zsq, profile)}
-    assert not verdicts["entire-log-derivative"].holds_on_grid
-    assert not verdicts["entire-power-doubling"].holds_on_grid
-    assert not verdicts["entire-lower-order"].holds_on_grid
+    verdicts = {v.condition: v.as_dict() for v in check_entire_conditions(zsq, profile)}
+    # each failing verdict keeps every witness, and its first failure sits
+    # on a grid radius 2^(k/8)
+    for name, count, k, diagnostics in (
+        ("entire-log-derivative", 26, 293, "logarithmic derivative dropped to 1 or below"),
+        ("entire-power-doubling", 79, 213, "power test failed at m=2"),
+    ):
+        v = verdicts[name]
+        assert not v["holds_on_grid"]
+        assert len(v["witnesses"]) == count
+        assert v["first_failure"]["r"] == pytest.approx(2.0 ** (k / 8), rel=1e-12)
+        assert v["first_failure"]["diagnostics"] == diagnostics
+    lower = verdicts["entire-lower-order"]
+    assert not lower["holds_on_grid"] and len(lower["witnesses"]) == 1
+    assert lower["first_failure"] == {"r": 0.0, "diagnostics": "lower-order estimate at or below 0.05"}
+
+
+def test_power_doubling_without_bases_keeps_the_other_powers(expz):
+    # the ratio-4 grid holds two base radii in [top/10, top] for m = 2 and
+    # 4, but only 64 in [1e18^(1/8)/10, 1e18^(1/8)] for m = 8
+    profile = build_profile(expz, RadiusGrid(2.0**-18, 2.0**14, 4.0))
+    v = check_entire_conditions(expz, profile)[2]
+    assert v.condition == "entire-power-doubling" and not v.holds_on_grid
+    assert v.first_failure == {"r": 16384.0, "diagnostics": "fewer than two usable base radii for power 8"}
+    assert [(w.r, w.t) for w in v.witnesses] == [
+        (4096.0, 2.0**24), (16384.0, 2.0**28), (4096.0, 2.0**48), (16384.0, 2.0**56)
+    ]
+    assert all(w.margin > 0.0 for w in v.witnesses)
 
 
 def test_entire_conditions_reject_poles(tanz, tan_profile):
@@ -403,7 +430,16 @@ def test_growth_chain_polynomial_inapplicable(zsq):
     rep = check_growth_chain(zsq, profile, 2, 0.1)
     assert not rep.applicable
     assert not bool(rep)
-    assert "precondition" in rep.note
+    assert rep.note == "precondition (lower order - eps) * m > order + 2*eps fails for the estimates"
+    assert rep.links == () and rep.r == profile.samples[-1].r
+
+
+def test_growth_chain_overflow_inapplicable(expz, exp_profile):
+    # the precondition holds, but r^160 at r = 107.6 passes e^690
+    rep = check_growth_chain(expz, exp_profile, 160, 0.1)
+    assert not rep.applicable and not rep.holds
+    assert rep.note == "power r^m overflows the double range at the top radius"
+    assert rep.links == () and rep.r == exp_profile.samples[-1].r
 
 
 def test_growth_chain_canprod_deep(canprod4, canprod_deep_profile):

@@ -69,7 +69,7 @@ def test_orbit_pole_hit(tanz):
 def test_orbit_budget_exhaustion_is_undecided(zsq):
     res = iterate_orbit(zsq, 0.999, max_steps=3)
     assert res.orbit_class is OrbitClass.UNDECIDED
-    assert res.steps == 3
+    assert res.steps == 6
     # a budget of 3 allows 6 orbit steps, and final is the last of them
     assert res.final == pytest.approx(0.999**64, rel=1e-12)
 
@@ -376,6 +376,8 @@ def test_grid_evaluates_once_per_orbit_step(monkeypatch):
     # no orbit is decided, so all 16^2 take the full 2 * 8 orbit steps
     assert (grid.classes == OrbitClass.UNDECIDED).all()
     assert sum(points) == 16 * 16 * 16
+    # and each reports those steps in the same unit as a decided orbit
+    assert (grid.steps == 16).all()
 
 
 @pytest.mark.parametrize("f, window, res, budget", [

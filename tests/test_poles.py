@@ -365,9 +365,17 @@ def test_essential_singularities_are_refused(src, radius):
         poles_in_disk(parse(src), radius)
 
 
-def test_pole_free_numeric_argument_stays_on_the_numeric_route():
+def test_pole_free_entire_exp_argument_is_exact():
+    # exp(z) is entire by construction, so exp(exp(z)) has no zeros
     cat = poles_in_disk(parse("exp(1/exp(exp(z)))"), 2.0)
-    assert cat.exact is False and cat.entries == ()
+    assert cat.exact is True and cat.entries == ()
+
+
+@pytest.mark.parametrize("src", ["1/exp(tan(z))", "1/exp(1/z)", "1/exp(z^-1)"])
+def test_exp_of_a_tree_with_poles_is_no_level_set(src):
+    # exp(tan(z)) and exp(1/z) have no zeros either, but their arguments'
+    # poles are essential singularities, so they keep the numeric route
+    assert poles._level_set(parse(src).root.denominator) is None
 
 
 def test_pole_free_polynomial_exp_argument_is_exact():
