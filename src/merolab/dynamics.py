@@ -10,13 +10,15 @@ starts: loop state is sized to a tile, and a grid keeps 9 bytes per
 pixel (class, step count, cycle id).  Cycle ids are numbered as one
 batch of all orbits would number them, by orbit step and then index of
 each cycle's first detection, so the tiling never shows in the output.
-Escape is decided by growth beyond r_esc or, for maps of the form
-f = z + c + h(z) with c != 0 and h a finite sum of a_k exp(alpha_k z + d_k)
-that decays along u = c/|c| (alpha_k = -beta_k conj(u), beta_k > 0), by an
-absorbing half-plane H_s = {Re(conj(u) z) > s}: s is chosen so that
-|h| <= 3|c|/4 on H_s, so Re(conj(u) f(z)) >= Re(conj(u) z) + |c|/4 there, H_s
-is forward-invariant and every orbit that enters it tends to infinity.  An
-orbit is escaping at the first step that lands in H_s.
+Escape is decided by growth beyond r_esc, by a cycle-test coincidence
+beyond r_esc (rounding such as z + 1 == z far out, not a cycle) or, for
+maps of the form f = z + c + h(z) with c != 0 and h a finite sum of
+a_k exp(alpha_k z + d_k) that decays along u = c/|c|
+(alpha_k = -beta_k conj(u), beta_k > 0), by an absorbing half-plane
+H_s = {Re(conj(u) z) > s}: s is chosen so that |h| <= 3|c|/4 on H_s, so
+Re(conj(u) f(z)) >= Re(conj(u) z) + |c|/4 there, H_s is forward-invariant
+and every orbit that enters it tends to infinity.  An orbit is escaping at
+the first step that lands in H_s.
 Components of the stable set are approximated by 4-connected patches of
 decided pixels of the same class: the connected components of the graph
 whose edges join 4-neighbours of equal class key.  Undecided and
@@ -366,8 +368,11 @@ def _classify_tile(expr, pts, budget, r_esc, meromorphic, plane, classes, steps,
     for s in range(1, 2 * budget + 1):
         if live.size == 0:
             break
-        w, fl = evaluate_many(expr, cur)
-        m = np.abs(w)
+        w, fl = step = evaluate_many(expr, cur)
+        m = step.modulus
+        # decide filters w, m and fl; the pair would keep this step's
+        # unfiltered arrays alive through the next evaluation
+        del step
         if meromorphic:
             pole = (fl == POLE_FLAG) | (m >= _POLE_LANDING)
             w, m, fl = decide(pole, OrbitClass.POLE_HIT, s - 1, w, m, fl)
@@ -385,6 +390,10 @@ def _classify_tile(expr, pts, budget, r_esc, meromorphic, plane, classes, steps,
             certified += int(np.count_nonzero(inside))
             decide(inside, OrbitClass.ESCAPING, s)
         close = np.abs(cur - saved) <= _CYCLE_TOL
+        if close.any():
+            # beyond r_esc a coincidence is rounding, such as z + 1 == z,
+            # not a cycle: the orbit escapes at this step
+            (close,) = decide(close & (cmod > r_esc), OrbitClass.ESCAPING, s, close)
         if close.any():
             known = len(registry)
             ids, reps = _extract_cycles(expr, cur[close], registry)
@@ -483,7 +492,8 @@ def iterate_orbit(f, z0: complex, max_steps: int = 1000, R_esc: float = _ESCAPE_
     H_s (see absorbing_half_plane; z + 1 + exp(-z) has Re z > log(4/3))
     escapes at the first orbit step that lands in H_s, since from there
     every step moves at least |c|/4 further along u.  Cycles are
-    detected by Brent's power-of-two test with tolerance 1e-9;
+    detected by Brent's power-of-two test with tolerance 1e-9; a
+    coincidence beyond R_esc is rounding, not a cycle, and escapes there;
     2·max_steps orbit steps without a verdict yield undecided, with steps
     == 2·max_steps, since steps always counts orbit steps.  Failures never
     raise, they absorb into undecided.

@@ -9,7 +9,13 @@ Two evaluation paths are provided:
   value, z is never copied (only the root copies, so the result never
   aliases the input), and tan's pole test takes cos only at the points
   where |tan| > 1e11, since |sin|^2 + |cos|^2 >= 1 makes every point
-  with |cos| < 1e-12 one of them.
+  with |cos| < 1e-12 one of them.  tan itself comes from Kahan's
+  real-arithmetic formula (one real tan and one sinh per point, see
+  _tan), whose normwise relative error stays within 4 eps: 2.8 eps at
+  most against 40-digit mpmath on tanz orbits, points 1e-8 from a pole,
+  |Im z| up to 700, |Re z| up to 1e5 and |z| < 1e-6.  The overflow test
+  takes each value's modulus once, and evaluate_many's pair carries it
+  to the orbit loop, which need not take it again.
 
 * a log-polar path (``log_modulus``) carrying each intermediate value as
   (log modulus, unit phase).  Sums rescale by the larger operand before
@@ -100,6 +106,55 @@ def _poly_derivative(coeffs):
     return tuple(k * c for k, c in enumerate(coeffs))[1:] or (0j,)
 
 
+def _tan(w: np.ndarray) -> np.ndarray:
+    """tan of a one-dimensional array by Kahan's real-arithmetic formula.
+
+    With t = tan x, s = sinh y and b = 1 + t^2 (= 1 / cos^2 x),
+    tan(x + iy) = (t + i b s sqrt(1 + s^2)) / (1 + b s^2) (Kahan, *Branch
+    cuts for complex elementary functions*, 1987): two real transcendental
+    calls and no cancellation.  For |y| >= 22, where 1 + s^2 rounds to s^2
+    and s^2 overflows from |y| of about 355 on, tan is
+    4 sin x cos x e^{-2|y|} + i sign y to within an ulp.  An
+    infinite y gives 0 + i sign y whatever x is (C99 Annex G); any other
+    non-finite input gives NaN.  The real arithmetic runs on contiguous
+    copies of the parts: on the strided parts of a complex array numpy's
+    real tan and sinh run 1.7 to 2.6 times slower, which costs far more
+    than the copies.  The copies and the two scratch rows share one
+    allocation, which the heap keeps from one orbit step to the next;
+    four separate arrays are trimmed and faulted in again at every step
+    (5,100 minor faults in a 128^2 tanz render against 570).
+    """
+    x, y, beta, ss = np.empty((4,) + w.shape)
+    x[...] = w.real
+    y[...] = w.imag
+    np.abs(y, out=beta)
+    far = np.flatnonzero(beta >= 22.0)
+    t = np.tan(x, out=x)
+    s = np.sinh(y, out=y)
+    np.multiply(t, t, out=beta)
+    beta += 1.0
+    np.multiply(s, s, out=ss)
+    s *= beta
+    beta *= ss
+    beta += 1.0  # the denominator 1 + b s^2
+    ss += 1.0
+    np.sqrt(ss, out=ss)  # cosh y
+    s *= ss
+    s /= beta
+    t /= beta
+    if far.size:
+        xf, yf = w.real[far], w.imag[far]
+        e = np.exp(-np.abs(yf))
+        re = 4.0 * np.sin(xf) * np.cos(xf) * e * e
+        re[np.isinf(yf)] = 0.0
+        t[far] = re
+        s[far] = np.copysign(1.0, yf)
+    out = np.empty(w.shape, dtype=np.complex128)
+    out.real = t
+    out.imag = s
+    return out
+
+
 def _values(node: Node, z: np.ndarray) -> np.ndarray:
     # z is one-dimensional.  A constant stays a one-element array, which
     # broadcasts like a scalar but keeps constant subtrees on numpy's array
@@ -152,7 +207,7 @@ def _values(node: Node, z: np.ndarray) -> np.ndarray:
         # of the same size there; report the pole marker.  |sin|^2 + |cos|^2
         # >= 1 off the real axis too, so |cos| < 1e-12 forces |tan| > 1e11:
         # cos is needed only at the suspects, where |tan| is that large or NaN
-        out = np.tan(arg)
+        out = _tan(arg)
         suspects = np.flatnonzero(~(np.abs(out) <= _TAN_SUSPECT))
         if suspects.size:
             out[suspects[np.abs(np.cos(arg[suspects])) < _POLE_TOL]] = np.nan
@@ -164,12 +219,25 @@ def _values(node: Node, z: np.ndarray) -> np.ndarray:
     raise TypeError(f"unknown node type {type(node)!r}")
 
 
+class _Evaluation(tuple):
+    """evaluate_many's (values, flags) pair.  Its modulus attribute holds
+    |values| as the overflow test took it, so an orbit step reads it
+    instead of taking it again."""
+
+    def __new__(cls, values, flags, modulus):
+        out = super().__new__(cls, (values, flags))
+        out.modulus = modulus
+        return out
+
+
 def evaluate_many(f, z: np.ndarray):
     """Evaluate f on an array of points.
 
     Returns (values, flags) of z's shape, where flags is 0 for a regular
     value, 1 for a pole marker and 2 for an overflow marker
     (|value| > 1e300).  The values are a new array, never a view of z.
+    The pair also carries |values|, of z's shape, as its modulus
+    attribute.
     """
     root = as_expr(f).root
     z = np.asarray(z, dtype=np.complex128)
@@ -179,11 +247,14 @@ def evaluate_many(f, z: np.ndarray):
         if vals.shape != flat.shape or np.may_share_memory(vals, flat):
             # a constant function, or the identity
             vals = np.broadcast_to(vals, flat.shape).copy()
-        # NaN in either part marks a pole; an infinite or NaN modulus
-        # fails the test as well, and a pole overrides it
-        flags = np.where(np.abs(vals) <= HUGE, np.uint8(OK_FLAG), np.uint8(OVERFLOW_FLAG))
-    flags[np.isnan(vals)] = POLE_FLAG
-    return vals.reshape(z.shape), flags.reshape(z.shape)
+        mod = np.abs(vals)
+    # NaN in either part marks a pole, and makes the modulus NaN or
+    # infinite: only the points that fail the overflow test can be poles
+    flags = np.zeros(flat.shape, dtype=np.uint8)
+    bad = np.flatnonzero(~(mod <= HUGE))
+    if bad.size:
+        flags[bad] = np.where(np.isnan(vals[bad]), np.uint8(POLE_FLAG), np.uint8(OVERFLOW_FLAG))
+    return _Evaluation(vals.reshape(z.shape), flags.reshape(z.shape), mod.reshape(z.shape))
 
 
 def evaluate(f, z: complex):

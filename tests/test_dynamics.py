@@ -521,6 +521,17 @@ def test_maps_outside_the_family_certify_nothing(f):
     assert classify_grid(f, (0j, 2.0), 16, 16).certified_pixels == 0
 
 
+def test_rounding_fixed_points_escape():
+    # far out z + 1 rounds to z and exp(-z^2) underflows, so f(c) == c in
+    # floats; the 564 pixels whose orbits reach such a point escape at the
+    # coincidence step instead of reading as attracted to it
+    grid = classify_grid("z + 1 + exp(-z^2)", (0j, 2.0), 64, 64)
+    assert grid.cycles == ()
+    assert not grid.cycle_ids.any()
+    assert (grid.classes == OrbitClass.ESCAPING).sum() == 2908
+    assert (grid.classes == OrbitClass.UNDECIDED).sum() == 1188
+
+
 # ---------------------------------------------------------------------------
 # component labeling
 # ---------------------------------------------------------------------------
