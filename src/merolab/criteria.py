@@ -38,6 +38,7 @@ from .nevanlinna import (
     log_min_modulus,
     poles_in_disk,
     _log_min_subset_bound,
+    _modulus_extrema,
 )
 
 _DEFAULT_GRID = RadiusGrid(1.0, 1000.0)
@@ -266,9 +267,10 @@ def check_L_over_r(f, grid: RadiusGrid | None = None) -> CriterionVerdict:
         )
     best = [-math.inf] * n_dec
     best_r = [0.0] * n_dec
-    for r in radii:
+    # log L on every grid circle, the circles in lockstep
+    for r, (log_L, _) in zip(radii, _modulus_extrema(expr, radii)):
         k = min(int(math.log10(r / radii[0]) + 1e-12), n_dec - 1)
-        v = log_min_modulus(expr, r) - math.log(r)
+        v = log_L - math.log(r)
         if v > best[k]:
             best[k], best_r[k] = v, r
 
@@ -397,6 +399,9 @@ def check_entire_conditions(f, profile: RadialProfile) -> list[CriterionVerdict]
         log M(r^m) from the full circle scan of log_max_modulus.
     (4) the lower-order estimate exceeds 0.05.
 
+    The circles 2r of (1) and r^m of (3) each go through the circle
+    refinement in lockstep, as the profile's circles do.
+
     Raises NotEntireError when the pole catalog inside the profile's top
     radius is nonempty.
     """
@@ -416,7 +421,8 @@ def check_entire_conditions(f, profile: RadialProfile) -> list[CriterionVerdict]
         if any(s.log_M <= 0.0 for s in window):
             yield False, window[0].r, None, "log M not positive on the trailing decade"
             return
-        ratios = [log_max_modulus(expr, 2.0 * s.r) / s.log_M for s in window]
+        doubled = _modulus_extrema(expr, [2.0 * s.r for s in window])
+        ratios = [log_M / s.log_M for s, (_, log_M) in zip(window, doubled)]
         for s, c in zip(window, ratios):
             yield True, s.r, Witness(s.r, 2.0 * s.r, c, 1.0, c - 1.0), ""
         c_min, c_max = min(ratios), max(ratios)
@@ -441,16 +447,20 @@ def check_entire_conditions(f, profile: RadialProfile) -> list[CriterionVerdict]
                    "logarithmic derivative dropped to 1 or below")
 
     def power_steps():
-        # (3) power doubling of log M
+        # (3) power doubling of log M, the circles r^m of every power in lockstep
+        powers = {}
         for m in (2, 4, 8):
             r_hi = min(top, _POWER_CAP ** (1.0 / m))
-            bases = [s for s in samples if 10.0 <= s.r <= r_hi and s.r >= r_hi / 10.0]
+            powers[m] = [s for s in samples if 10.0 <= s.r <= r_hi and s.r >= r_hi / 10.0]
+        circles = [s.r**m for m, bases in powers.items() if len(bases) >= 2 for s in bases]
+        log_M = {r: hi for r, (_, hi) in zip(circles, _modulus_extrema(expr, circles))}
+        for m, bases in powers.items():
             if len(bases) < 2:
                 yield False, top, None, "fewer than two usable base radii for power %d" % m
                 continue
             for s in bases:
                 big = s.r**m
-                lhs = log_max_modulus(expr, big)
+                lhs = log_M[big]
                 rhs = float(m * m) * s.log_M
                 yield (not lhs < rhs - _BOUNDARY_TOL, s.r, Witness(s.r, big, lhs, rhs, lhs - rhs),
                        "power test failed at m=%d" % m)

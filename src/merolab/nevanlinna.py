@@ -14,8 +14,10 @@ m uses the standard 1/(2pi) circle-average normalization.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import accumulate
 
 import numpy as np
 
@@ -44,8 +46,8 @@ _POLE_RADIUS_TOL = 1e-9     # a circle this close to a pole modulus is perturbed
 _QUAD_PANELS = 64
 _QUAD_TOL = 1e-10
 _QUAD_CAP = 2**20
-_QUAD_CHUNK = 2**17
 _SCAN_NODES = 4096
+_CALL_POINTS = _SCAN_NODES // 2 + 1  # at most a half-circle scan's points per lockstep call
 _SCAN_THETA = 2.0 * math.pi * np.arange(_SCAN_NODES) / _SCAN_NODES
 _SCAN_THETA.flags.writeable = False
 _BOUND_STRIDE = 16  # a ladder circle's pruning bound reads every 16th scan node
@@ -190,6 +192,53 @@ class GrowthSummary:
 
 
 # ---------------------------------------------------------------------------
+# per-circle caches of the lockstep routines
+# ---------------------------------------------------------------------------
+
+
+class _CircleCache:
+    """A cache by circle (f, r) around a lockstep routine fun(f, radii).
+
+    fun returns one value per radius.  A call looks every radius up, hands
+    the missing ones (each once, in order of first appearance) to one call
+    of fun, and returns every radius's value in order.  Past maxsize the
+    oldest circles go.  As with lru_cache, __wrapped__ is fun, uncached;
+    hits and misses count circles.
+    """
+
+    def __init__(self, fun, maxsize: int):
+        self.__wrapped__ = fun
+        self.__doc__ = fun.__doc__
+        self.maxsize = maxsize
+        self.values = OrderedDict()
+        self.hits = self.misses = 0
+
+    def one(self, f, r):
+        """The value at the one circle (f, r): a lookup on a hit, else fun(f, [r])."""
+        v = self.values.get((f, r))
+        if v is None:
+            return self(f, [r])[0]
+        self.hits += 1
+        return v
+
+    def __call__(self, f, radii):
+        values = self.values
+        got = [values.get((f, r)) for r in radii]
+        if None not in got:
+            self.hits += len(got)
+            return got
+        missing = list(dict.fromkeys(r for r, v in zip(radii, got) if v is None))
+        fresh = dict(zip(missing, self.__wrapped__(f, missing)))
+        self.hits += len(got) - len(missing)
+        self.misses += len(missing)
+        for r, v in fresh.items():
+            values[f, r] = v
+        while len(values) > self.maxsize:
+            values.popitem(last=False)
+        return [fresh[r] if v is None else v for r, v in zip(radii, got)]
+
+
+# ---------------------------------------------------------------------------
 # conjugate symmetry
 # ---------------------------------------------------------------------------
 
@@ -246,64 +295,117 @@ def _gauss_legendre():
     return np.polynomial.legendre.leggauss(15)
 
 
-def _panel_rule(f, r: float, left: np.ndarray, width: float):
+def _in_calls(fun, rows: int, per_row: int):
+    """The (rows, per_row) values of fun(s) over consecutive row slices s of
+    at most _CALL_POINTS points (one row at least).
+
+    The lockstep routines evaluate the rows of every circle of a level this
+    way: each kernel call is about the size of a scan call, each slice's
+    angles and radii are built only when its call is made, and the values
+    go straight into one array.
+    """
+    step = max(1, _CALL_POINTS // per_row)
+    if rows <= step:
+        return fun(slice(0, rows))
+    out = np.empty((rows, per_row))
+    for i in range(0, rows, step):
+        out[i:i + step] = fun(slice(i, i + step))
+    return out
+
+
+def _panel_level(f, r: np.ndarray, left: np.ndarray, width: float, sizes: list):
     """log+ |f| at the 15 Gauss-Legendre nodes of each panel [left, left + width]
-    (one row per panel), and each panel's share of m(r)."""
+    on the circle of radius r (one row per panel), and each panel's share of m.
+
+    The panels come circle by circle, sizes[k] rows for the k-th circle.  The
+    shares are summed circle by circle: BLAS rounds a row's sum differently
+    with its position in a block, and each circle's block is the one it has
+    alone.
+    """
     x, w = _gauss_legendre()
-    theta = (left[:, None] + 0.5 * width * (1.0 + x)).ravel()
-    g = np.concatenate([
-        _logplus(f, r * np.exp(1j * theta[i:i + _QUAD_CHUNK]))
-        for i in range(0, theta.size, _QUAD_CHUNK)
-    ]).reshape(-1, x.size)
-    return g, g @ w * (width / (4.0 * math.pi))
+    offsets = 0.5 * width * (1.0 + x)
+    g = _in_calls(lambda s: _logplus(f, r[s, None] * np.exp(1j * (left[s, None] + offsets))),
+                  left.size, x.size)
+    scale = width / (4.0 * math.pi)
+    share = np.concatenate([g[b - k:b] @ w * scale for k, b in zip(sizes, accumulate(sizes))])
+    return g, share
 
 
-@lru_cache(maxsize=4096)
-def _proximity_detail(f: MeroExpr, r: float):
-    """(value, nodes, converged) for the adaptive circle average, cached per circle.
+@partial(_CircleCache, maxsize=4096)
+def _proximity_detail(f: MeroExpr, radii):
+    """(value, nodes, converged) of the adaptive circle average on each circle
+    of radii, all circles in lockstep.
 
     The 64 starting panels tile [0, 2pi].  For a function with real
     coefficients (_conjugate_symmetric) only the 32 on [0, pi] and their 33
     edges are evaluated, and their panels' shares count twice: the panels
     on [pi, 2pi] mirror them.  Each level evaluates both halves of every
-    open panel in one batch.  A panel's error estimate is the difference
-    between its rule and the sum over its halves, plus a bound on what a
-    kink of log+ |f| can hide between a half's edge and its node next to
-    that edge, where no rule looks: the edge values come from the starting
-    edges and from the centre node of each panel's own rule.  A panel whose
-    estimate is at most tol * width / 2pi is accepted, so the accepted
-    estimates over the whole circle add up to at most
-    tol = 1e-10 * max(1, m0), m0 the first-level value; the others are
-    bisected.  nodes counts the points evaluated.  A level that would take
-    it past 2^20 is not run: the value is then the accepted halves plus the
-    open panels' last estimates, and converged is False.
+    open panel of every circle in the same few kernel calls (_in_calls), as
+    do the starting edges and the first rule.  A panel's error estimate is
+    the difference between its rule and the sum over its halves, plus a
+    bound on what a kink of log+ |f| can hide between a half's edge and its
+    node next to that edge, where no rule looks: the edge values come from
+    the starting edges and from the centre node of each panel's own rule.
+    A panel whose estimate is at most tol * width / 2pi is accepted, so the
+    accepted estimates over a whole circle add up to at most
+    tol = 1e-10 * max(1, m0), m0 that circle's first-level value; the
+    others are bisected.  nodes counts the points a circle evaluated.  A
+    circle whose next level would take it past 2^20 leaves the lockstep
+    before that level: its value is then the accepted halves plus the open
+    panels' last estimates, and converged is False.  Each circle's result
+    equals the one it gets alone.
     """
     x, _ = _gauss_legendre()
     centre = x.size // 2
     gap = 0.5 * (1.0 + x[0])   # a panel edge's distance to its nearest node, in widths
     width = 2.0 * math.pi / _QUAD_PANELS
+    n = len(radii)
+    r = np.array(radii, dtype=float)
     if _conjugate_symmetric(f):
         copies = 2.0
-        left = width * np.arange(_QUAD_PANELS // 2)
-        edges = _logplus(f, _upper_half(r, np.append(left, math.pi)))
-        lo, hi = edges[:-1], edges[1:]
+        start = width * np.arange(_QUAD_PANELS // 2)
+        unit = np.exp(1j * np.append(start, math.pi))
+
+        def edge_rows(s):
+            z = r[s, None] * unit
+            z[:, -1] = -r[s]   # as in _upper_half
+            return _logplus(f, z)
+
+        edges = _in_calls(edge_rows, n, unit.size)
+        lo, hi = edges[:, :-1], edges[:, 1:]
     else:
         copies = 1.0
-        left = width * np.arange(_QUAD_PANELS)
-        edges = lo = _logplus(f, r * np.exp(1j * left))
-        hi = np.roll(lo, -1)
-    g, est = _panel_rule(f, r, left, width)
+        start = width * np.arange(_QUAD_PANELS)
+        unit = np.exp(1j * start)
+        lo = _in_calls(lambda s: _logplus(f, r[s, None] * unit), n, unit.size)
+        hi = np.roll(lo, -1, axis=1)
+    # the open panels of the circles still in the lockstep (live), circle by
+    # circle, sizes[k] of them for circle live[k]; rad and tol per panel
+    live, sizes = list(range(n)), [start.size] * n
+    lo, hi, left, rad = lo.ravel(), hi.ravel(), np.tile(start, n), np.repeat(r, start.size)
+    g, est = _panel_level(f, rad, left, width, sizes)
     mid = g[:, centre]
-    nodes = edges.size + g.size
-    tol = _QUAD_TOL * max(1.0, copies * float(est.sum()))
-    value = 0.0
-    while left.size:
-        if nodes + 2 * g.size > _QUAD_CAP:
-            return copies * (value + float(est.sum())), nodes, False
+    tol = np.repeat([_QUAD_TOL * max(1.0, copies * float(e.sum())) for e in np.split(est, n)],
+                    start.size)
+    nodes = [unit.size + start.size * x.size] * n
+    value = [0.0] * n
+    out = [None] * n
+    while live:
+        capped = [nodes[c] + 2 * x.size * k > _QUAD_CAP for c, k in zip(live, sizes)]
+        if any(capped):
+            for c, k, b, cap in zip(live, sizes, accumulate(sizes), capped):
+                if cap:
+                    out[c] = copies * (value[c] + float(est[b - k:b].sum())), nodes[c], False
+            keep = np.repeat(np.logical_not(capped), sizes)
+            left, est, lo, mid, hi, rad, tol = (
+                v[keep] for v in (left, est, lo, mid, hi, rad, tol))
+            live = [c for c, cap in zip(live, capped) if not cap]
+            sizes = [k for k, cap in zip(sizes, capped) if not cap]
+            if not live:
+                break
         width *= 0.5
         left = np.column_stack([left, left + width])
-        g, halves = _panel_rule(f, r, left.ravel(), width)
-        nodes += g.size
+        g, halves = _panel_level(f, np.repeat(rad, 2), left.ravel(), width, [2 * k for k in sizes])
         g, halves = g.reshape(-1, 2, x.size), halves.reshape(-1, 2)
         # each half's edge values against its nodes next to them; where
         # they straddle |f| = 1, the kink between them can hide up to the
@@ -314,13 +416,23 @@ def _proximity_detail(f: MeroExpr, r: float):
         err = np.abs(est - halves.sum(axis=1)) + hidden * (gap * width / (2.0 * math.pi))
         # tol * (parent width) / 2pi, the parent being 2 * width wide
         open_ = err > tol * width / math.pi
-        value += float(halves[~open_].sum())
+        stay, stay_sizes = [], []
+        for c, k, b in zip(live, sizes, accumulate(sizes)):
+            accepted = halves[b - k:b][~open_[b - k:b]]
+            value[c] += float(accepted.sum())
+            nodes[c] += 2 * x.size * k
+            if accepted.shape[0] < k:
+                stay.append(c)
+                stay_sizes.append(2 * (k - accepted.shape[0]))
+            else:
+                out[c] = copies * value[c], nodes[c], True
+        live, sizes = stay, stay_sizes
         lo = np.column_stack([lo, mid])[open_].ravel()
         hi = np.column_stack([mid, hi])[open_].ravel()
         mid = g[open_, :, centre].ravel()
         left, est = left[open_].ravel(), halves[open_].ravel()
-        g = g[open_]
-    return copies * value, nodes, True
+        rad, tol = np.repeat(rad[open_], 2), np.repeat(tol[open_], 2)
+    return out
 
 
 def proximity(f, r: float) -> float:
@@ -341,7 +453,7 @@ def proximity(f, r: float) -> float:
     """
     if not r > 0:
         raise ValueError("radius must be positive")
-    return _proximity_detail(as_expr(f), float(r))[0]
+    return _proximity_detail.one(as_expr(f), float(r))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +524,9 @@ def grid_min(fun, center, half_width, tol: float):
 
     Each level lays _GRID_POINTS evenly spaced abscissae across every
     bracket, its centre among them, and fun maps that array (one row per
-    bracket) to the values there.  NaN ranks as +inf.  Each bracket then
+    bracket) to the values there; the brackets may come from many circles
+    (_modulus_extrema), as each row's search is independent of the others.
+    NaN ranks as +inf.  Each bracket then
     recentres on its best point, ties going to the point nearest the
     centre, and narrows to the two grid cells around it (16 times narrower
     at 33 points) until every bracket is at most tol wide; a best point at
@@ -486,30 +600,43 @@ def _modulus_scan(f: MeroExpr, r: float):
     return tuple(sides)
 
 
-@lru_cache(maxsize=65536)
-def _modulus_extrema(f: MeroExpr, r: float):
-    """(log L, log M) over the circle |z| = r.
+@partial(_CircleCache, maxsize=65536)
+def _modulus_extrema(f: MeroExpr, radii):
+    """(log L, log M) over each circle |z| = r of radii, all circles in lockstep.
 
     Scan then refine: one grid_min pass takes the brackets of both
-    _modulus_scan sides (one scan step either side of each center, the
-    maximum's as -log|f|) to 1e-10 rad, all brackets of a level in one
-    log_modulus call, seven calls in all; for a function with real
-    coefficients the centers lie in [0, pi], one per mirror pair.  Each
-    side is the better of its scan and refined extrema, so the minimum
-    never falls behind the scan minimum.
+    _modulus_scan sides of every circle (one scan step either side of each
+    center, the maximum's as -log|f|) to 1e-10 rad.  Each level evaluates
+    the brackets of all circles in the same few kernel calls (_in_calls),
+    seven levels in all; for a function with real coefficients the centers
+    lie in [0, pi], one per mirror pair.  Each side is the better of its
+    scan and refined extrema, so the minimum never falls behind the scan
+    minimum.  Each circle's result equals the one it gets alone.
     """
-    (lo, lo_centers), (hi, hi_centers) = _modulus_scan(f, r)
-    centers = np.concatenate([lo_centers, hi_centers])
-    if centers.size == 0:
-        return lo, hi
-    k = lo_centers.size  # 0 when a sampled zero already made log L = -inf
-    sign = np.repeat([1.0, -1.0], [k, hi_centers.size])[:, None]
+    scans = [_modulus_scan(f, r) for r in radii]
+    out = [(lo, hi) for (lo, _), (hi, _) in scans]
+    # a row per bracket, circle by circle, the minimum's before the maximum's
+    centers = [c for (_, lo_c), (_, hi_c) in scans for c in (lo_c, hi_c)]
+    sizes = [c.size for c in centers]
+    if not any(sizes):
+        return out
+    rows = np.repeat(np.repeat(radii, 2), sizes)
+    sign = np.repeat(np.tile([1.0, -1.0], len(radii)), sizes)[:, None]
+
+    def fun(t):
+        return _in_calls(lambda s: sign[s] * log_modulus(f, rows[s, None] * np.exp(1j * t[s])),
+                         t.shape[0], t.shape[1])
+
     step = 2.0 * math.pi / _SCAN_NODES
-    _, refined, _ = grid_min(lambda t: sign * log_modulus(f, r * np.exp(1j * t)),
-                             centers, step, _ANGLE_TOL)
-    lo = min(lo, float(refined[:k].min(initial=math.inf)))
-    hi = -min(-hi, float(refined[k:].min()))
-    return lo, hi
+    _, refined, _ = grid_min(fun, np.concatenate(centers), step, _ANGLE_TOL)
+    end = 0
+    for c, ((lo, lo_c), (hi, hi_c)) in enumerate(scans):
+        begin, mid, end = end, end + lo_c.size, end + lo_c.size + hi_c.size
+        if begin < end:
+            # no minimum brackets when a sampled zero already made log L = -inf
+            out[c] = (min(lo, float(refined[begin:mid].min(initial=math.inf))),
+                      -min(-hi, float(refined[mid:end].min())))
+    return out
 
 
 @lru_cache(maxsize=65536)
@@ -549,14 +676,14 @@ def log_min_modulus(f, r: float) -> float:
     """
     if not r > 0:
         raise ValueError("radius must be positive")
-    return _modulus_extrema(as_expr(f), float(r))[0]
+    return _modulus_extrema.one(as_expr(f), float(r))[0]
 
 
 def log_max_modulus(f, r: float) -> float:
     """log M(r, f); +inf when a cataloged pole sits on the circle."""
     if not r > 0:
         raise ValueError("radius must be positive")
-    return _modulus_extrema(as_expr(f), float(r))[1]
+    return _modulus_extrema.one(as_expr(f), float(r))[1]
 
 
 def min_modulus(f, r: float) -> float:
@@ -588,25 +715,31 @@ def build_profile(f, grid: RadiusGrid | None = None) -> RadialProfile:
     Radii whose circle passes within 1e-9 of a cataloged pole modulus
     are nudged up by ratio^(1/16), up to 8 times, and the original grid
     radius is recorded on the sample; the catalog reaches every nudge.
+    All circles go through the quadrature of m (_proximity_detail) and
+    the refinement of L and M (_modulus_extrema) in lockstep, so each
+    level of either takes a few kernel calls for the whole profile; each
+    sample equals the one its circle gets alone.
     """
     f = as_expr(f)
     if grid is None:
         grid = RadiusGrid()
     catalog = poles_in_disk(f, max(grid.r_max * 2.0, float(grid.radii()[-1]) * grid.ratio**0.5))
     notch = grid.ratio ** (1.0 / 16.0)
-    samples = []
+    radii, perturbed = [], []
     for r0 in grid.radii():
         r = float(r0)
-        perturbed = None
+        moved = None
         for _ in range(8):
             if not catalog.near(r, _POLE_RADIUS_TOL):
                 break
-            perturbed = float(r0)
+            moved = float(r0)
             r *= notch
-        m, nodes, converged = _proximity_detail(f, r)
+        radii.append(r)
+        perturbed.append(moved)
+    samples = []
+    for r, moved, (m, nodes, converged), (log_L, log_M) in zip(
+            radii, perturbed, _proximity_detail(f, radii), _modulus_extrema(f, radii)):
         N = counting(f, r)
-        log_L = log_min_modulus(f, r)
-        log_M = log_max_modulus(f, r)
         samples.append(
             RadialSample(
                 r=r,
@@ -619,7 +752,7 @@ def build_profile(f, grid: RadiusGrid | None = None) -> RadialProfile:
                 log_L=log_L,
                 log_M=log_M,
                 m_converged=converged,
-                perturbed_from=perturbed,
+                perturbed_from=moved,
             )
         )
     return RadialProfile(samples=tuple(samples))

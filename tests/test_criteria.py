@@ -206,9 +206,11 @@ def test_pruned_search_kernel_point_budget(monkeypatch, canprod4):
 
     monkeypatch.setattr(nevanlinna, "log_modulus", counted)
     # cold caches, so every circle is evaluated here
-    for name in ("_modulus_scan", "_modulus_extrema"):
-        fresh = functools.lru_cache(maxsize=None)(getattr(nevanlinna, name).__wrapped__)
-        monkeypatch.setattr(nevanlinna, name, fresh)
+    fresh = functools.lru_cache(maxsize=None)(nevanlinna._modulus_scan.__wrapped__)
+    monkeypatch.setattr(nevanlinna, "_modulus_scan", fresh)
+    extrema = nevanlinna._modulus_extrema
+    monkeypatch.setattr(nevanlinna, "_modulus_extrema",
+                        nevanlinna._CircleCache(extrema.__wrapped__, extrema.maxsize))
     fresh = functools.lru_cache(maxsize=None)(nevanlinna._log_min_subset_bound.__wrapped__)
     monkeypatch.setattr("merolab.criteria._log_min_subset_bound", fresh)
     _search_log_L(canprod4, 40.0, 2.0, False)
@@ -240,7 +242,8 @@ def test_pruned_search_refines_few_circles(monkeypatch, name, closed):
     monkeypatch.setattr(nevanlinna, "grid_min", counted)
     for r in _SEARCH_RADII:
         # a cold refinement cache, so every refined circle is counted once
-        fresh = functools.lru_cache(maxsize=None)(nevanlinna._modulus_extrema.__wrapped__)
+        extrema = nevanlinna._modulus_extrema
+        fresh = nevanlinna._CircleCache(extrema.__wrapped__, extrema.maxsize)
         monkeypatch.setattr(nevanlinna, "_modulus_extrema", fresh)
         refined.clear()
         _search_log_L(f, r, 2.0, closed)

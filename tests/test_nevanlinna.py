@@ -141,7 +141,7 @@ def test_proximity_stops_at_its_node_cap(monkeypatch, tanz):
     r = 8.724061861322067
     full = proximity(tanz, r)
     monkeypatch.setattr(nevanlinna, "_QUAD_CAP", 3000)
-    m, nodes, converged = nevanlinna._proximity_detail.__wrapped__(tanz, r)
+    m, nodes, converged = nevanlinna._proximity_detail.__wrapped__(tanz, [r])[0]
     assert not converged and nodes <= 3000
     assert m == pytest.approx(full, rel=1e-5)
 
@@ -378,12 +378,12 @@ def test_circle_route(monkeypatch, source, half):
     points = []
 
     def recorded(g, z):
-        points.append(z)
+        points.append(z.ravel())
         return log_modulus(g, z)
 
     monkeypatch.setattr(nevanlinna, "log_modulus", recorded)
     nevanlinna._modulus_scan.__wrapped__(f, 2.5)
-    nevanlinna._proximity_detail.__wrapped__(f, 2.5)
+    nevanlinna._proximity_detail.__wrapped__(f, [2.5])
     assert bool(np.concatenate(points).imag.min() >= 0.0) is half
 
 
@@ -396,8 +396,8 @@ def _full_circle(f, r):
     """(m, converged, log L, log M) from the full-circle route, forced for any f."""
     with mock.patch.object(nevanlinna, "_conjugate_symmetric", lambda f: False), \
             mock.patch.object(nevanlinna, "_modulus_scan", nevanlinna._modulus_scan.__wrapped__):
-        m, _, converged = nevanlinna._proximity_detail.__wrapped__(f, r)
-        return m, converged, *nevanlinna._modulus_extrema.__wrapped__(f, r)
+        m, _, converged = nevanlinna._proximity_detail.__wrapped__(f, [r])[0]
+        return m, converged, *nevanlinna._modulus_extrema.__wrapped__(f, [r])[0]
 
 
 _LEAF = st.one_of(st.just(Var()), st.integers(-20, 20).map(lambda k: Const(complex(k / 7))))
@@ -425,7 +425,7 @@ def test_half_circle_matches_the_full_circle(tree, radius):
     f, r = MeroExpr(tree), radius * math.sqrt(2.0)
     assert _conjugate_symmetric(f)
     m, converged, lo, hi = _full_circle(f, r)
-    half_m, _, half_converged = nevanlinna._proximity_detail(f, r)
+    half_m, _, half_converged = nevanlinna._proximity_detail(f, [r])[0]
     assert half_converged == converged
     # N >= 0 for r >= 1, so this is no looser than 1e-12 * max(1, T)
     assert abs(half_m - m) <= 1e-12 * max(1.0, m)
@@ -438,8 +438,12 @@ def test_half_circle_matches_the_full_circle(tree, radius):
 
 
 def _cold(monkeypatch, name):
-    """Give the nevanlinna cache `name` a fresh, empty lru_cache."""
-    fresh = functools.lru_cache(maxsize=None)(getattr(nevanlinna, name).__wrapped__)
+    """Give the nevanlinna cache `name` a fresh, empty cache of its kind."""
+    cached = getattr(nevanlinna, name)
+    if isinstance(cached, nevanlinna._CircleCache):
+        fresh = nevanlinna._CircleCache(cached.__wrapped__, cached.maxsize)
+    else:
+        fresh = functools.lru_cache(maxsize=None)(cached.__wrapped__)
     monkeypatch.setattr(nevanlinna, name, fresh)
 
 
@@ -456,16 +460,104 @@ def test_profile_scans_and_refines_each_circle_once(monkeypatch, lacunary2):
     monkeypatch.setattr(nevanlinna, "grid_min", counted_refine)
     profile = build_profile(lacunary2, RadiusGrid(1.0, 4.0, 2.0 ** 0.5))
     scans = nevanlinna._modulus_scan.cache_info().misses
-    quadratures = nevanlinna._proximity_detail.cache_info().misses
-    assert len(profile.samples) == scans == quadratures == len(refinements) == 5
+    quadratures = nevanlinna._proximity_detail.misses
+    refined = nevanlinna._modulus_extrema.misses
+    assert len(profile.samples) == scans == quadratures == refined == 5
+    # every circle's brackets enter the one lockstep pass, once, in circle order
+    brackets = [np.concatenate([lo, hi]) for (_, lo), (_, hi)
+                in (nevanlinna._modulus_scan(lacunary2, s.r) for s in profile.samples)]
+    assert len(refinements) == 1
+    assert np.array_equal(refinements[0][1], np.concatenate(brackets))
 
 
 def test_profile_and_characteristic_share_one_quadrature(monkeypatch, expz):
     _cold(monkeypatch, "_proximity_detail")
     sample = build_profile(expz, RadiusGrid(2.0, 4.0, 2.0)).samples[0]
     assert characteristic(expz, 2.0) == sample.T
-    info = nevanlinna._proximity_detail.cache_info()
-    assert (info.misses, info.hits) == (2, 1)
+    cache = nevanlinna._proximity_detail
+    assert (cache.misses, cache.hits) == (2, 1)
+
+
+# ---------------------------------------------------------------------------
+# circles in lockstep against circles one at a time
+# ---------------------------------------------------------------------------
+
+
+def _lockstep_and_alone(f, radii):
+    """The uncached quadrature and refinement of the circles radii, once all
+    in lockstep and once one circle at a time."""
+    quadrature = nevanlinna._proximity_detail.__wrapped__
+    refinement = nevanlinna._modulus_extrema.__wrapped__
+    together = quadrature(f, radii), refinement(f, radii)
+    alone = [quadrature(f, [r])[0] for r in radii], [refinement(f, [r])[0] for r in radii]
+    return together, alone
+
+
+_MIXED_RADII = [0.5, 1.0, 1.7, 3.0, 8.724061861322067, 40.0, 100.0]
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_lockstep_circles_equal_circles_alone(name):
+    together, alone = _lockstep_and_alone(corpus_function(name), _MIXED_RADII)
+    assert together == alone
+
+
+@pytest.mark.parametrize("source, radii", [
+    ("exp(z) + 0.5*i", _MIXED_RADII),   # the full-circle route
+    ("z - 1", [0.5, 1.0, 2.0]),         # a zero on the circle r = 1
+    ("1/(z-1)", [0.5, 1.0, 2.0]),       # a pole on the circle r = 1
+])
+def test_lockstep_circles_equal_circles_alone_on_both_routes(source, radii):
+    together, alone = _lockstep_and_alone(parse(source), radii)
+    assert together == alone
+
+
+def test_lockstep_profile_equals_circles_alone_with_nudged_radii(monkeypatch):
+    f = parse("1/(exp(z)-2)")
+    for name in ("_modulus_extrema", "_proximity_detail"):
+        _cold(monkeypatch, name)
+    # the grid starts on the pole log 2, so its first circle is nudged
+    samples = build_profile(f, RadiusGrid(math.log(2.0), 16.0, 2.0 ** 0.125)).samples
+    assert any(s.perturbed_from is not None for s in samples)
+    radii = [s.r for s in samples]
+    _, (details, extrema) = _lockstep_and_alone(f, radii)
+    got = [((s.m, s.quadrature_nodes, s.m_converged), (s.log_L, s.log_M)) for s in samples]
+    assert got == list(zip(details, extrema))
+
+
+def test_lockstep_circles_equal_circles_alone_past_the_node_cap(monkeypatch, tanz):
+    # with the cap at 3000 nodes the circle next to a pole stops early, and
+    # the others converge: the lockstep drops the one and keeps the rest
+    monkeypatch.setattr(nevanlinna, "_QUAD_CAP", 3000)
+    together, alone = _lockstep_and_alone(tanz, _MIXED_RADII)
+    assert together == alone
+    converged = [c for _, _, c in together[0]]
+    assert not all(converged) and any(converged)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(tree=_REAL_TREE, radii=st.lists(st.floats(1.0, 6.0), min_size=1, max_size=4))
+def test_lockstep_circles_equal_circles_alone_for_real_trees(tree, radii):
+    together, alone = _lockstep_and_alone(MeroExpr(tree), [r * math.sqrt(2.0) for r in radii])
+    assert together == alone
+
+
+def test_profile_kernel_calls(monkeypatch, lacunary2):
+    # the default analyze grid: 81 circles.  The lockstep makes 196 calls
+    # here, 81 of them scans; 1,468 when each circle ran its own levels
+    for name in ("_modulus_scan", "_modulus_extrema", "_proximity_detail"):
+        _cold(monkeypatch, name)
+    kernel = nevanlinna.log_modulus
+    calls = []
+
+    def counted(g, z):
+        calls.append(z.size)
+        return kernel(g, z)
+
+    monkeypatch.setattr(nevanlinna, "log_modulus", counted)
+    build_profile(lacunary2, RadiusGrid(1.0, 1000.0, 2.0 ** 0.125))
+    assert len(calls) <= 220
+    assert max(calls) <= nevanlinna._CALL_POINTS
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +711,7 @@ def test_a_refined_circle_makes_at_most_seven_kernel_calls(monkeypatch, name):
         nevanlinna._modulus_scan(f, r)
         monkeypatch.setattr(nevanlinna, "log_modulus", recorded)
         calls.clear()
-        nevanlinna._modulus_extrema.__wrapped__(f, r)
+        nevanlinna._modulus_extrema.__wrapped__(f, [r])
         monkeypatch.undo()
         assert len(calls) <= 7
         assert all(size > 16 for size in calls)
