@@ -18,7 +18,9 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -118,6 +120,8 @@ def _resolve_config(args) -> RunConfig:
     merged = dict(_DEFAULTS)
     if args.config:
         raw = json.loads(Path(args.config).read_text())
+        if not isinstance(raw, dict):
+            raise ValueError("config must be a JSON object, got %r" % (raw,))
         unknown = sorted(set(raw) - set(_DEFAULTS))
         if unknown:
             raise ValueError("unknown config keys: %s" % ", ".join(unknown))
@@ -144,6 +148,10 @@ def _resolve_config(args) -> RunConfig:
         merged["function"] = None
     if merged["function"] is not None and merged["corpus"] is not None:
         raise ValueError("choose either --function or --corpus, not both")
+    # no report can hold inf or nan, so such a value is refused before any work
+    non_finite = sorted(k for k, v in merged.items() if isinstance(v, float) and not math.isfinite(v))
+    if non_finite:
+        raise ValueError("non-finite value for %s" % ", ".join(non_finite))
     return RunConfig(**merged)
 
 
@@ -167,6 +175,8 @@ def _parse_window(text: str):
         half_width = float(parts[1])
     except ValueError:
         raise ValueError("could not parse window %r" % text) from None
+    if not (cmath.isfinite(center) and math.isfinite(half_width)):
+        raise ValueError("window %r is not finite" % text)
     return center, half_width
 
 
@@ -175,8 +185,8 @@ def _parse_scales(text: str):
         values = tuple(float(s) for s in text.split(","))
     except ValueError:
         raise ValueError("could not parse scales %r" % text) from None
-    if not values:
-        raise ValueError("scales must be a nonempty list")
+    if not all(map(math.isfinite, values)):
+        raise ValueError("scales %r are not finite" % text)
     return values
 
 

@@ -17,7 +17,6 @@ import math
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
-from itertools import accumulate
 
 import numpy as np
 
@@ -87,6 +86,8 @@ class RadiusGrid:
     ratio: float = 2.0 ** 0.125
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.r_min, self.r_max, self.ratio))):
+            raise ValueError("grid bounds and ratio must be finite")
         if not (self.r_min > 0 and self.r_max > self.r_min):
             raise ValueError("need 0 < r_min < r_max")
         if not self.ratio > 1.0:
@@ -261,13 +262,16 @@ def _conjugate_symmetric(f: MeroExpr) -> bool:
     return _real_tree(f.root)
 
 
-def _upper_half(r: float, theta: np.ndarray) -> np.ndarray:
-    """r e^{i theta} for angles from 0 up to a last one of pi, that one exactly -r.
+def _circle(r, theta: np.ndarray, half: bool) -> np.ndarray:
+    """r e^{i theta} for one radius r, or for a column of radii (a row each).
 
-    r e^{i pi} is -r + 1.2e-16 r i, which misses a zero on the negative axis.
+    On the half route (half true) the angles run from 0 up to a last one of
+    pi, and that point is exactly -r: r e^{i pi} is -r + 1.2e-16 r i, which
+    misses a zero on the negative axis.
     """
     z = r * np.exp(1j * theta)
-    z[-1] = -r
+    if half:
+        z[..., -1:] = -r
     return z
 
 
@@ -313,22 +317,19 @@ def _in_calls(fun, rows: int, per_row: int):
     return out
 
 
-def _panel_level(f, r: np.ndarray, left: np.ndarray, width: float, sizes: list):
+def _panel_level(f, r: np.ndarray, left: np.ndarray, width: float):
     """log+ |f| at the 15 Gauss-Legendre nodes of each panel [left, left + width]
     on the circle of radius r (one row per panel), and each panel's share of m.
 
-    The panels come circle by circle, sizes[k] rows for the k-th circle.  The
-    shares are summed circle by circle: BLAS rounds a row's sum differently
-    with its position in a block, and each circle's block is the one it has
-    alone.
+    A share sums its own row's 15 weighted values in a fixed order, so it
+    does not depend on the other rows of the level, nor on the BLAS build: a
+    BLAS product g @ w rounds a row differently with its place in the block.
     """
     x, w = _gauss_legendre()
     offsets = 0.5 * width * (1.0 + x)
-    g = _in_calls(lambda s: _logplus(f, r[s, None] * np.exp(1j * (left[s, None] + offsets))),
+    g = _in_calls(lambda s: _logplus(f, _circle(r[s, None], left[s, None] + offsets, False)),
                   left.size, x.size)
-    scale = width / (4.0 * math.pi)
-    share = np.concatenate([g[b - k:b] @ w * scale for k, b in zip(sizes, accumulate(sizes))])
-    return g, share
+    return g, (g * w).sum(axis=1) * (width / (4.0 * math.pi))
 
 
 @partial(_CircleCache, maxsize=4096)
@@ -341,19 +342,23 @@ def _proximity_detail(f: MeroExpr, radii):
     edges are evaluated, and their panels' shares count twice: the panels
     on [pi, 2pi] mirror them.  Each level evaluates both halves of every
     open panel of every circle in the same few kernel calls (_in_calls), as
-    do the starting edges and the first rule.  A panel's error estimate is
-    the difference between its rule and the sum over its halves, plus a
-    bound on what a kink of log+ |f| can hide between a half's edge and its
-    node next to that edge, where no rule looks: the edge values come from
-    the starting edges and from the centre node of each panel's own rule.
-    A panel whose estimate is at most tol * width / 2pi is accepted, so the
-    accepted estimates over a whole circle add up to at most
-    tol = 1e-10 * max(1, m0), m0 that circle's first-level value; the
-    others are bisected.  nodes counts the points a circle evaluated.  A
-    circle whose next level would take it past 2^20 leaves the lockstep
-    before that level: its value is then the accepted halves plus the open
-    panels' last estimates, and converged is False.  Each circle's result
-    equals the one it gets alone.
+    do the starting edges and the first rule.  The open panels of all
+    circles lie in flat arrays, circle by circle, owner giving each one's
+    circle; each per-circle sum (the first level, the accepted halves, the
+    open panels of a capped circle) is one np.bincount over owner, which
+    adds in panel order, so a circle's sum reads only its own panels.  A
+    panel's error estimate is the difference between its rule and the sum
+    over its halves, plus a bound on what a kink of log+ |f| can hide
+    between a half's edge and its node next to that edge, where no rule
+    looks: the edge values come from the starting edges and from the centre
+    node of each panel's own rule.  A panel whose estimate is at most
+    tol * width / 2pi is accepted, so the accepted estimates over a whole
+    circle add up to at most tol = 1e-10 * max(1, m0), m0 that circle's
+    first-level value; the others are bisected.  nodes counts the points a
+    circle evaluated.  A circle whose next level would take it past 2^20
+    leaves the lockstep before that level: its value is then the accepted
+    halves plus the open panels' last estimates, and converged is False.
+    Each circle's result equals the one it gets alone.
     """
     x, _ = _gauss_legendre()
     centre = x.size // 2
@@ -361,51 +366,34 @@ def _proximity_detail(f: MeroExpr, radii):
     width = 2.0 * math.pi / _QUAD_PANELS
     n = len(radii)
     r = np.array(radii, dtype=float)
-    if _conjugate_symmetric(f):
-        copies = 2.0
-        start = width * np.arange(_QUAD_PANELS // 2)
-        unit = np.exp(1j * np.append(start, math.pi))
-
-        def edge_rows(s):
-            z = r[s, None] * unit
-            z[:, -1] = -r[s]   # as in _upper_half
-            return _logplus(f, z)
-
-        edges = _in_calls(edge_rows, n, unit.size)
-        lo, hi = edges[:, :-1], edges[:, 1:]
-    else:
-        copies = 1.0
-        start = width * np.arange(_QUAD_PANELS)
-        unit = np.exp(1j * start)
-        lo = _in_calls(lambda s: _logplus(f, r[s, None] * unit), n, unit.size)
-        hi = np.roll(lo, -1, axis=1)
-    # the open panels of the circles still in the lockstep (live), circle by
-    # circle, sizes[k] of them for circle live[k]; rad and tol per panel
-    live, sizes = list(range(n)), [start.size] * n
-    lo, hi, left, rad = lo.ravel(), hi.ravel(), np.tile(start, n), np.repeat(r, start.size)
-    g, est = _panel_level(f, rad, left, width, sizes)
+    half = _conjugate_symmetric(f)
+    copies = 2.0 if half else 1.0
+    start = width * np.arange(_QUAD_PANELS // 2 if half else _QUAD_PANELS)
+    theta = np.append(start, math.pi) if half else start
+    edges = _in_calls(lambda s: _logplus(f, _circle(r[s, None], theta, half)), n, theta.size)
+    hi = edges[:, 1:] if half else np.roll(edges, -1, axis=1)
+    # the open panels, circle by circle; owner is each panel's circle
+    owner = np.repeat(np.arange(n), start.size)
+    lo, hi, left = edges[:, :start.size].ravel(), hi.ravel(), np.tile(start, n)
+    g, est = _panel_level(f, r[owner], left, width)
     mid = g[:, centre]
-    tol = np.repeat([_QUAD_TOL * max(1.0, copies * float(e.sum())) for e in np.split(est, n)],
-                    start.size)
-    nodes = [unit.size + start.size * x.size] * n
-    value = [0.0] * n
-    out = [None] * n
-    while live:
-        capped = [nodes[c] + 2 * x.size * k > _QUAD_CAP for c, k in zip(live, sizes)]
-        if any(capped):
-            for c, k, b, cap in zip(live, sizes, accumulate(sizes), capped):
-                if cap:
-                    out[c] = copies * (value[c] + float(est[b - k:b].sum())), nodes[c], False
-            keep = np.repeat(np.logical_not(capped), sizes)
-            left, est, lo, mid, hi, rad, tol = (
-                v[keep] for v in (left, est, lo, mid, hi, rad, tol))
-            live = [c for c, cap in zip(live, capped) if not cap]
-            sizes = [k for k, cap in zip(sizes, capped) if not cap]
-            if not live:
+    tol = _QUAD_TOL * np.maximum(1.0, copies * np.bincount(owner, est, n))
+    nodes = np.full(n, theta.size + start.size * x.size)
+    value = np.zeros(n)
+    converged = np.ones(n, dtype=bool)
+    while owner.size:
+        capped = nodes + 2 * x.size * np.bincount(owner, minlength=n) > _QUAD_CAP
+        if capped.any():
+            value[capped] += np.bincount(owner, est, n)[capped]
+            converged &= ~capped
+            keep = ~capped[owner]
+            left, est, lo, mid, hi, owner = (v[keep] for v in (left, est, lo, mid, hi, owner))
+            if not owner.size:
                 break
         width *= 0.5
         left = np.column_stack([left, left + width])
-        g, halves = _panel_level(f, np.repeat(rad, 2), left.ravel(), width, [2 * k for k in sizes])
+        pair = np.repeat(owner, 2)
+        g, halves = _panel_level(f, r[pair], left.ravel(), width)
         g, halves = g.reshape(-1, 2, x.size), halves.reshape(-1, 2)
         # each half's edge values against its nodes next to them; where
         # they straddle |f| = 1, the kink between them can hide up to the
@@ -413,26 +401,18 @@ def _proximity_detail(f: MeroExpr, radii):
         edge = np.stack([lo, mid, mid, hi], axis=1)
         near = g[:, :, [0, -1]].reshape(-1, 4)
         hidden = np.where((edge > 0.0) != (near > 0.0), edge + near, 0.0).sum(axis=1)
-        err = np.abs(est - halves.sum(axis=1)) + hidden * (gap * width / (2.0 * math.pi))
+        both = halves.sum(axis=1)
+        err = np.abs(est - both) + hidden * (gap * width / (2.0 * math.pi))
         # tol * (parent width) / 2pi, the parent being 2 * width wide
-        open_ = err > tol * width / math.pi
-        stay, stay_sizes = [], []
-        for c, k, b in zip(live, sizes, accumulate(sizes)):
-            accepted = halves[b - k:b][~open_[b - k:b]]
-            value[c] += float(accepted.sum())
-            nodes[c] += 2 * x.size * k
-            if accepted.shape[0] < k:
-                stay.append(c)
-                stay_sizes.append(2 * (k - accepted.shape[0]))
-            else:
-                out[c] = copies * value[c], nodes[c], True
-        live, sizes = stay, stay_sizes
+        open_ = err > tol[owner] * width / math.pi
+        nodes += x.size * np.bincount(pair, minlength=n)
+        value += np.bincount(owner[~open_], both[~open_], n)
         lo = np.column_stack([lo, mid])[open_].ravel()
         hi = np.column_stack([mid, hi])[open_].ravel()
         mid = g[open_, :, centre].ravel()
         left, est = left[open_].ravel(), halves[open_].ravel()
-        rad, tol = np.repeat(rad[open_], 2), np.repeat(tol[open_], 2)
-    return out
+        owner = np.repeat(owner[open_], 2)
+    return list(zip((copies * value).tolist(), nodes.tolist(), converged.tolist()))
 
 
 def proximity(f, r: float) -> float:
@@ -555,41 +535,57 @@ def _pole_on_circle(f: MeroExpr, r: float) -> bool:
     return poles_in_disk(f, r * (1.0 + 1e-6) + 1e-6).near(r, _POLE_RADIUS_TOL)
 
 
+def _scan_samples(f: MeroExpr, r: float, stride: int):
+    """log|f| at every stride-th node of the 4096-node scan of |z| = r, or
+    None when the catalog confirms a pole modulus within 1e-9 of r.
+
+    For a function with real coefficients (_conjugate_symmetric) the nodes
+    run over [0, pi] only, the last one (node 2048) exactly -r, and the rest
+    of the circle mirrors them; otherwise they run over the whole circle.
+    A pole marker (NaN or +inf) among the samples gives None when the
+    catalog confirms the pole; otherwise it reads NaN, which every caller
+    drops.  A sample does not depend on the stride.
+    """
+    half = _conjugate_symmetric(f)
+    theta = _SCAN_THETA[:_SCAN_NODES // 2 + 1:stride] if half else _SCAN_THETA[::stride]
+    lm = log_modulus(f, _circle(r, theta, half))
+    marker = np.isnan(lm) | np.isposinf(lm)
+    if marker.any() and _pole_on_circle(f, r):
+        return None
+    return np.where(marker, math.nan, lm)
+
+
 @lru_cache(maxsize=65536)
 def _modulus_scan(f: MeroExpr, r: float):
     """Cached coarse 4096-node scan of |z| = r: the min and max (value, centers).
 
-    For a function with real coefficients (_conjugate_symmetric) nodes 0 to
-    2048, on [0, pi], are evaluated, the axis ones at exactly r and -r, and
-    mirrored onto the rest; each center past pi then folds onto its mirror
-    image in [0, pi], and duplicates go, so _modulus_extrema refines one
-    bracket per mirror pair.
+    The samples are _scan_samples(f, r, 1).  For a function with real
+    coefficients these are nodes 0 to 2048, on [0, pi], the axis ones at
+    exactly r and -r, mirrored here onto the rest; each center past pi then
+    folds onto its mirror image in [0, pi], and duplicates go, so
+    _modulus_extrema refines one bracket per mirror pair.
     An empty centers means the value is already the exact extremum: a
-    pole marker among the samples gives (-inf, +inf) only when the catalog
-    confirms a pole modulus within 1e-9 of r, and a sampled zero makes the
-    minimum -inf.  Otherwise the marker samples are dropped from both
-    sides, each value is the side's scan extremum of log|f| and centers
-    holds the angles of its eight best local brackets, one scan step
+    confirmed pole on the circle gives (-inf, +inf), and a sampled zero
+    makes the minimum -inf.  Otherwise the marker samples (NaN) are dropped
+    from both sides, each value is the side's scan extremum of log|f| and
+    centers holds the angles of its eight best local brackets, one scan step
     either side of each.  Refinement (grid_min in _modulus_extrema) can
     only improve on the scan, so the values bound log L from above and
     log M from below.
     """
+    lm = _scan_samples(f, r, 1)
+    exact = np.empty(0)
+    if lm is None:
+        return (-math.inf, exact), (math.inf, exact)
     node = np.arange(_SCAN_NODES)
-    if _conjugate_symmetric(f):
+    if lm.size < _SCAN_NODES:
         half = _SCAN_NODES // 2
-        lm = log_modulus(f, _upper_half(r, _SCAN_THETA[:half + 1]))
         lm = np.concatenate([lm, lm[half - 1:0:-1]])
         node = np.minimum(node, _SCAN_NODES - node)
-    else:
-        lm = log_modulus(f, r * np.exp(1j * _SCAN_THETA))
-    marker = np.isnan(lm) | np.isposinf(lm)
-    exact = np.empty(0)
-    if marker.any() and _pole_on_circle(f, r):
-        return (-math.inf, exact), (math.inf, exact)
     sides = []
     for sign in (1.0, -1.0):
         obj = sign * lm
-        obj[marker] = math.inf
+        obj[np.isnan(obj)] = math.inf
         if sign > 0 and np.isneginf(obj).any():
             sides.append((-math.inf, exact))
             continue
@@ -610,57 +606,45 @@ def _modulus_extrema(f: MeroExpr, radii):
     the brackets of all circles in the same few kernel calls (_in_calls),
     seven levels in all; for a function with real coefficients the centers
     lie in [0, pi], one per mirror pair.  Each side is the better of its
-    scan and refined extrema, so the minimum never falls behind the scan
-    minimum.  Each circle's result equals the one it gets alone.
+    scan and refined extrema (np.minimum.at over the brackets' side index),
+    so the minimum never falls behind the scan minimum.  Each circle's
+    result equals the one it gets alone.
     """
     scans = [_modulus_scan(f, r) for r in radii]
-    out = [(lo, hi) for (lo, _), (hi, _) in scans]
-    # a row per bracket, circle by circle, the minimum's before the maximum's
-    centers = [c for (_, lo_c), (_, hi_c) in scans for c in (lo_c, hi_c)]
-    sizes = [c.size for c in centers]
-    if not any(sizes):
-        return out
-    rows = np.repeat(np.repeat(radii, 2), sizes)
-    sign = np.repeat(np.tile([1.0, -1.0], len(radii)), sizes)[:, None]
+    # side 2k is circle k's log L, side 2k + 1 its -log M; a row per bracket,
+    # side by side (a sampled zero leaves its minimum side without one)
+    best = np.array([(lo, -hi) for (lo, _), (hi, _) in scans], dtype=float).reshape(-1)
+    centers = [c for sides in scans for _, c in sides]
+    side = np.repeat(np.arange(best.size), [c.size for c in centers])
+    if side.size:
+        rows = np.asarray(radii, dtype=float)[side // 2]
+        sign = np.where(side % 2, -1.0, 1.0)[:, None]
 
-    def fun(t):
-        return _in_calls(lambda s: sign[s] * log_modulus(f, rows[s, None] * np.exp(1j * t[s])),
-                         t.shape[0], t.shape[1])
+        def fun(t):
+            return _in_calls(lambda s: sign[s] * log_modulus(f, _circle(rows[s, None], t[s], False)),
+                             t.shape[0], t.shape[1])
 
-    step = 2.0 * math.pi / _SCAN_NODES
-    _, refined, _ = grid_min(fun, np.concatenate(centers), step, _ANGLE_TOL)
-    end = 0
-    for c, ((lo, lo_c), (hi, hi_c)) in enumerate(scans):
-        begin, mid, end = end, end + lo_c.size, end + lo_c.size + hi_c.size
-        if begin < end:
-            # no minimum brackets when a sampled zero already made log L = -inf
-            out[c] = (min(lo, float(refined[begin:mid].min(initial=math.inf))),
-                      -min(-hi, float(refined[mid:end].min())))
-    return out
+        step = 2.0 * math.pi / _SCAN_NODES
+        _, refined, _ = grid_min(fun, np.concatenate(centers), step, _ANGLE_TOL)
+        np.minimum.at(best, side, refined)
+    return [(lo, -hi) for lo, hi in best.reshape(-1, 2).tolist()]
 
 
 @lru_cache(maxsize=65536)
 def _log_min_subset_bound(f: MeroExpr, r: float) -> float:
-    """Upper bound on log L(r, f) from every 16th node of the _modulus_scan nodes.
+    """Upper bound on log L(r, f) from _scan_samples(f, r, 16).
 
     For a function with real coefficients these are nodes 0, 16, ..., 2048
     of the half circle (129 points, the last exactly -r), else every 16th
     of the 4096 (256 points).  Each sample is bit-identical to that node's
     scan sample, so the bound is never below the scan minimum
     _modulus_scan(f, r)[0][0], which is never below log_min_modulus.  The
-    scan's marker rule holds: a pole marker gives -inf when the catalog
-    confirms a pole modulus within 1e-9 of r, and any other marker is
-    dropped.  A criteria search prunes its ladder
+    scan's marker rule holds: a confirmed pole on the circle gives -inf,
+    and any other marker is dropped.  A criteria search prunes its ladder
     with it at a sixteenth of the scan's kernel points.
     """
-    if _conjugate_symmetric(f):
-        lm = log_modulus(f, _upper_half(r, _SCAN_THETA[:_SCAN_NODES // 2 + 1:_BOUND_STRIDE]))
-    else:
-        lm = log_modulus(f, r * np.exp(1j * _SCAN_THETA[::_BOUND_STRIDE]))
-    marker = np.isnan(lm) | np.isposinf(lm)
-    if marker.any() and _pole_on_circle(f, r):
-        return -math.inf
-    return float(lm[~marker].min(initial=math.inf))
+    lm = _scan_samples(f, r, _BOUND_STRIDE)
+    return -math.inf if lm is None else float(np.fmin.reduce(lm, initial=math.inf))
 
 
 def log_min_modulus(f, r: float) -> float:

@@ -197,6 +197,24 @@ def test_render_window_validation(tmp_path):
     assert main(["render", "--corpus", "zsq", "--scales", "x", "--res", "16"]) == 2
 
 
+@pytest.mark.parametrize("flags", [("--window", "nan,2"), ("--window", "0,inf"),
+                                   ("--window", "1+infj,2"), ("--scales", "4,inf"),
+                                   ("--resc", "nan")])
+def test_render_refuses_non_finite_values_before_any_output(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    assert main(["render", "--corpus", "zsq", "--res", "16", *flags, "--out", str(out)]) == 2
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [("--rmax", "inf"), ("--rmin", "nan"), ("--ratio", "inf")])
+def test_analyze_refuses_non_finite_grid_values(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    assert main(["analyze", "--corpus", "expz", *flags, "--out", str(out)]) == 2
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # trace
 # ---------------------------------------------------------------------------
@@ -319,6 +337,21 @@ def test_config_unknown_key(tmp_path, capsys):
     cfg.write_text(json.dumps({"frobnicate": 1}))
     assert main(["analyze", "--config", str(cfg)]) == 2
     assert "frobnicate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "null", "3", '"expz"'])
+def test_config_that_is_not_an_object(tmp_path, capsys, text):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text)
+    assert main(["analyze", "--corpus", "expz", "--config", str(cfg)]) == 2
+    assert "invalid configuration" in capsys.readouterr().err
+
+
+def test_config_with_a_non_finite_value(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"rmax": Infinity}')
+    assert main(["analyze", "--corpus", "expz", "--config", str(cfg)]) == 2
+    assert "non-finite value for rmax" in capsys.readouterr().err
 
 
 def test_config_with_both_sources(tmp_path):

@@ -560,6 +560,23 @@ def test_profile_kernel_calls(monkeypatch, lacunary2):
     assert max(calls) <= nevanlinna._CALL_POINTS
 
 
+@pytest.mark.parametrize("name", ["expz", "canprod4", "lacunary2", "tanz"])
+def test_panel_shares_equal_rows_alone(name):
+    # a BLAS product g @ w rounds a row differently with its place in the
+    # block; each panel's share must not depend on the panels beside it
+    f = corpus_function(name)
+    rng = np.random.default_rng(11)
+    for rows in (5, 64, 300):
+        r = 10.0 ** rng.uniform(0.0, 3.0, rows)
+        left = rng.uniform(0.0, 2.0 * math.pi, rows)
+        width = 2.0 * math.pi / 2 ** rng.integers(6, 14)
+        g, share = nevanlinna._panel_level(f, r, left, width)
+        for i in range(rows):
+            g_i, share_i = nevanlinna._panel_level(f, r[i:i + 1], left[i:i + 1], width)
+            assert np.array_equal(g_i[0], g[i])
+            assert share_i[0] == share[i]
+
+
 # ---------------------------------------------------------------------------
 # the golden-section helper
 # ---------------------------------------------------------------------------
@@ -754,6 +771,13 @@ def test_radius_grid_overshoots_geometrically():
         RadiusGrid(10.0, 1.0, 2.0)
     with pytest.raises(ValueError):
         RadiusGrid(1.0, 10.0, 1.0)
+
+
+@pytest.mark.parametrize("bounds", [(1.0, math.inf), (1.0, math.nan), (-math.inf, 10.0),
+                                    (1.0, 10.0, math.inf)])
+def test_radius_grid_refuses_non_finite_values(bounds):
+    with pytest.raises(ValueError, match="finite"):
+        RadiusGrid(*bounds)
 
 
 def test_profile_identities(exp_profile):
