@@ -55,7 +55,7 @@ from .expr import (
     Sub,
     as_expr,
     evaluate_many,
-    poles_in_disk,
+    has_poles,
     polynomial_coefficients,
 )
 
@@ -68,7 +68,6 @@ _PERIOD_CAP = 32
 _MAX_RESOLUTION = 8192
 _TILE_PIXELS = 2**16      # orbits run together; a grid tile is a band of
                           # max(1, _TILE_PIXELS // resolution) whole rows
-_POLE_SCOUT_RADII = tuple(2.0**k for k in range(9))  # catalog buckets 1, 2, ..., 256
 _GROWTH_RUN = 3
 
 _PALETTE = (
@@ -166,14 +165,6 @@ class ComponentReport:
 # ---------------------------------------------------------------------------
 # orbit iteration
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=256)
-def _has_poles(expr) -> bool:
-    # a numeric sweep costs in proportion to the disk's area, and most
-    # maps have a pole near the origin: grow the disk through the catalog
-    # buckets and stop at the first pole
-    return any(len(poles_in_disk(expr, r)) for r in _POLE_SCOUT_RADII)
 
 
 def _summands(node, sign=1.0):
@@ -426,6 +417,12 @@ def _classify_tiles(expr, n, tiles, budget, r_esc, with_final):
     final, cycle registry, count of escapes the absorbing half-plane
     decided).
 
+    Whether an orbit can hit a pole is has_poles of the tree, decided
+    without a radius or a catalog: for a map not proven pole-free, an
+    image with |f| >= 1e12 is a pole hit.  A function applied to a
+    subexpression not proven pole-free raises UnsupportedExpressionError
+    before any orbit runs.
+
     Cycle ids are those of one batch of all n orbits: ids count from 1 in
     the order (step, index) of each cycle's first detection, and a cycle's
     rep is the one from that detection.  After the last tile the local
@@ -439,7 +436,7 @@ def _classify_tiles(expr, n, tiles, budget, r_esc, with_final):
     steps = np.full(n, 2 * budget, dtype=np.int32)
     cyc = np.zeros(n, dtype=np.int32)
     final = np.empty(n, dtype=np.complex128) if with_final else None
-    meromorphic = _has_poles(expr)
+    meromorphic = has_poles(expr)
     plane = _absorbing_half_plane(expr)
     spans = []
     entries = []
@@ -516,10 +513,13 @@ def iterate_orbit(f, z0: complex, max_steps: int = 1000, R_esc: float = _ESCAPE_
 
 
 def _pixel_axes(center: complex, half_width: float, resolution: int):
-    """Real parts of the pixel columns and imaginary parts of the rows."""
+    """Real parts of the pixel columns and imaginary parts of the rows;
+    near the float limit they overflow to inf or NaN, which classify_grid
+    refuses."""
     frac = (np.arange(resolution) + 0.5) / resolution
-    xs = center.real - half_width + 2.0 * half_width * frac
-    ys = center.imag + half_width - 2.0 * half_width * frac
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = center.real - half_width + 2.0 * half_width * frac
+        ys = center.imag + half_width - 2.0 * half_width * frac
     return xs, ys
 
 
@@ -535,7 +535,9 @@ def classify_grid(f, window, resolution: int, budget: int, r_esc: float = _ESCAP
     pixels are sampled at their centers; orbits take up to 2·budget orbit
     steps, and steps counts orbit steps (2·budget for an orbit the budget
     leaves undecided).  The output is a pure function of (f, window,
-    resolution, budget, r_esc).
+    resolution, budget, r_esc).  A window whose pixel axes are not finite
+    (2·half_width overflows near 1e308, say) raises ValueError before any
+    orbit runs.
 
     Orbits run in tiles, bands of max(1, 2^16 // resolution) whole rows
     whose pixel centers are built as each band starts, so loop state is
@@ -556,6 +558,8 @@ def classify_grid(f, window, resolution: int, budget: int, r_esc: float = _ESCAP
         raise ValueError("window half-width must be positive")
     expr = as_expr(f)
     xs, ys = _pixel_axes(center, half_width, resolution)
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("the window's pixel grid is not finite")
     rows = max(1, _TILE_PIXELS // resolution)
     tiles = ((r * resolution, (xs[None, :] + 1j * ys[r:r + rows, None]).reshape(-1))
              for r in range(0, resolution, rows))

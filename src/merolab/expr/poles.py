@@ -1,4 +1,4 @@
-"""Winding counts and pole catalogs.
+"""Winding counts, pole catalogs, and whether a tree may have poles.
 
 Pole location runs on two routes.  The exact route applies when every
 pole of the expression provably comes from a denominator that is a
@@ -6,7 +6,7 @@ polynomial times level sets g(a z + b) - c of g in exp, sin, cos, tan,
 or from a tan node with an affine argument.  Polynomial roots come from
 companion-matrix eigenvalues polished by Newton steps; level-set zeros
 and tan poles come from closed-form lattices in w = a z + b (see
-_level_set), and exp of an entire tree has no zeros.  A lattice walks only
+_level_set), and exp of a pole-free tree has no zeros.  A lattice walks only
 the indices whose points can lie in the disk and refuses more than 2^21
 of them.  The tree walk holds each pole set as two arrays (locations,
 multiplicities), finds the poles two sets share by one query on sorted
@@ -19,7 +19,8 @@ are split 2x2 until each pole is isolated to a 1e-6 diameter.  One sweep
 edge once per level; a top grid with more than 2^19 cells in the disk is
 refused before anything is evaluated.  Either route gives one
 SingularityList per power-of-two bucket radius: arrays sorted by
-modulus, cut to a radius by within.
+modulus, cut to a radius by within.  has_poles needs no catalog: it
+reads "may f have a pole" off the tree (_entire), at no radius.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .evaluate import _horner, log_polar
 from .nodes import (
     Add,
     CanonicalProduct,
+    Const,
     Div,
     Func,
     LacunarySeries,
@@ -54,6 +56,7 @@ __all__ = [
     "SingularityList",
     "winding_count",
     "poles_in_disk",
+    "has_poles",
     "BoundarySingularityError",
     "WindingConvergenceError",
     "UnresolvedRegionError",
@@ -388,23 +391,43 @@ class _Coset(NamedTuple):
     mult: int
 
 
+def _children(node: Node) -> list:
+    return [child for child in vars(node).values() if isinstance(child, Node)]
+
+
 def _entire(node: Node) -> bool:
-    """Whether node is entire by construction: it divides only by nonzero
-    constants and holds no negative power and no tan."""
-    if isinstance(node, Div):
-        den = node.denominator_poly
-        if den is None or len(den) != 1 or den[0] == 0:
-            return False
-    if (isinstance(node, Pow) and node.exponent < 0) or (isinstance(node, Func) and node.name == "tan"):
+    """Whether node is pole-free by construction, at every radius.
+
+    A tree is pole-free when it holds no tan and every function argument
+    is pole-free; each quotient has a pole-free numerator, a denominator
+    whose _zero_set has no zero cosets, and a numerator that cancels
+    (_cancel_against) every root of the denominator's polynomial part, so
+    sin(z)/z and (exp(z) - 1)/z count; and each negative power has a base
+    whose zero set is empty.  A tree _zero_set cannot certify
+    (_NeedsNumeric) and a denominator with a zero-polynomial factor are
+    not pole-free.  False means "not proven", not "has a pole".
+    """
+    if isinstance(node, Func):
+        return node.name != "tan" and _entire(node.argument)
+    if isinstance(node, Pow) and node.exponent < 0:
+        return _entire(Div(Const(1), node.base))  # the poles of 1/base, raised
+    if not isinstance(node, Div):
+        return all(_entire(child) for child in _children(node))
+    zero = any(polynomial_coefficients(g) == (0j,) for g, _ in _factors(node.denominator))
+    if zero or not _entire(node.numerator):
         return False
-    return all(_entire(child) for child in vars(node).values() if isinstance(child, Node))
+    try:
+        roots, zero_cosets, _ = _zero_set(node.denominator)
+        return not zero_cosets and not _cancel_against(node.numerator, roots)[0].size
+    except _NeedsNumeric:
+        return False
 
 
 def _level_set(node: Node):
     """Zero cosets and pole cosets of node when it is a level set
     g(a z + b) - c up to sign, with g one of exp, sin, cos, tan and a != 0:
     g(w) - c, c - g(w), g(w) + c, c + g(w), a bare g(w) (c = 0) or Neg of
-    any of these, or exp(h(z)) of any tree h that is entire by
+    any of these, or exp(h(z)) of any tree h that is pole-free by
     construction (no zeros, see _entire); else None.
 
     In w = a z + b, exp(w) = c at Log c + 2 pi i k (none for c = 0);
@@ -742,6 +765,32 @@ def _numeric_poles(f, radius: float) -> list:
 # ---------------------------------------------------------------------------
 # public catalog interface
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=512)
+def has_poles(f) -> bool:
+    """Whether f may have a pole anywhere in the plane: not _entire of its tree.
+
+    This is decided from the tree alone, with no radius and no catalog;
+    the only evaluation is of a numerator at the roots of its
+    denominator's polynomial part (_cancel_against).  True means "not
+    proven pole-free": it holds for 1/(z^2 + 1e6), whose poles lie at
+    +-1000i, and for (exp(z) + z)/(exp(z) + z), which has none.  Raises
+    UnsupportedExpressionError where exp, sin, cos or tan is applied to an
+    argument that is not proven pole-free, since a pole there would be an
+    essential singularity at a finite point.
+    """
+    root = as_expr(f).root
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Func) and not _entire(node.argument):
+            raise UnsupportedExpressionError(
+                "function applied to a subexpression not proven pole-free: a pole "
+                "there would be an essential singularity at a finite point"
+            )
+        stack += _children(node)
+    return not _entire(root)
 
 
 def _bucket_radius(radius: float) -> float:

@@ -199,7 +199,7 @@ def test_render_window_validation(tmp_path):
 
 @pytest.mark.parametrize("flags", [("--window", "nan,2"), ("--window", "0,inf"),
                                    ("--window", "1+infj,2"), ("--scales", "4,inf"),
-                                   ("--resc", "nan")])
+                                   ("--resc", "nan"), ("--window", "0,1e308")])
 def test_render_refuses_non_finite_values_before_any_output(tmp_path, capsys, flags):
     out = tmp_path / "out"
     assert main(["render", "--corpus", "zsq", "--res", "16", *flags, "--out", str(out)]) == 2

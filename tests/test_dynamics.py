@@ -18,9 +18,10 @@ from merolab import (
     to_ppm,
 )
 from merolab import dynamics
+from merolab.cli import main
 from merolab.dynamics import _PALETTE, _POLE_COLOR, ClassifiedGrid, _component_stats
 from merolab.expr import (
-    POLE_FLAG, Add, Const, Func, MeroExpr, Mul, Var, as_expr, poles, poles_in_disk,
+    POLE_FLAG, Add, Const, Func, MeroExpr, Mul, Var, as_expr, has_poles, poles, poles_in_disk,
 )
 
 
@@ -123,12 +124,14 @@ def test_grid_of_an_entire_map_has_no_pole_hits(f):
     "z^2 - 0.1226 + 0.7449*i", "z^4", "z^4 - 1.0*z", "z^3 + z", "z*exp(z)",
 ])
 def test_pole_scouting_agrees_with_the_disk_of_radius_256(f):
+    # on these maps the tree rule and the catalog agree: every pole lies
+    # near the origin, and the pole-free ones are entire by construction
     expr = as_expr(f)
-    assert dynamics._has_poles(expr) == (len(poles_in_disk(expr, 256.0)) > 0)
+    assert has_poles(expr) == (len(poles_in_disk(expr, 256.0)) > 0)
 
 
-def _scouted_radii(monkeypatch, f):
-    """Whether pole scouting finds a pole of f, and the radii of its numeric sweeps."""
+def _decided_with_sweeps(monkeypatch, f):
+    """has_poles of f, and the radii of the numeric sweeps run while deciding it."""
     radii = []
     numeric = poles._numeric_poles
 
@@ -138,23 +141,54 @@ def _scouted_radii(monkeypatch, f):
 
     monkeypatch.setattr(poles, "_numeric_poles", recording)
     poles._catalog_at.cache_clear()
-    dynamics._has_poles.cache_clear()
-    return dynamics._has_poles(as_expr(f)), radii
-
-
-@pytest.mark.parametrize("f", ["1/(exp(z)+z)", "z + 1/(cos(z)-z)"])
-def test_pole_scouting_stops_at_the_first_pole(monkeypatch, f):
-    # both maps have a pole inside the unit disk (-W(1) = -0.567 and the
-    # fixed point 0.739 of cos), so no numeric sweep may look beyond radius 1
-    found, radii = _scouted_radii(monkeypatch, f)
-    assert found and radii and max(radii) <= 1.0
+    has_poles.cache_clear()
+    return has_poles(as_expr(f)), radii
 
 
 @pytest.mark.parametrize("f, found", [
     ("1/(exp(z)-2)", True), ("z + 1/(sin(z)-0.5)", True), ("1/exp(z)", False),
 ])
 def test_pole_scouting_of_level_sets_sweeps_nothing(monkeypatch, f, found):
-    assert _scouted_radii(monkeypatch, f) == (found, [])
+    assert _decided_with_sweeps(monkeypatch, f) == (found, [])
+
+
+def _no_catalog(*args):
+    raise AssertionError("a pole catalog was built")
+
+
+@pytest.mark.parametrize("f, found", [
+    ("z^2", False), ("tan(z)", True), ("z + 1 + exp(-z)", False), ("(z^2 + 1)/(2*z)", True),
+    ("z^2 - 1", False), ("z^2 - 1.3", False), ("z^2 - 0.1226 + 0.7449*i", False), ("z^4", False),
+    ("z^4 - 1.0*z", False), ("z^3 + z", False), ("z*exp(z)", False),
+    ("1/(exp(z)+z)", True), ("z + 1/(cos(z)-z)", True),
+    ("1/(exp(z)-2)", True), ("z + 1/(sin(z)-0.5)", True), ("1/exp(z)", False),
+    # a root of the denominator's polynomial part that the numerator
+    # cancels, and a level set without zeros (tan w = i has no solution)
+    ("sin(z)/z", False), ("(exp(z)-1)/z", False), ("1/(tan(z)-i)", False),
+    ("exp(1/exp(exp(z)))", False),
+    # not proven pole-free: the poles lie at +-1000i, beyond the disk of
+    # radius 256, and exp(z) + z is no level set
+    ("1/(z^2+1e6)", True), ("(exp(z)+z)/(exp(z)+z)", True),
+    # a zero factor makes the denominator vanish everywhere
+    ("1/(0*exp(z))", True),
+])
+def test_has_poles_decides_from_the_tree(monkeypatch, f, found):
+    monkeypatch.setattr(poles, "_catalog_at", _no_catalog)
+    has_poles.cache_clear()
+    assert has_poles(f) is found
+
+
+@pytest.mark.parametrize("f", ["1/(exp(z)+z)", "1/(exp(z)+z+1e30)"])
+def test_orbits_build_no_pole_catalog(monkeypatch, tmp_path, f):
+    # every catalog, structural or numeric, is built in _catalog_at
+    monkeypatch.setattr(poles, "_catalog_at", _no_catalog)
+    monkeypatch.setattr(poles, "poles_in_disk", _no_catalog)
+    has_poles.cache_clear()
+    grid = classify_grid(f, (0j, 2.0), 16, 8)
+    assert grid.classes.size == 256
+    argv = ["render", "--function", f, "--window", "0,2", "--res", "16", "--budget", "8"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert (tmp_path / "render.ppm").exists()
 
 
 def test_orbit_validation(zsq):
@@ -195,6 +229,19 @@ def test_grid_row_zero_is_top(zsq):
     centers = grid.pixel_centers()
     assert centers[0, 0].imag > centers[-1, 0].imag
     assert centers[0, 0].real < centers[0, -1].real
+
+
+@pytest.mark.parametrize("window", [
+    (0j, 1e308), (1.7e308, 8e307), (1e308j, 9e307), (-1.7e308, 1e308),
+])
+def test_grid_refuses_a_window_whose_pixels_are_not_finite(monkeypatch, window):
+    # 2 * half_width overflows, or the pixel centres do: no orbit may run
+    def no_orbits(*args):
+        raise AssertionError("orbits ran")
+
+    monkeypatch.setattr(dynamics, "_classify_tiles", no_orbits)
+    with pytest.raises(ValueError, match="not finite"):
+        classify_grid("z^2", window, 16, 8)
 
 
 def test_grid_pole_hits_near_tangent_pole(tanz):
@@ -250,7 +297,7 @@ def _floyd_classify(f, pts, budget, r_esc=1e6):
     hmod = np.abs(hare)
     grow = np.zeros(n, dtype=np.int16)
     registry = []
-    meromorphic = dynamics._has_poles(expr)
+    meromorphic = has_poles(expr)
 
     def decide(mask, cls, step_count, *extra):
         nonlocal live, tort, hare, hmod, grow

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -415,3 +416,19 @@ def test_cli_refuses_essential_singularity_behind_an_exact_argument(argv, tmp_pa
     assert rc == 2
     assert "essential singularity" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("f", ["exp(tan(z))", "exp(1/(exp(z)+z))"])
+def test_render_refuses_essential_singularities_fast(f, tmp_path, capsys):
+    # the refusal comes from the tree (has_poles), with no catalog of the
+    # argument and no orbit
+    poles._catalog_at.cache_clear()
+    poles.has_poles.cache_clear()
+    argv = ["render", "--function", f, "--window", "0,2", "--res", "16", "--budget", "8"]
+    start = time.perf_counter()
+    rc = main(argv + ["--out", str(tmp_path)])
+    elapsed = time.perf_counter() - start
+    assert rc == 2
+    assert "essential singularity" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert elapsed < 1.0
