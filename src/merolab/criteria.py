@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .expr import as_expr
+from .expr import as_expr, has_poles
 from .nevanlinna import (
     InsufficientSpanError,
     RadialProfile,
@@ -36,7 +36,6 @@ from .nevanlinna import (
     growth_summary,
     log_max_modulus,
     log_min_modulus,
-    poles_in_disk,
     _log_min_subset_bound,
     _modulus_extrema,
 )
@@ -402,17 +401,13 @@ def check_entire_conditions(f, profile: RadialProfile) -> list[CriterionVerdict]
     The circles 2r of (1) and r^m of (3) each go through the circle
     refinement in lockstep, as the profile's circles do.
 
-    Raises NotEntireError when the pole catalog inside the profile's top
-    radius is nonempty.
+    Raises NotEntireError when has_poles does not prove the tree
+    pole-free, wherever its poles would lie; no catalog is built.
     """
     expr = as_expr(f)
+    if has_poles(expr):
+        raise NotEntireError(f"the entire-function conditions do not apply: {expr} may have poles")
     top = profile.samples[-1].r
-    catalog = poles_in_disk(expr, top)
-    if len(catalog):
-        raise NotEntireError(
-            "pole catalog holds %d entries inside radius %g; the entire-function"
-            " conditions do not apply" % (len(catalog), top)
-        )
     window = _entire_window(profile)
     samples = profile.samples
 

@@ -19,8 +19,9 @@ are split 2x2 until each pole is isolated to a 1e-6 diameter.  One sweep
 edge once per level; a top grid with more than 2^19 cells in the disk is
 refused before anything is evaluated.  Either route gives one
 SingularityList per power-of-two bucket radius: arrays sorted by
-modulus, cut to a radius by within.  has_poles needs no catalog: it
-reads "may f have a pole" off the tree (_entire), at no radius.
+modulus, cut to a radius by within.  poles_in_disk first asks has_poles
+(_entire of the tree, at no radius), which refuses a function of an
+argument not proven pole-free; a pole-free tree gets no catalog.
 """
 
 from __future__ import annotations
@@ -304,6 +305,7 @@ def _moduli(locs: np.ndarray) -> np.ndarray:
 
 
 _EMPTY = (np.empty(0, dtype=np.complex128), np.empty(0, dtype=np.int64))
+_NO_POLES = SingularityList(*_EMPTY, np.empty(0), True)
 
 
 def _poly_roots(coeffs):
@@ -413,8 +415,7 @@ def _entire(node: Node) -> bool:
         return _entire(Div(Const(1), node.base))  # the poles of 1/base, raised
     if not isinstance(node, Div):
         return all(_entire(child) for child in _children(node))
-    zero = any(polynomial_coefficients(g) == (0j,) for g, _ in _factors(node.denominator))
-    if zero or not _entire(node.numerator):
+    if _zero_factor(node.denominator) or not _entire(node.numerator):
         return False
     try:
         roots, zero_cosets, _ = _zero_set(node.denominator)
@@ -546,6 +547,11 @@ def _factors(node: Node, power: int = 1) -> list:
     return [(node, power)]
 
 
+def _zero_factor(node: Node) -> bool:
+    """Whether a factor of the product node is the zero polynomial."""
+    return any(polynomial_coefficients(g) == (0j,) for g, _ in _factors(node))
+
+
 def _zero_set(node: Node):
     """Zeros and poles of a polynomial times level sets (see _level_set) at
     any radius: the roots of its polynomial part as a pole set, the zero
@@ -572,7 +578,10 @@ def _zero_set(node: Node):
 
 def _divisor(node: Node, radius: float):
     """The zeros of _zero_set(node) in the disk as one pole set, and its pole
-    cosets; a zero of one factor on a pole of another raises _NeedsNumeric."""
+    cosets; a zero of one factor on a pole of another raises _NeedsNumeric,
+    a zero-polynomial factor UnsupportedExpressionError."""
+    if _zero_factor(node):
+        raise UnsupportedExpressionError("a denominator vanishes identically")
     zeros, zero_cosets, poles = _zero_set(node)
     for coset in zero_cosets:
         zeros = _joined(zeros, _lattice(coset, radius))
@@ -613,10 +622,7 @@ def _structural_poles(node: Node, radius: float):
     budget, polynomial roots 1e-6 scale apart, and Add and Sub refuse, Mul
     and Div join, the poles of two sets that coincide.  So only poles of
     different sets are ever compared.  Raises _NeedsNumeric when the pole
-    set is not certifiable from the tree, and UnsupportedExpressionError
-    when an entire function is applied to something with poles (an
-    essential singularity at a finite point), whichever route finds those
-    poles.
+    set is not certifiable from the tree (has_poles vetted every argument).
     """
     if polynomial_coefficients(node) is not None:
         return _EMPTY
@@ -648,17 +654,6 @@ def _structural_poles(node: Node, radius: float):
             locs, mults = _divisor(node.base, radius)[0]
         return locs, mults * abs(node.exponent)
     if isinstance(node, Func):
-        try:
-            inner = len(_structural_poles(node.argument, radius)[0])
-        except _NeedsNumeric:
-            inner = len(_catalog_at(MeroExpr(node.argument), radius))
-            if not inner:
-                raise
-        if inner:
-            raise UnsupportedExpressionError(
-                "entire function applied to a subexpression with poles "
-                "creates an essential singularity at a finite point"
-            )
         return _lattice(_zero_set(node)[2][0], radius) if node.name == "tan" else _EMPTY
     raise _NeedsNumeric
 
@@ -707,13 +702,16 @@ def _subdivide(f, box, winding, found, budget):
 
 
 def _grid_search(f, radius: float, origin: float, extent: float, cell: float):
+    limit = radius + _MERGE_TOL
+    # the budget is checked before anything is evaluated or laid out: the
+    # row through 0 alone covers [-limit, limit], so a long axis is refused
+    if 2 * limit > _GRID_CELLS * cell:
+        raise UnresolvedRegionError(f"one row of the disk of radius {radius:g} exceeds the budget")
     n_cells = max(2, math.ceil((extent - origin) / cell))
     starts = [origin + i * cell for i in range(n_cells)]
     # per axis, the coordinate of each cell closest to 0
     near = [s if s > 0 else (s + cell if s + cell < 0 else 0.0) for s in starts]
-    limit = radius + _MERGE_TOL
-    # the budget is checked before anything is evaluated or laid out per
-    # cell: in each row y, the cells with |x| <= sqrt(limit^2 - y^2)
+    # else the count is exact: in each row y, the cells with |x| <= sqrt(limit^2 - y^2)
     dist = np.abs(near)
     reach = np.sqrt(limit**2 - dist[dist <= limit] ** 2)
     n_in = int(np.searchsorted(np.sort(dist), reach, side="right").sum())
@@ -818,12 +816,16 @@ def _catalog_at(f: MeroExpr, radius: float) -> SingularityList:
 def poles_in_disk(f, radius: float) -> SingularityList:
     """Catalog of poles with |location| <= radius.
 
-    Catalogs are computed per power-of-two bucket radius and cut down by
-    SingularityList.within, so sweeping a radius grid reuses one search.
-    Raises UnsupportedExpressionError for expressions with finite
-    non-polar singularities and UnresolvedRegionError when the numeric
-    search cannot settle or a catalog would exceed its size budget.
+    has_poles decides first; a pole-free tree gets one shared exact, empty
+    catalog.  Other catalogs are computed per power-of-two bucket radius
+    and cut down by SingularityList.within, so a radius grid reuses one
+    search.  Raises UnsupportedExpressionError where has_poles refuses the
+    tree or a denominator vanishes identically, and UnresolvedRegionError
+    when the numeric search cannot settle or a catalog exceeds its budget.
     """
     if not radius > 0:
         raise ValueError("radius must be positive")
-    return _catalog_at(as_expr(f), _bucket_radius(radius)).within(radius)
+    f = as_expr(f)
+    if not has_poles(f):
+        return _NO_POLES
+    return _catalog_at(f, _bucket_radius(radius)).within(radius)

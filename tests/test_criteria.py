@@ -410,6 +410,13 @@ def test_entire_conditions_reject_poles(tanz, tan_profile):
         check_entire_conditions(tanz, tan_profile)
 
 
+def test_entire_conditions_reject_poles_beyond_the_profile():
+    # the poles +-1000i lie outside every circle of the profile on [1, 100]
+    f = parse("exp(z) + 1/(z^2+1e6)")
+    with pytest.raises(NotEntireError, match="may have poles"):
+        check_entire_conditions(f, build_profile(f, RadiusGrid(1.0, 100.0)))
+
+
 # ---------------------------------------------------------------------------
 # growth chain
 # ---------------------------------------------------------------------------

@@ -166,6 +166,8 @@ def _no_catalog(*args):
     # cancels, and a level set without zeros (tan w = i has no solution)
     ("sin(z)/z", False), ("(exp(z)-1)/z", False), ("1/(tan(z)-i)", False),
     ("exp(1/exp(exp(z)))", False),
+    # the pole-free corpus entries not listed above (expz, lacunary2, canprod4)
+    ("exp(z)", False), ("lacunary(2)", False), ("canprod(4)", False),
     # not proven pole-free: the poles lie at +-1000i, beyond the disk of
     # radius 256, and exp(z) + z is no level set
     ("1/(z^2+1e6)", True), ("(exp(z)+z)/(exp(z)+z)", True),
@@ -176,6 +178,11 @@ def test_has_poles_decides_from_the_tree(monkeypatch, f, found):
     monkeypatch.setattr(poles, "_catalog_at", _no_catalog)
     has_poles.cache_clear()
     assert has_poles(f) is found
+    if not found:
+        # a pole-free tree gets its empty catalog from the same rule
+        for radius in (0.5, 2.0, 1e6):
+            catalog = poles_in_disk(f, radius)
+            assert catalog.exact and catalog.entries == ()
 
 
 @pytest.mark.parametrize("f", ["1/(exp(z)+z)", "1/(exp(z)+z+1e30)"])

@@ -224,8 +224,6 @@ def _ref_structural_poles(node: Node, radius: float) -> dict:
             raise _RefNeedsNumeric
         return {loc: m * (-node.exponent) for loc, m in _ref_poly_roots(base_coeffs)}
     if isinstance(node, Func):
-        if _ref_structural_poles(node.argument, radius):
-            raise UnsupportedExpressionError("essential singularity")
         if node.name != "tan":
             return {}
         lattice = _ref_tan_lattice(node.argument, radius)
@@ -233,6 +231,31 @@ def _ref_structural_poles(node: Node, radius: float) -> dict:
             raise _RefNeedsNumeric
         return lattice
     raise _RefNeedsNumeric
+
+
+def _ref_pole_free(node: Node) -> bool:
+    """For the generator's grammar: no tan node, and every quotient
+    denominator and negative-power base is a nonzero constant."""
+    if isinstance(node, Func) and node.name == "tan":
+        return False
+    den = node.denominator if isinstance(node, Div) else None
+    if isinstance(node, Pow) and node.exponent < 0:
+        den = node.base
+    if den is not None:
+        coeffs = polynomial_coefficients(den)
+        if coeffs is None or len(coeffs) > 1 or coeffs[0] == 0:
+            return False
+    return all(_ref_pole_free(child) for child in vars(node).values() if isinstance(child, Node))
+
+
+def _ref_refuse_essential(node: Node) -> None:
+    """A function of an argument that is not pole-free is refused at every
+    radius, wherever the argument's poles lie."""
+    if isinstance(node, Func) and not _ref_pole_free(node.argument):
+        raise UnsupportedExpressionError("essential singularity")
+    for child in vars(node).values():
+        if isinstance(child, Node):
+            _ref_refuse_essential(child)
 
 
 class _Numeric(Exception):
@@ -245,6 +268,7 @@ def _no_numeric(f, radius):
 
 def _ref_catalog(f, radius) -> SingularityList:
     bucket = poles._bucket_radius(radius)
+    _ref_refuse_essential(f.root)
     try:
         pairs = _ref_structural_poles(f.root, bucket).items()
     except _RefNeedsNumeric:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from merolab.expr import (
     UnresolvedRegionError,
     UnsupportedExpressionError,
     WindingConvergenceError,
+    has_poles,
     log_polar,
     poles_in_disk,
     winding_count,
@@ -256,6 +258,30 @@ def test_grid_budget_refuses_before_evaluating(monkeypatch):
     assert seen == [421642]
 
 
+def test_grid_budget_refuses_a_long_axis_before_laying_it_out():
+    # about 2.9e10 cells per axis: the row through 0 alone exceeds the budget
+    f = parse("1/(exp(z)+z)")
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(UnresolvedRegionError, match="radius 1e[+]10 exceeds the budget"):
+            poles._numeric_poles(f, 1e10)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5
+    assert peak < 10 * 2**20
+
+
+def test_cli_trace_refuses_a_numeric_catalog_past_the_budget(tmp_path, capsys):
+    # trace's first catalog radius is past 1e18: a numeric failure (exit 3)
+    rc = main(["trace", "--function", "1/(exp(z)+z)", "--out", str(tmp_path)])
+    assert rc == 3
+    assert "exceeds the budget" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_refuses_unbudgeted_numeric_catalog(tmp_path, capsys):
     # defaults ask for the bucket-2048 catalog, about 27 M cells
     rc = main(["analyze", "--function", "1/(exp(z)+z)", "--out", str(tmp_path)])
@@ -366,6 +392,17 @@ def test_essential_singularities_are_refused(src, radius):
         poles_in_disk(parse(src), radius)
 
 
+@pytest.mark.parametrize("src", ["1/(0*z)", "1/(0*exp(z))", "exp(z)/(z*0)"])
+def test_identically_zero_denominators_are_refused(src, tmp_path):
+    # every point is a pole: has_poles says so (render hits a pole at every
+    # pixel), and a catalog or a profile is refused
+    assert has_poles(src)
+    with pytest.raises(UnsupportedExpressionError, match="vanishes identically"):
+        poles_in_disk(parse(src), 2.0)
+    assert main(["analyze", "--function", src, "--out", str(tmp_path)]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_pole_free_entire_exp_argument_is_exact():
     # exp(z) is entire by construction, so exp(exp(z)) has no zeros
     cat = poles_in_disk(parse("exp(1/exp(exp(z)))"), 2.0)
@@ -418,13 +455,36 @@ def test_cli_refuses_essential_singularity_behind_an_exact_argument(argv, tmp_pa
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("f", ["exp(tan(z))", "exp(1/(exp(z)+z))"])
-def test_render_refuses_essential_singularities_fast(f, tmp_path, capsys):
-    # the refusal comes from the tree (has_poles), with no catalog of the
-    # argument and no orbit
+# the flags of each command beyond --function; analyze and check take the
+# radius grid of the map
+_COMMAND_FLAGS = {"trace": [], "render": ["--window", "0,2", "--res", "16", "--budget", "8"]}
+_ESSENTIAL = [
+    # tan's nearest poles lie outside the disk of radius 1 that --rmax 0.5 reads
+    ("exp(tan(z))", ["--rmin", "0.001", "--rmax", "0.5"]),
+    ("exp(1/(exp(z)+z))", ["--rmin", "0.125", "--rmax", "16"]),
+    # the argument has no poles, but exp(z) + z is no level set
+    ("exp((exp(z)+z)/(exp(z)+z))", ["--rmin", "0.125", "--rmax", "16"]),
+    # the argument's nearest poles, where exp(z) = -1e30 - z, lie near |z| = 69
+    ("sin(1/(exp(z)+z+1e30))", ["--rmin", "0.125", "--rmax", "16"]),
+]
+
+
+def _no_sweep(f, radius):
+    raise AssertionError("a numeric sweep ran")
+
+
+@pytest.mark.parametrize("f, radii", _ESSENTIAL, ids=[f for f, _ in _ESSENTIAL])
+@pytest.mark.parametrize("command", ["analyze", "check", "trace", "render"])
+def test_commands_refuse_essential_singularities_fast(
+    monkeypatch, command, f, radii, tmp_path, capsys
+):
+    # every command refuses from the tree (has_poles), whatever its grid,
+    # with no catalog or sweep of the argument and no orbit
+    monkeypatch.setattr(poles, "_numeric_poles", _no_sweep)
     poles._catalog_at.cache_clear()
     poles.has_poles.cache_clear()
-    argv = ["render", "--function", f, "--window", "0,2", "--res", "16", "--budget", "8"]
+    flags = _COMMAND_FLAGS.get(command, radii)
+    argv = [command, "--function", f] + flags
     start = time.perf_counter()
     rc = main(argv + ["--out", str(tmp_path)])
     elapsed = time.perf_counter() - start
