@@ -55,9 +55,9 @@ class RunConfig:
 
     function: str | None = None
     corpus: str | None = None
-    rmin: float = 1.0
-    rmax: float = 1000.0
-    ratio: float = 2.0 ** 0.125
+    rmin: float = RadiusGrid.r_min
+    rmax: float = RadiusGrid.r_max
+    ratio: float = RadiusGrid.ratio
     alpha: float = 0.5
     d: float = 2.0
     D: float = 4.0
@@ -248,14 +248,14 @@ def cmd_analyze(config: RunConfig) -> None:
 def cmd_check(config: RunConfig) -> None:
     expr, source, name = _resolve_function(config)
     grid = _grid(config)
-    params = CriterionParams(config.alpha, config.d, config.D, grid=grid)
+    params = CriterionParams(config.alpha, config.d, config.D)
     profile = build_profile(expr, grid)
     verdicts = [
-        check_L_over_r(expr, grid),
-        check_main(expr, params),
-        check_L_versus_M(expr, config.d, grid),
-        check_strong(expr, config.d, config.D, grid),
-        check_deficiency_order(expr, profile),
+        check_L_over_r(profile),
+        check_main(profile, params),
+        check_L_versus_M(profile, config.d),
+        check_strong(profile, config.d, config.D),
+        check_deficiency_order(profile),
     ]
     out = _out_dir(config)
     _write_json(

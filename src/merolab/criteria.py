@@ -1,11 +1,12 @@
 """Finite-grid decision procedures for the boundedness criteria.
 
 Each check evaluates one sufficient condition for the absence of
-unbounded invariant-domain behaviour, on an explicit radius grid, and
-returns a verdict carrying numeric witnesses.  Verdicts are grid
-relative by construction: they assert inequalities at the sampled radii,
-never limits.  "All sufficiently large r" is operationalized as all grid
-radii at or beyond the warm-up radius 10.
+unbounded invariant-domain behaviour on a profile (build_profile) and
+returns a verdict carrying numeric witnesses.  A grid circle's T, log L
+and log M come from its sample; only circles off the grid (the t search,
+r^d, 2r, r^m) are evaluated, from the profile's function.  Verdicts
+assert inequalities at the sampled radii, never limits.  "All
+sufficiently large r" means all samples whose grid radius is at least 10.
 
 Every verdict is built by _verdict from the check's steps.  The growth
 checks stop at the first failing step and keep the witnesses before it;
@@ -26,21 +27,18 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .expr import as_expr, has_poles
+from .expr import has_poles
 from .nevanlinna import (
     InsufficientSpanError,
     RadialProfile,
-    RadiusGrid,
     characteristic,
     golden_min,
     growth_summary,
-    log_max_modulus,
     log_min_modulus,
     _log_min_subset_bound,
     _modulus_extrema,
 )
 
-_DEFAULT_GRID = RadiusGrid(1.0, 1000.0)
 _WARMUP = 10.0
 _LADDER_STEP = 1.0 / 64.0
 _EXPONENT_TOL = 1e-4
@@ -61,7 +59,7 @@ class NotEntireError(ValueError):
 
 @dataclass(frozen=True)
 class CriterionParams:
-    """Parameters shared by the main growth criterion.
+    """Parameters of the main growth criterion.
 
     alpha scales the characteristic on the right-hand side, d sets the
     search range [r, r^d] and D the required characteristic multiplication.
@@ -70,7 +68,6 @@ class CriterionParams:
     alpha: float
     d: float
     D: float
-    grid: RadiusGrid = _DEFAULT_GRID
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -159,12 +156,12 @@ class ChainReport:
 # ---------------------------------------------------------------------------
 
 
-def _tested_radii(grid: RadiusGrid | None) -> list[float]:
-    g = grid if grid is not None else _DEFAULT_GRID
-    radii = [float(r) for r in g.radii() if r >= _WARMUP * (1.0 - 1e-12)]
-    if not radii:
+def _tested(profile: RadialProfile) -> list:
+    """The samples whose grid radius is at or beyond the warm-up radius."""
+    samples = [s for s in profile.samples if s.grid_radius >= _WARMUP * (1.0 - 1e-12)]
+    if not samples:
         raise ValueError("no grid radii at or beyond the warm-up threshold")
-    return radii
+    return samples
 
 
 def _verdict(condition: str, steps, every: bool = False) -> CriterionVerdict:
@@ -245,33 +242,30 @@ def _search_log_L(expr, r: float, d: float, closed: bool) -> tuple[float, float]
 # ---------------------------------------------------------------------------
 
 
-def check_L_over_r(f, grid: RadiusGrid | None = None) -> CriterionVerdict:
-    """Decade-over-decade doubling of L(r)/r along the grid.
+def check_L_over_r(profile: RadialProfile) -> CriterionVerdict:
+    """Decade-over-decade doubling of L(r)/r along the profile.
 
-    L(r)/r is summarized by its maximum over each complete decade; the
-    verdict holds when every decade maximum is at least twice the one
-    before.  A trailing partial decade folds into the last complete one.
+    L(r)/r is summarized by its maximum over each complete decade of grid
+    radii; the verdict holds when every decade maximum is at least twice
+    the one before.  A trailing partial decade folds into the last one.
     Witness values are logarithmic (lhs = log of the decade maximum,
     rhs = previous decade's log maximum plus log 2, t = radius attaining
     the previous maximum), which keeps the record finite even when L(r)/r
     overflows the double range.
     """
-    expr = as_expr(f)
-    g = grid if grid is not None else _DEFAULT_GRID
-    radii = [float(r) for r in g.radii()]
-    n_dec = int(math.floor(math.log10(radii[-1] / radii[0]) + 1e-9))
+    base = [s.grid_radius for s in profile.samples]
+    n_dec = int(math.floor(math.log10(base[-1] / base[0]) + 1e-9))
     if n_dec < 3:
         raise InsufficientSpanError(
             "decade comparison needs a grid spanning at least three decades"
         )
     best = [-math.inf] * n_dec
     best_r = [0.0] * n_dec
-    # log L on every grid circle, the circles in lockstep
-    for r, (log_L, _) in zip(radii, _modulus_extrema(expr, radii)):
-        k = min(int(math.log10(r / radii[0]) + 1e-12), n_dec - 1)
-        v = log_L - math.log(r)
+    for s, b in zip(profile.samples, base):
+        k = min(int(math.log10(b / base[0]) + 1e-12), n_dec - 1)
+        v = s.log_L - math.log(s.r)
         if v > best[k]:
-            best[k], best_r[k] = v, r
+            best[k], best_r[k] = v, s.r
 
     def steps():
         for k in range(1, n_dec):
@@ -283,7 +277,7 @@ def check_L_over_r(f, grid: RadiusGrid | None = None) -> CriterionVerdict:
     return _verdict("L-over-r-growth", steps())
 
 
-def check_main(f, params: CriterionParams) -> CriterionVerdict:
+def check_main(profile: RadialProfile, params: CriterionParams) -> CriterionVerdict:
     """Minimum-modulus spike plus characteristic multiplication.
 
     At every tested radius r two things must happen: some t strictly
@@ -297,26 +291,25 @@ def check_main(f, params: CriterionParams) -> CriterionVerdict:
     holds at some alpha holds at every smaller alpha with identical
     witnesses.
     """
-    expr = as_expr(f)
-    radii = _tested_radii(params.grid)
+    expr = profile.function
 
     def steps():
-        for r in radii:
-            base = characteristic(expr, r)
+        for s in _tested(profile):
+            r = s.r
             t, lhs = _search_log_L(expr, r, params.d, closed=False)
-            rhs = params.alpha * base
+            rhs = params.alpha * s.T
             yield (lhs > rhs, r, Witness(r, t, lhs, rhs, lhs - rhs),
                    "no t in (r, r^d) lifts log L above alpha*T(r)")
             top = r**params.d
             grown = characteristic(expr, top)
-            need = params.D * base
+            need = params.D * s.T
             yield (grown >= need, r, Witness(r, top, grown, need, grown - need),
                    "characteristic at r^d fell below D*T(r)")
 
     return _verdict("main-growth", steps())
 
 
-def check_L_versus_M(f, d: float, grid: RadiusGrid | None = None) -> CriterionVerdict:
+def check_L_versus_M(profile: RadialProfile, d: float) -> CriterionVerdict:
     """Somewhere in [r, r^d] the minimum modulus beats d times log M(r).
 
     The search range is closed at both ends.  Margins within 1e-9 of zero
@@ -324,42 +317,38 @@ def check_L_versus_M(f, d: float, grid: RadiusGrid | None = None) -> CriterionVe
     this boundary, since L = M turns both sides into the same number at
     t = r^d.
     """
-    expr = as_expr(f)
     if not d > 1.0:
         raise ValueError("search exponent d must exceed 1")
-    radii = _tested_radii(grid)
 
     def steps():
-        for r in radii:
-            t, lhs = _search_log_L(expr, r, d, closed=True)
-            rhs = d * log_max_modulus(expr, r)
+        for s in _tested(profile):
+            t, lhs = _search_log_L(profile.function, s.r, d, closed=True)
+            rhs = d * s.log_M
             margin = lhs - rhs
-            yield (margin >= -_BOUNDARY_TOL, r, Witness(r, t, lhs, rhs, max(margin, 0.0)),
+            yield (margin >= -_BOUNDARY_TOL, s.r, Witness(s.r, t, lhs, rhs, max(margin, 0.0)),
                    "no t in [r, r^d] lifts log L to d*log M(r)")
 
     return _verdict("L-versus-M", steps())
 
 
-def check_strong(f, d: float, D: float, grid: RadiusGrid | None = None) -> CriterionVerdict:
+def check_strong(profile: RadialProfile, d: float, D: float) -> CriterionVerdict:
     """Somewhere in [r, r^d] the minimum modulus beats D times T(r)."""
-    expr = as_expr(f)
     if not d > 1.0:
         raise ValueError("search exponent d must exceed 1")
     if not D > 0.0:
         raise ValueError("growth factor D must be positive")
-    radii = _tested_radii(grid)
 
     def steps():
-        for r in radii:
-            t, lhs = _search_log_L(expr, r, d, closed=True)
-            rhs = D * characteristic(expr, r)
-            yield (lhs > rhs, r, Witness(r, t, lhs, rhs, lhs - rhs),
+        for s in _tested(profile):
+            t, lhs = _search_log_L(profile.function, s.r, d, closed=True)
+            rhs = D * s.T
+            yield (lhs > rhs, s.r, Witness(s.r, t, lhs, rhs, lhs - rhs),
                    "no t in [r, r^d] lifts log L above D*T(r)")
 
     return _verdict("strong-characteristic", steps())
 
 
-def check_deficiency_order(f, profile: RadialProfile) -> CriterionVerdict:
+def check_deficiency_order(profile: RadialProfile) -> CriterionVerdict:
     """Order below one half, positive lower order, deficiency above the cosine gap.
 
     The three inequalities are evaluated on the profile's growth
@@ -368,7 +357,6 @@ def check_deficiency_order(f, profile: RadialProfile) -> CriterionVerdict:
     witnesses whether or not they hold; summary-level records carry
     r = t = 0 since no single radius is involved.
     """
-    del f
     gs = growth_summary(profile)
     gap = 1.0 - math.cos(math.pi * gs.order)
     subtests = (
@@ -381,12 +369,7 @@ def check_deficiency_order(f, profile: RadialProfile) -> CriterionVerdict:
     return _verdict("deficiency-order", steps, every=True)
 
 
-def _entire_window(profile: RadialProfile) -> list:
-    top = profile.samples[-1].r
-    return [s for s in profile.samples if s.r >= top / 10.0 * (1.0 - 1e-12)]
-
-
-def check_entire_conditions(f, profile: RadialProfile) -> list[CriterionVerdict]:
+def check_entire_conditions(profile: RadialProfile) -> list[CriterionVerdict]:
     """Four classical sufficient conditions for entire functions.
 
     (1) log M(2r)/log M(r) settles, over the trailing decade, inside a
@@ -395,7 +378,7 @@ def check_entire_conditions(f, profile: RadialProfile) -> list[CriterionVerdict]
         phi(x) = log M(e^x) stays above 1 on the trailing decade.
     (3) log M(r^m) >= m^2 * log M(r) at m in {2, 4, 8} for base radii in
         the top tested decade (capped so r^m stays below 1e18), each
-        log M(r^m) from the full circle scan of log_max_modulus.
+        log M(r^m) from the full circle scan and refinement.
     (4) the lower-order estimate exceeds 0.05.
 
     The circles 2r of (1) and r^m of (3) each go through the circle
@@ -404,12 +387,12 @@ def check_entire_conditions(f, profile: RadialProfile) -> list[CriterionVerdict]
     Raises NotEntireError when has_poles does not prove the tree
     pole-free, wherever its poles would lie; no catalog is built.
     """
-    expr = as_expr(f)
+    expr = profile.function
     if has_poles(expr):
         raise NotEntireError(f"the entire-function conditions do not apply: {expr} may have poles")
-    top = profile.samples[-1].r
-    window = _entire_window(profile)
     samples = profile.samples
+    top = samples[-1].r
+    window = [s for s in samples if s.r >= top / 10.0 * (1.0 - 1e-12)]
 
     def ratio_steps():
         # (1) doubling-ratio stabilization
@@ -472,7 +455,7 @@ def check_entire_conditions(f, profile: RadialProfile) -> list[CriterionVerdict]
     ]
 
 
-def check_growth_chain(f, profile: RadialProfile, m: int, eps: float) -> ChainReport:
+def check_growth_chain(profile: RadialProfile, m: int, eps: float) -> ChainReport:
     """Link-by-link audit of the power-to-power growth chain.
 
     At the profile's top radius r the chain reads
@@ -483,9 +466,8 @@ def check_growth_chain(f, profile: RadialProfile, m: int, eps: float) -> ChainRe
     where lam and mu are the profile's order and lower-order estimates.
     The chain is applicable only when (mu - eps) * m > lam + 2 * eps;
     otherwise the report says so and carries no links.  Link 1 takes
-    log M(r^m) from the full circle scan of log_max_modulus.
+    log M(r^m) from the full circle scan and refinement of that circle.
     """
-    expr = as_expr(f)
     if m < 2:
         raise ValueError("power m must be at least 2")
     if not 0.0 < eps < 1.0:
@@ -504,7 +486,7 @@ def check_growth_chain(f, profile: RadialProfile, m: int, eps: float) -> ChainRe
         return ChainReport(False, False, r, (), note)
     mid = math.exp((mu - eps) * m * lx)
     low = math.exp((lam + 2.0 * eps) * lx)
-    top = log_max_modulus(expr, r**m)
+    top = _modulus_extrema.one(profile.function, r**m)[1]
     tail_lhs = math.exp((lam + eps) * lx)
     tail_rhs = profile.samples[-1].log_M
     links = (
@@ -561,7 +543,7 @@ def exceptional_set(profile: RadialProfile, alpha: float) -> DensityReport:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    bases = [s.r if s.perturbed_from is None else s.perturbed_from for s in profile.samples]
+    bases = [s.grid_radius for s in profile.samples]
     if len(bases) < 2:
         raise ValueError("profile must hold at least two samples")
     half = math.sqrt(bases[1] / bases[0])

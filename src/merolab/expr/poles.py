@@ -406,8 +406,9 @@ def _entire(node: Node) -> bool:
     (_cancel_against) every root of the denominator's polynomial part, so
     sin(z)/z and (exp(z) - 1)/z count; and each negative power has a base
     whose zero set is empty.  A tree _zero_set cannot certify
-    (_NeedsNumeric) and a denominator with a zero-polynomial factor are
-    not pole-free.  False means "not proven", not "has a pole".
+    (_NeedsNumeric) and a denominator with a factor that vanishes
+    identically (_zero_factor) are not pole-free.  False means "not
+    proven", not "has a pole".
     """
     if isinstance(node, Func):
         return node.name != "tan" and _entire(node.argument)
@@ -485,10 +486,8 @@ def _lattice(coset: _Coset, radius: float):
             f"{k_hi - k_lo:.0f} {name} lattice indices for the disk of radius {radius:g} "
             f"exceed the budget of {_LATTICE_POLES}"
         )
-    # Python's complex division, not numpy's: for a != 1 they differ in the
-    # last bit on about a third of the points, which moves N(r) and T(r)
-    ks = range(math.floor(k_lo) - 1, math.ceil(k_hi) + 1)
-    locs = np.array([((k + shift) * period - b) / a for k in ks], dtype=np.complex128)
+    k = np.arange(math.floor(k_lo) - 1, math.ceil(k_hi) + 1)
+    locs = ((k + shift) * period - b) / a
     locs = locs[_moduli(locs) <= limit]
     return locs, np.full(locs.size, mult, dtype=np.int64)
 
@@ -548,8 +547,11 @@ def _factors(node: Node, power: int = 1) -> list:
 
 
 def _zero_factor(node: Node) -> bool:
-    """Whether a factor of the product node is the zero polynomial."""
-    return any(polynomial_coefficients(g) == (0j,) for g, _ in _factors(node))
+    """Whether a factor of the product node vanishes identically: the zero
+    polynomial, or a difference of equal trees (a - a, a + -a, -a + a)."""
+    return any(polynomial_coefficients(g) == (0j,) or isinstance(g, Sub) and g.left == g.right
+               or isinstance(g, Add) and (g.right == Neg(g.left) or g.left == Neg(g.right))
+               for g, _ in _factors(node))
 
 
 def _zero_set(node: Node):
@@ -579,7 +581,7 @@ def _zero_set(node: Node):
 def _divisor(node: Node, radius: float):
     """The zeros of _zero_set(node) in the disk as one pole set, and its pole
     cosets; a zero of one factor on a pole of another raises _NeedsNumeric,
-    a zero-polynomial factor UnsupportedExpressionError."""
+    a factor that vanishes identically UnsupportedExpressionError."""
     if _zero_factor(node):
         raise UnsupportedExpressionError("a denominator vanishes identically")
     zeros, zero_cosets, poles = _zero_set(node)

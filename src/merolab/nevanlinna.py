@@ -79,10 +79,10 @@ class CircleBoundSearchError(ArithmeticError):
 
 @dataclass(frozen=True)
 class RadiusGrid:
-    """Geometric radius grid; the default spans [1, 2^16] at ratio 2^(1/8)."""
+    """Geometric radius grid; the defaults, [1, 1000] at ratio 2^(1/8), are the CLI's."""
 
     r_min: float = 1.0
-    r_max: float = 65536.0
+    r_max: float = 1000.0
     ratio: float = 2.0 ** 0.125
 
     def __post_init__(self):
@@ -136,6 +136,11 @@ class RadialSample:
         if self.L > self.M:
             raise ValueError("min modulus above max modulus")
 
+    @property
+    def grid_radius(self) -> float:
+        """The grid radius the circle stands for: perturbed_from, else r."""
+        return self.r if self.perturbed_from is None else self.perturbed_from
+
     def record(self) -> dict:
         """The fields without log_L and log_M, which can be infinite: the
         JSON reports refuse non-finite values, and -inf has no JSON
@@ -147,15 +152,13 @@ class RadialSample:
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Samples on a geometric radius grid for one function."""
+    """Samples of function on a geometric radius grid; build_profile is the only constructor."""
 
     samples: tuple
+    function: MeroExpr
 
     def __post_init__(self):
-        base = [
-            s.r if s.perturbed_from is None else s.perturbed_from
-            for s in self.samples
-        ]
+        base = [s.grid_radius for s in self.samples]
         for a, b in zip(base, base[1:]):
             if not b > a:
                 raise ValueError("grid radii must increase strictly")
@@ -693,24 +696,24 @@ def _saturate(log_value: float) -> float:
     return float(np.exp(log_value))
 
 
-def build_profile(f, grid: RadiusGrid | None = None) -> RadialProfile:
+def build_profile(f, grid: RadiusGrid = RadiusGrid()) -> RadialProfile:
     """Sample the circle functionals over a geometric radius grid.
 
     Radii whose circle passes within 1e-9 of a cataloged pole modulus
     are nudged up by ratio^(1/16), up to 8 times, and the original grid
-    radius is recorded on the sample; the catalog reaches every nudge.
+    radius is recorded on the sample; one catalog, up to the top grid
+    radius times ratio^(1/2), reaches every nudge.
     All circles go through the quadrature of m (_proximity_detail) and
     the refinement of L and M (_modulus_extrema) in lockstep, so each
     level of either takes a few kernel calls for the whole profile; each
     sample equals the one its circle gets alone.
     """
     f = as_expr(f)
-    if grid is None:
-        grid = RadiusGrid()
-    catalog = poles_in_disk(f, max(grid.r_max * 2.0, float(grid.radii()[-1]) * grid.ratio**0.5))
+    grid_radii = grid.radii()
+    catalog = poles_in_disk(f, float(grid_radii[-1]) * grid.ratio**0.5)
     notch = grid.ratio ** (1.0 / 16.0)
     radii, perturbed = [], []
-    for r0 in grid.radii():
+    for r0 in grid_radii:
         r = float(r0)
         moved = None
         for _ in range(8):
@@ -739,7 +742,7 @@ def build_profile(f, grid: RadiusGrid | None = None) -> RadialProfile:
                 perturbed_from=moved,
             )
         )
-    return RadialProfile(samples=tuple(samples))
+    return RadialProfile(samples=tuple(samples), function=f)
 
 
 # ---------------------------------------------------------------------------

@@ -57,8 +57,8 @@ def canprod_profile(canprod4):
 @pytest.fixture(scope="session")
 def canprod_main(canprod4):
     # the slowest shared verdict: main growth criterion on [10, 1000]
-    params = CriterionParams(0.3, 2.0, 1.5, grid=RadiusGrid(10.0, 1000.0))
-    return check_main(canprod4, params)
+    profile = build_profile(canprod4, RadiusGrid(10.0, 1000.0))
+    return check_main(profile, CriterionParams(0.3, 2.0, 1.5))
 
 
 @pytest.fixture(scope="session")

@@ -22,6 +22,7 @@ from merolab import (
     OrbitClass,
     RadiusGrid,
     boundedness_probe,
+    build_profile,
     characteristic,
     check_deficiency_order,
     check_main,
@@ -95,22 +96,20 @@ def test_criterion_04_constant_audit_chain():
     assert audit.chain_holds
 
 
-def test_criterion_05_criteria_controls(
-    expz, fatou, tanz, canprod4, canprod_main, canprod_profile, tan_profile
-):
+def test_criterion_05_criteria_controls(expz, fatou, canprod_main, canprod_profile, tan_profile):
     default_grid = RadiusGrid(1.0, 1000.0)
     for f in (expz, fatou):
-        verdict = check_main(f, CriterionParams(0.5, 2.0, 4.0, grid=default_grid))
+        verdict = check_main(build_profile(f, default_grid), CriterionParams(0.5, 2.0, 4.0))
         assert not verdict.holds_on_grid
     assert canprod_main.holds_on_grid  # (0.3, 2, 1.5) on [10, 1000]
 
-    good = check_deficiency_order(canprod4, canprod_profile)
+    good = check_deficiency_order(canprod_profile)
     assert good.holds_on_grid
     order = good.witnesses[0].rhs
     assert order == pytest.approx(0.25, abs=0.05)
     assert good.witnesses[2].lhs >= 0.9
 
-    bad = check_deficiency_order(tanz, tan_profile)
+    bad = check_deficiency_order(tan_profile)
     assert not bad.holds_on_grid
     assert bad.witnesses[2].lhs <= 0.05
 

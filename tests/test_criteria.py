@@ -17,6 +17,7 @@ from merolab import (
     check_growth_chain,
     check_main,
     check_strong,
+    characteristic,
     corpus_function,
     corpus_names,
     exceptional_set,
@@ -26,12 +27,17 @@ from merolab import (
     nevanlinna,
     parse,
 )
-from merolab.criteria import _ladder_exponents, _search_log_L
+from merolab.criteria import Witness, _ladder_exponents, _search_log_L, _verdict
 from merolab.dynamics import absorbing_half_plane
 from merolab.nevanlinna import InsufficientSpanError, golden_min
 
 _GRID = RadiusGrid(1.0, 1000.0)
 _SHORT = RadiusGrid(10.0, 100.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _profile(f, grid=_GRID):
+    return build_profile(f, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -57,14 +63,14 @@ def test_params_validation():
 
 
 def test_L_over_r_exp_fails(expz):
-    v = check_L_over_r(expz, _GRID)
+    v = check_L_over_r(_profile(expz))
     assert v.condition == "L-over-r-growth"
     assert not v.holds_on_grid
     assert v.first_failure is not None
 
 
 def test_L_over_r_monomial_holds(zsq):
-    v = check_L_over_r(zsq, _GRID)
+    v = check_L_over_r(_profile(zsq))
     assert v.holds_on_grid
     # L(r)/r = r, so each decade multiplies the running maximum by 10
     for w in v.witnesses:
@@ -72,17 +78,17 @@ def test_L_over_r_monomial_holds(zsq):
 
 
 def test_L_over_r_fatou_fails(fatou):
-    assert not check_L_over_r(fatou, _GRID).holds_on_grid
+    assert not check_L_over_r(_profile(fatou)).holds_on_grid
 
 
 def test_L_over_r_lacunary_holds(lacunary2):
-    v = check_L_over_r(lacunary2, RadiusGrid(1.0, 1.0e6, 2.0**0.25))
+    v = check_L_over_r(_profile(lacunary2, RadiusGrid(1.0, 1.0e6, 2.0**0.25)))
     assert v.holds_on_grid
 
 
 def test_L_over_r_needs_three_decades(expz):
     with pytest.raises(InsufficientSpanError):
-        check_L_over_r(expz, RadiusGrid(1.0, 100.0))
+        check_L_over_r(_profile(expz, RadiusGrid(1.0, 100.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +97,7 @@ def test_L_over_r_needs_three_decades(expz):
 
 
 def test_main_exp_fails_at_warmup_edge(expz):
-    v = check_main(expz, CriterionParams(0.5, 2.0, 4.0, grid=_GRID))
+    v = check_main(_profile(expz), CriterionParams(0.5, 2.0, 4.0))
     assert v.condition == "main-growth"
     assert not v.holds_on_grid
     # the first tested radius at or past the warmup is 2^(27/8)
@@ -99,7 +105,7 @@ def test_main_exp_fails_at_warmup_edge(expz):
 
 
 def test_main_fatou_fails_past_forty(fatou):
-    v = check_main(fatou, CriterionParams(0.5, 2.0, 4.0, grid=_GRID))
+    v = check_main(_profile(fatou), CriterionParams(0.5, 2.0, 4.0))
     assert not v.holds_on_grid
     assert 40.0 < v.first_failure["r"] < 43.0
 
@@ -112,7 +118,7 @@ def test_no_corpus_map_with_an_absorbing_half_plane_passes_main():
                  if absorbing_half_plane(corpus_function(name)) is not None]
     assert certified == ["fatou"]
     for name in certified:
-        v = check_main(corpus_function(name), CriterionParams(0.5, 2.0, 4.0, grid=_GRID))
+        v = check_main(_profile(corpus_function(name)), CriterionParams(0.5, 2.0, 4.0))
         assert v.condition == "main-growth"
         assert not v.holds_on_grid
 
@@ -138,8 +144,8 @@ def test_main_canprod_witness_replay(canprod4, canprod_main):
 
 
 def test_main_alpha_only_scales_rhs(zsq):
-    lo = check_main(zsq, CriterionParams(0.15, 2.0, 1.5, grid=_SHORT))
-    hi = check_main(zsq, CriterionParams(0.3, 2.0, 1.5, grid=_SHORT))
+    lo = check_main(_profile(zsq, _SHORT), CriterionParams(0.15, 2.0, 1.5))
+    hi = check_main(_profile(zsq, _SHORT), CriterionParams(0.3, 2.0, 1.5))
     assert lo.holds_on_grid and hi.holds_on_grid
     # the t-search does not depend on alpha, so the witnesses align
     assert [w.t for w in lo.witnesses] == [w.t for w in hi.witnesses]
@@ -147,13 +153,104 @@ def test_main_alpha_only_scales_rhs(zsq):
 
 
 def test_main_enlarging_d_preserves_success(zsq):
-    narrow = check_main(zsq, CriterionParams(0.3, 2.0, 1.5, grid=_SHORT))
-    wide = check_main(zsq, CriterionParams(0.3, 2.5, 1.5, grid=_SHORT))
+    narrow = check_main(_profile(zsq, _SHORT), CriterionParams(0.3, 2.0, 1.5))
+    wide = check_main(_profile(zsq, _SHORT), CriterionParams(0.3, 2.5, 1.5))
     assert narrow.holds_on_grid and wide.holds_on_grid
     pairs = zip(narrow.witnesses, wide.witnesses)
     for w_narrow, w_wide in pairs:
         if w_narrow.t > w_narrow.r:  # t-search witnesses only
             assert w_wide.lhs >= w_narrow.lhs - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the grid checks read the profile
+# ---------------------------------------------------------------------------
+
+
+def _circle_by_circle_checks(f, grid, alpha, d, D, functionals):
+    """The four grid checks as built from T, log L and log M recomputed at
+    each grid radius r by functionals(r), the circle searches as they are."""
+    radii = [float(r) for r in grid.radii()]
+    tested = [r for r in radii if r >= 10.0 * (1.0 - 1e-12)]
+    n_dec = int(math.floor(math.log10(radii[-1] / radii[0]) + 1e-9))
+    best, best_r = [-math.inf] * n_dec, [0.0] * n_dec
+    for r in radii:
+        k = min(int(math.log10(r / radii[0]) + 1e-12), n_dec - 1)
+        v = functionals[r][1] - math.log(r)
+        if v > best[k]:
+            best[k], best_r[k] = v, r
+
+    def decades():
+        for k in range(1, n_dec):
+            lhs, rhs = best[k], best[k - 1] + math.log(2.0)
+            yield (lhs > rhs, best_r[k], Witness(best_r[k], best_r[k - 1], lhs, rhs, lhs - rhs),
+                   "decade maximum of L(r)/r failed to double")
+
+    def main():
+        for r in tested:
+            T = functionals[r][0]
+            t, lhs = _search_log_L(f, r, d, closed=False)
+            yield (lhs > alpha * T, r, Witness(r, t, lhs, alpha * T, lhs - alpha * T),
+                   "no t in (r, r^d) lifts log L above alpha*T(r)")
+            grown = characteristic(f, r**d)
+            yield (grown >= D * T, r, Witness(r, r**d, grown, D * T, grown - D * T),
+                   "characteristic at r^d fell below D*T(r)")
+
+    def versus():
+        for r in tested:
+            t, lhs = _search_log_L(f, r, d, closed=True)
+            rhs = d * functionals[r][2]
+            yield (lhs - rhs >= -1e-9, r, Witness(r, t, lhs, rhs, max(lhs - rhs, 0.0)),
+                   "no t in [r, r^d] lifts log L to d*log M(r)")
+
+    def strong():
+        for r in tested:
+            t, lhs = _search_log_L(f, r, d, closed=True)
+            rhs = D * functionals[r][0]
+            yield (lhs > rhs, r, Witness(r, t, lhs, rhs, lhs - rhs),
+                   "no t in [r, r^d] lifts log L above D*T(r)")
+
+    return [_verdict("L-over-r-growth", decades()), _verdict("main-growth", main()),
+            _verdict("L-versus-M", versus()), _verdict("strong-characteristic", strong())]
+
+
+def _grid_checks(profile, alpha, d, D):
+    return [check_L_over_r(profile), check_main(profile, CriterionParams(alpha, d, D)),
+            check_L_versus_M(profile, d), check_strong(profile, d, D)]
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_grid_checks_equal_circle_by_circle_functionals(monkeypatch, name):
+    f = corpus_function(name)
+    got = _grid_checks(_profile(f), 0.5, 2.0, 4.0)
+    # T, log L and log M of each grid circle from cold caches, one circle
+    # at a time; the searches off the grid then run on the shared caches
+    functionals = {}
+    with monkeypatch.context() as patched:
+        for cache in ("_proximity_detail", "_modulus_extrema"):
+            cached = getattr(nevanlinna, cache)
+            patched.setattr(nevanlinna, cache, nevanlinna._CircleCache(cached.__wrapped__, cached.maxsize))
+        for r in _GRID.radii():
+            r = float(r)
+            functionals[r] = (characteristic(f, r), log_min_modulus(f, r), log_max_modulus(f, r))
+    assert got == _circle_by_circle_checks(f, _GRID, 0.5, 2.0, 4.0, functionals)
+
+
+def test_grid_checks_read_the_nudged_circle():
+    # the pole 16 lies on the first circle of the grid 16, 160, 1600, 16000,
+    # which the profile nudges to 16 * 10^(1/16): every check reports that
+    # circle, not the grid radius
+    grid = RadiusGrid(16.0, 16000.0, 10.0)
+    profile = build_profile("exp(z) + 1/(z-16)", grid)
+    first = profile.samples[0]
+    assert first.perturbed_from == 16.0 and first.r == 16.0 * 10.0 ** (1.0 / 16.0)
+    for v in _grid_checks(profile, 0.5, 2.0, 4.0)[1:]:
+        assert v.first_failure["r"] == first.r
+    # L(r)/r of exp falls, so its first failure is in the second decade; that
+    # of z^2 grows, and the nudged circle is the first decade's maximum
+    rising = build_profile("z^2 + 1/(z-16)", grid)
+    v = check_L_over_r(rising)
+    assert v.holds_on_grid and v.witnesses[0].t == rising.samples[0].r == first.r
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +365,14 @@ def test_search_in_open_range_below_the_exponent_edge(name):
 
 
 def test_L_versus_M_exp_fails(expz):
-    v = check_L_versus_M(expz, 2.0, _GRID)
+    v = check_L_versus_M(_profile(expz), 2.0)
     assert v.condition == "L-versus-M"
     assert not v.holds_on_grid
 
 
 def test_L_versus_M_monomial_boundary():
     cubed = parse("z^3")
-    v = check_L_versus_M(cubed, 2.0, _SHORT)
+    v = check_L_versus_M(_profile(cubed, _SHORT), 2.0)
     assert v.holds_on_grid
     for w in v.witnesses:
         # monomials attain equality exactly at t = r^d
@@ -284,18 +381,18 @@ def test_L_versus_M_monomial_boundary():
 
 
 def test_L_versus_M_lacunary_holds(lacunary2):
-    v = check_L_versus_M(lacunary2, 2.0, RadiusGrid(100.0, 1600.0, 2.0**0.5))
+    v = check_L_versus_M(_profile(lacunary2, RadiusGrid(100.0, 1600.0, 2.0**0.5)), 2.0)
     assert v.holds_on_grid
     assert min(w.margin for w in v.witnesses) > 10.0
 
 
 def test_strong_exp_and_reciprocal_fail(expz, invz):
-    assert not check_strong(expz, 2.0, 1.2, _GRID).holds_on_grid
-    assert not check_strong(invz, 2.0, 1.2, _GRID).holds_on_grid
+    assert not check_strong(_profile(expz), 2.0, 1.2).holds_on_grid
+    assert not check_strong(_profile(invz), 2.0, 1.2).holds_on_grid
 
 
 def test_strong_canprod_holds(canprod4, canprod_main):
-    v = check_strong(canprod4, 2.0, 1.2, RadiusGrid(10.0, 1000.0))
+    v = check_strong(_profile(canprod4, RadiusGrid(10.0, 1000.0)), 2.0, 1.2)
     assert v.condition == "strong-characteristic"
     assert v.holds_on_grid
 
@@ -305,8 +402,8 @@ def test_strong_canprod_holds(canprod4, canprod_main):
 # ---------------------------------------------------------------------------
 
 
-def test_deficiency_order_canprod(canprod4, canprod_profile):
-    v = check_deficiency_order(canprod4, canprod_profile)
+def test_deficiency_order_canprod(canprod_profile):
+    v = check_deficiency_order(canprod_profile)
     assert v.condition == "deficiency-order"
     assert v.holds_on_grid
     assert len(v.witnesses) == 3
@@ -322,8 +419,8 @@ def test_deficiency_order_canprod(canprod4, canprod_profile):
     )
 
 
-def test_deficiency_order_exp_fails(expz, exp_profile):
-    v = check_deficiency_order(expz, exp_profile)
+def test_deficiency_order_exp_fails(exp_profile):
+    v = check_deficiency_order(exp_profile)
     assert not v.holds_on_grid
     assert len(v.witnesses) == 3  # witnesses recorded even on failure
     # order 1 fails first; the deficiency subtest after it fails too
@@ -331,8 +428,8 @@ def test_deficiency_order_exp_fails(expz, exp_profile):
     assert [w.lhs > w.rhs for w in v.witnesses] == [False, True, False]
 
 
-def test_deficiency_order_tan_fails(tanz, tan_profile):
-    v = check_deficiency_order(tanz, tan_profile)
+def test_deficiency_order_tan_fails(tan_profile):
+    v = check_deficiency_order(tan_profile)
     assert not v.holds_on_grid
     defic = v.witnesses[2].lhs
     assert defic <= 0.05
@@ -343,8 +440,8 @@ def test_deficiency_order_tan_fails(tanz, tan_profile):
 # ---------------------------------------------------------------------------
 
 
-def test_entire_conditions_exp(expz, exp_profile):
-    verdicts = check_entire_conditions(expz, exp_profile)
+def test_entire_conditions_exp(exp_profile):
+    verdicts = check_entire_conditions(exp_profile)
     names = [v.condition for v in verdicts]
     assert names == [
         "entire-M-ratio",
@@ -355,8 +452,8 @@ def test_entire_conditions_exp(expz, exp_profile):
     assert all(v.holds_on_grid for v in verdicts)
 
 
-def test_entire_conditions_canprod(canprod4, canprod_profile):
-    verdicts = check_entire_conditions(canprod4, canprod_profile)
+def test_entire_conditions_canprod(canprod_profile):
+    verdicts = check_entire_conditions(canprod_profile)
     assert all(v.holds_on_grid for v in verdicts)
 
 
@@ -364,7 +461,7 @@ def test_entire_conditions_canprod(canprod4, canprod_profile):
 def test_power_doubling_witnesses_replay(request, name, profile):
     # every lhs is log M(r^m) itself, out to r^m = 1e18
     f = request.getfixturevalue(name)
-    verdicts = check_entire_conditions(f, request.getfixturevalue(profile))
+    verdicts = check_entire_conditions(request.getfixturevalue(profile))
     witnesses = {v.condition: v for v in verdicts}["entire-power-doubling"].witnesses
     assert max(w.t for w in witnesses) > 1e6
     for w in witnesses:
@@ -375,7 +472,7 @@ def test_entire_conditions_monomial_fails(zsq):
     # the lower-order slope for a polynomial decays like 1/log(r), so the
     # grid has to reach ~1e9 before the estimate drops under the floor
     profile = build_profile(zsq, RadiusGrid(1.0, 1.0e12))
-    verdicts = {v.condition: v.as_dict() for v in check_entire_conditions(zsq, profile)}
+    verdicts = {v.condition: v.as_dict() for v in check_entire_conditions(profile)}
     # each failing verdict keeps every witness, and its first failure sits
     # on a grid radius 2^(k/8)
     for name, count, k, diagnostics in (
@@ -396,7 +493,7 @@ def test_power_doubling_without_bases_keeps_the_other_powers(expz):
     # the ratio-4 grid holds two base radii in [top/10, top] for m = 2 and
     # 4, but only 64 in [1e18^(1/8)/10, 1e18^(1/8)] for m = 8
     profile = build_profile(expz, RadiusGrid(2.0**-18, 2.0**14, 4.0))
-    v = check_entire_conditions(expz, profile)[2]
+    v = check_entire_conditions(profile)[2]
     assert v.condition == "entire-power-doubling" and not v.holds_on_grid
     assert v.first_failure == {"r": 16384.0, "diagnostics": "fewer than two usable base radii for power 8"}
     assert [(w.r, w.t) for w in v.witnesses] == [
@@ -405,16 +502,16 @@ def test_power_doubling_without_bases_keeps_the_other_powers(expz):
     assert all(w.margin > 0.0 for w in v.witnesses)
 
 
-def test_entire_conditions_reject_poles(tanz, tan_profile):
+def test_entire_conditions_reject_poles(tan_profile):
     with pytest.raises(NotEntireError):
-        check_entire_conditions(tanz, tan_profile)
+        check_entire_conditions(tan_profile)
 
 
 def test_entire_conditions_reject_poles_beyond_the_profile():
     # the poles +-1000i lie outside every circle of the profile on [1, 100]
     f = parse("exp(z) + 1/(z^2+1e6)")
     with pytest.raises(NotEntireError, match="may have poles"):
-        check_entire_conditions(f, build_profile(f, RadiusGrid(1.0, 100.0)))
+        check_entire_conditions(build_profile(f, RadiusGrid(1.0, 100.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +519,8 @@ def test_entire_conditions_reject_poles_beyond_the_profile():
 # ---------------------------------------------------------------------------
 
 
-def test_growth_chain_exp(expz, exp_profile):
-    rep = check_growth_chain(expz, exp_profile, 2, 0.1)
+def test_growth_chain_exp(exp_profile):
+    rep = check_growth_chain(exp_profile, 2, 0.1)
     assert rep.applicable and rep.holds
     assert bool(rep)
     assert [link.name for link in rep.links] == [
@@ -436,24 +533,24 @@ def test_growth_chain_exp(expz, exp_profile):
 
 
 def test_growth_chain_polynomial_inapplicable(zsq):
-    profile = build_profile(zsq, _GRID)
-    rep = check_growth_chain(zsq, profile, 2, 0.1)
+    profile = _profile(zsq)
+    rep = check_growth_chain(profile, 2, 0.1)
     assert not rep.applicable
     assert not bool(rep)
     assert rep.note == "precondition (lower order - eps) * m > order + 2*eps fails for the estimates"
     assert rep.links == () and rep.r == profile.samples[-1].r
 
 
-def test_growth_chain_overflow_inapplicable(expz, exp_profile):
+def test_growth_chain_overflow_inapplicable(exp_profile):
     # the precondition holds, but r^160 at r = 107.6 passes e^690
-    rep = check_growth_chain(expz, exp_profile, 160, 0.1)
+    rep = check_growth_chain(exp_profile, 160, 0.1)
     assert not rep.applicable and not rep.holds
     assert rep.note == "power r^m overflows the double range at the top radius"
     assert rep.links == () and rep.r == exp_profile.samples[-1].r
 
 
 def test_growth_chain_canprod_deep(canprod4, canprod_deep_profile):
-    rep = check_growth_chain(canprod4, canprod_deep_profile, 3, 0.05)
+    rep = check_growth_chain(canprod_deep_profile, 3, 0.05)
     assert rep.applicable and rep.holds
     third = rep.links[2]
     assert third.lhs / third.rhs == pytest.approx(1.095, abs=0.05)
@@ -501,7 +598,6 @@ def test_exceptional_set_exp_empty(exp_profile):
 
 
 def test_exceptional_set_monomial_full(zsq):
-    profile = build_profile(zsq, _GRID)
-    report = exceptional_set(profile, 0.3)
+    report = exceptional_set(_profile(zsq), 0.3)
     assert report.intervals
     assert report.lower_log_density > 0.9

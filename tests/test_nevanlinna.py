@@ -37,6 +37,7 @@ from merolab.expr import (
     Var,
     as_expr,
     log_modulus,
+    poles,
     poles_in_disk,
 )
 from merolab.nevanlinna import (
@@ -814,13 +815,35 @@ def test_profile_perturbs_pole_radius(tanz):
 
 @pytest.mark.parametrize("pole", [64.0, 512.0])
 def test_profile_perturbs_the_last_grid_radius(pole):
-    # radii 1, 8, 64, 512: the last one lies past 2 r_max = 200, and its
-    # nudges reach 512 * 8^(1/2); the catalog must cover them
+    # radii 1, 8, 64, 512: the last one lies past r_max, and its nudges
+    # reach 512 * 8^(1/2); the catalog must cover them
     f = parse("1/(z-%r)" % pole)
     sample = build_profile(f, RadiusGrid(1.0, 100.0, 8.0)).samples[round(math.log(pole, 8))]
     assert sample.perturbed_from == pole
     assert sample.r == pole * 8.0 ** (1.0 / 16.0)
     assert math.isfinite(sample.log_L) and math.isfinite(sample.log_M)
+
+
+def test_profile_holds_its_function():
+    source = "exp(z) + 1/(z-16)"
+    assert build_profile(source, RadiusGrid(1.0, 100.0)).function == as_expr(source)
+
+
+def test_profile_catalogs_stop_at_the_reach_of_its_nudges(monkeypatch):
+    # the last radius of [0.5, 50] at ratio 2^(1/8) is 2^(54/8) / 2 = 53.8,
+    # whose nudges reach 53.8 * 2^(1/16) = 56.2: no catalog needs a bucket
+    # past 64
+    asked = []
+    catalog_at = poles._catalog_at
+
+    def recorded(f, radius):
+        asked.append(radius)
+        return catalog_at(f, radius)
+
+    monkeypatch.setattr(poles, "_catalog_at", recorded)
+    samples = build_profile(parse("1/(exp(z)-2)"), RadiusGrid(0.5, 50.0)).samples
+    assert samples[-1].r == pytest.approx(0.5 * 2.0 ** (54 / 8), rel=1e-12)
+    assert max(asked) == 64.0
 
 
 # ---------------------------------------------------------------------------

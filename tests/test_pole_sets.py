@@ -159,7 +159,8 @@ def _ref_tan_lattice(argument: Node, radius: float):
         )
     out: dict = {}
     for k in range(math.floor(k_lo), math.ceil(k_hi) + 1):
-        loc = ((k + 0.5) * math.pi - b) / a
+        # numpy's complex division, as the lattice's array expression takes it
+        loc = complex(np.complex128((k + 0.5) * math.pi - b) / a)
         if abs(loc) <= limit:
             out[loc] = 1
     return out

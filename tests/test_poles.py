@@ -392,7 +392,11 @@ def test_essential_singularities_are_refused(src, radius):
         poles_in_disk(parse(src), radius)
 
 
-@pytest.mark.parametrize("src", ["1/(0*z)", "1/(0*exp(z))", "exp(z)/(z*0)"])
+@pytest.mark.parametrize("src", [
+    "1/(0*z)", "1/(0*exp(z))", "exp(z)/(z*0)",
+    # a difference of equal trees vanishes as well, though it is no level set
+    "1/(exp(z)-exp(z))", "z/(exp(z) + -exp(z))", "1/(z*(-sin(z) + sin(z)))",
+])
 def test_identically_zero_denominators_are_refused(src, tmp_path):
     # every point is a pole: has_poles says so (render hits a pole at every
     # pixel), and a catalog or a profile is refused
