@@ -35,6 +35,7 @@ from .criteria import (
     check_deficiency_order,
     check_main,
     check_strong,
+    decade_count,
 )
 from .dynamics import (
     absorbing_half_plane,
@@ -45,7 +46,7 @@ from .dynamics import (
     label_components,
     to_ppm,
 )
-from .expr import ParseError, parse
+from .expr import ParseError, has_poles, parse
 from .hyperbolic import trace_radius_recursion
 from .nevanlinna import InsufficientSpanError, RadiusGrid, build_profile, growth_summary
 
@@ -249,6 +250,10 @@ def cmd_check(config: RunConfig) -> None:
     expr, source, name = _resolve_function(config)
     grid = _grid(config)
     params = CriterionParams(config.alpha, config.d, config.D)
+    # before the profile, a tree with an essential singularity is refused
+    # (exit 2), then a grid too short for the decade comparison (exit 3)
+    has_poles(expr)
+    decade_count(grid.radii())
     profile = build_profile(expr, grid)
     verdicts = [
         check_L_over_r(profile),

@@ -242,6 +242,21 @@ def _search_log_L(expr, r: float, d: float, closed: bool) -> tuple[float, float]
 # ---------------------------------------------------------------------------
 
 
+def decade_count(radii) -> int:
+    """Complete decades spanned by increasing grid radii.
+
+    Raises InsufficientSpanError below three, the fewest that the decade
+    comparison of check_L_over_r needs; a grid's radii() give the count
+    before any profile is built.
+    """
+    n_dec = int(math.floor(math.log10(radii[-1] / radii[0]) + 1e-9))
+    if n_dec < 3:
+        raise InsufficientSpanError(
+            "decade comparison needs a grid spanning at least three decades"
+        )
+    return n_dec
+
+
 def check_L_over_r(profile: RadialProfile) -> CriterionVerdict:
     """Decade-over-decade doubling of L(r)/r along the profile.
 
@@ -254,11 +269,7 @@ def check_L_over_r(profile: RadialProfile) -> CriterionVerdict:
     overflows the double range.
     """
     base = [s.grid_radius for s in profile.samples]
-    n_dec = int(math.floor(math.log10(base[-1] / base[0]) + 1e-9))
-    if n_dec < 3:
-        raise InsufficientSpanError(
-            "decade comparison needs a grid spanning at least three decades"
-        )
+    n_dec = decade_count(base)
     best = [-math.inf] * n_dec
     best_r = [0.0] * n_dec
     for s, b in zip(profile.samples, base):

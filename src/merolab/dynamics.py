@@ -583,20 +583,22 @@ def classify_grid(f, window, resolution: int, budget: int, r_esc: float = _ESCAP
 def _component_keys(grid: ClassifiedGrid) -> np.ndarray:
     # one key per labelable class; 0 marks barrier pixels (undecided and
     # pole-hit alike, the latter being Julia-adjacent); int32 holds
-    # 2 + 4·id for ids up to res^2 <= 2^26
+    # 2 + 4·id for ids up to res^2 <= 2^26.  Built in place, so only the
+    # keys and one bool mask are whole-grid at a time.
     classes = grid.classes.reshape(-1)
-    keys = np.zeros(classes.size, dtype=np.int32)
+    keys = grid.cycle_ids.reshape(-1).astype(np.int32)
+    keys *= 4
+    keys += 2
+    keys[classes != OrbitClass.ATTRACTED] = 0
     keys[classes == OrbitClass.ESCAPING] = 1
-    attracted = classes == OrbitClass.ATTRACTED
-    keys[attracted] = 2 + 4 * grid.cycle_ids.reshape(-1)[attracted]
     return keys
 
 
 def _run_starts(a: np.ndarray) -> np.ndarray:
-    """Raster indices of the first pixel of every row run of equal values."""
+    """Mask of the first pixel of every row run of equal values."""
     start = np.ones(a.shape, dtype=bool)
-    start[:, 1:] = a[:, 1:] != a[:, :-1]
-    return np.flatnonzero(start)
+    np.not_equal(a[:, 1:], a[:, :-1], out=start[:, 1:])
+    return start
 
 
 def label_components(grid: ClassifiedGrid) -> ClassifiedGrid:
@@ -608,24 +610,40 @@ def label_components(grid: ClassifiedGrid) -> ClassifiedGrid:
     separate components.  Label ids count up in raster order of each
     component's first pixel.
 
-    Every row run of equal keys starts rooted at its first pixel; vertical
-    edges then merge runs by hooking and pointer jumping (Shiloach and
-    Vishkin, J. Algorithms 3, 1982): each edge between two roots hooks the
-    larger root under the smaller, and the roots' pointers jump to a
-    fixpoint, until no edge joins two roots.  Hooks point to smaller
-    indices, so a component's root is its first pixel in raster order.
+    The row runs of equal keys are the nodes of the merge (He, Chao and
+    Suzuki, IEEE Trans. Image Process. 17, 2008), numbered in raster
+    order.  A run overlaps a run of the next row exactly when one lies
+    above the other at the later of their two starts, so the union of two
+    adjacent rows' run starts yields each overlapping pair once, and pairs
+    of equal non-zero keys are the edges.  Hooking and pointer jumping
+    (Shiloach and Vishkin, J. Algorithms 3, 1982) then run over run ids:
+    each edge between two roots hooks the larger root under the smaller,
+    and the roots' pointers jump to a fixpoint, until no edge joins two
+    roots.  Hooks point to smaller ids, so a component's root is its first
+    run, which starts at its first pixel.  Beyond the labels, the
+    whole-grid temporaries are the int32 keys, dropped once each run's key
+    is read, the int32 run-id map and bool masks; everything else is sized
+    by runs.
     """
     res = grid.resolution
     keys = _component_keys(grid).reshape(res, res)
-    # int32 indices suffice: res^2 <= 8192^2 < 2^31
-    tops = _run_starts(keys).astype(np.int32)
-    root = np.zeros(res * res, dtype=np.int32)
-    root[tops] = tops
-    root = np.maximum.accumulate(root)
-    same = keys[1:] == keys[:-1]
-    same &= keys[1:] != 0
-    down = np.flatnonzero(same).astype(np.int32)
-    lo, hi = root[down], root[down + res]
+    start = _run_starts(keys)
+    run_key = keys.reshape(-1)[np.flatnonzero(start)]
+    del keys
+    # run ids in raster order; int32 suffices: res^2 <= 8192^2 < 2^31
+    runid = start.reshape(-1).astype(np.int32)
+    np.cumsum(runid, out=runid)
+    runid -= 1
+    pos = np.flatnonzero(start[:-1] | start[1:])
+    del start
+    upper, lower = runid[pos], runid[pos + res]
+    del pos
+    joined = run_key[upper] == run_key[lower]
+    joined &= run_key[upper] != 0
+    lo, hi = upper[joined], lower[joined]
+    root = np.arange(run_key.size, dtype=np.int32)
+    # the runs that are still roots
+    tops = root.copy()
     while True:
         live = lo != hi
         if not live.any():
@@ -643,10 +661,11 @@ def label_components(grid: ClassifiedGrid) -> ClassifiedGrid:
         root = root[root]
         tops = tops[root[tops] == tops]
         lo, hi = root[lo], root[hi]
-    # a barrier pixel keeps label 0; a component takes the rank of its root
-    decided = keys.reshape(-1) != 0
-    rank = np.cumsum(decided & (root == np.arange(res * res, dtype=np.int32)), dtype=np.int32)
-    return replace(grid, labels=np.where(decided, rank[root], 0).reshape(res, res))
+    # a barrier run keeps label 0; a component takes the rank of its root
+    decided = run_key != 0
+    rank = np.cumsum(decided & (root == np.arange(root.size)), dtype=np.int32)
+    run_label = np.where(decided, rank[root], 0)
+    return replace(grid, labels=run_label[runid].reshape(res, res))
 
 
 def _component_table(grid: ClassifiedGrid) -> tuple[list, list]:
@@ -655,13 +674,14 @@ def _component_table(grid: ClassifiedGrid) -> tuple[list, list]:
     A component's pixels share one class, read at its first pixel; it
     touches the boundary when its box reaches row or column 0 or res.
     Boxes are (row slice, column slice) pairs, as ndimage.find_objects
-    gives them, found from the row runs of equal labels.
+    gives them, and pixel counts are sums of run lengths, both found from
+    the row runs of equal labels.
     """
     if grid.labels is None:
         raise ValueError("grid has no labels; run label_components first")
     res = grid.resolution
     flat = grid.labels.reshape(-1)
-    first = _run_starts(grid.labels)
+    first = np.flatnonzero(_run_starts(grid.labels))
     last = np.append(first[1:], flat.size) - 1
     run_label = flat[first]
     size = int(run_label.max()) + 1
@@ -673,8 +693,10 @@ def _component_table(grid: ClassifiedGrid) -> tuple[list, list]:
     np.maximum.at(bottom, run_label, last)
     np.minimum.at(left, run_label, first % res)
     np.maximum.at(right, run_label, last % res)
+    pixels = np.zeros(size, dtype=np.intp)
+    np.add.at(pixels, run_label, last - first + 1)
     # label 0 (barrier pixels) is no component
-    pixels = np.bincount(flat)[1:].tolist()
+    pixels = pixels[1:].tolist()
     classes = grid.classes.reshape(-1)[top[1:]].tolist()
     boxes = [
         (slice(r0, r1 + 1), slice(c0, c1 + 1))
@@ -699,8 +721,7 @@ def component_summaries(grid: ClassifiedGrid) -> list:
 
 def class_counts(grid: ClassifiedGrid) -> dict:
     """Pixel count of each orbit class, keyed by class name."""
-    counts = np.bincount(grid.classes.reshape(-1), minlength=len(OrbitClass))
-    return {_CLASS_NAMES[cls]: int(counts[cls]) for cls in OrbitClass}
+    return {_CLASS_NAMES[cls]: int(np.count_nonzero(grid.classes == cls)) for cls in OrbitClass}
 
 
 # ---------------------------------------------------------------------------
@@ -830,24 +851,29 @@ def boundedness_probe(f, seed: complex, scales, resolution: int = 256, budget: i
 # ---------------------------------------------------------------------------
 
 
-def to_ppm(grid: ClassifiedGrid) -> bytes:
+def to_ppm(grid: ClassifiedGrid) -> bytearray:
     """Render the class map as a binary PPM (P6) image.
 
     Fixed colormap: escaping pixels in grayscale scaled by step count,
     attracted pixels from an 8-color palette cycled by cycle id, pole
-    hits in red, undecided in black.
+    hits in red, undecided in black.  The header and pixels share one
+    buffer, coloured in bands of max(1, 2^16 // resolution) whole rows,
+    so the masks and index arrays of the colouring are band-sized.
     """
     res = grid.resolution
-    rgb = np.zeros((res, res, 3), dtype=np.uint8)
-    esc = grid.classes == OrbitClass.ESCAPING
-    if esc.any():
-        shade = 40 + (215 * np.minimum(grid.steps[esc], grid.budget)) // max(grid.budget, 1)
-        rgb[esc] = shade.astype(np.uint8)[:, None]
-    att = grid.classes == OrbitClass.ATTRACTED
-    if att.any():
-        idx = (grid.cycle_ids[att] - 1) % len(_PALETTE)
-        palette = np.array(_PALETTE, dtype=np.uint8)
-        rgb[att] = palette[idx]
-    rgb[grid.classes == OrbitClass.POLE_HIT] = np.array(_POLE_COLOR, dtype=np.uint8)
     header = b"P6\n%d %d\n255\n" % (res, res)
-    return header + rgb.tobytes()
+    out = bytearray(len(header) + 3 * res * res)
+    out[:len(header)] = header
+    rgb = np.frombuffer(out, dtype=np.uint8, offset=len(header)).reshape(res, res, 3)
+    palette = np.array(_PALETTE, dtype=np.uint8)
+    rows = max(1, _TILE_PIXELS // res)
+    for r in range(0, res, rows):
+        band = slice(r, r + rows)
+        classes, band_rgb = grid.classes[band], rgb[band]
+        esc = classes == OrbitClass.ESCAPING
+        shade = 40 + (215 * np.minimum(grid.steps[band][esc], grid.budget)) // max(grid.budget, 1)
+        band_rgb[esc] = shade.astype(np.uint8)[:, None]
+        att = classes == OrbitClass.ATTRACTED
+        band_rgb[att] = palette[(grid.cycle_ids[band][att] - 1) % len(_PALETTE)]
+        band_rgb[classes == OrbitClass.POLE_HIT] = np.array(_POLE_COLOR, dtype=np.uint8)
+    return out

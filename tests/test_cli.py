@@ -98,6 +98,22 @@ def test_check_short_span_is_a_numeric_failure(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_check_refuses_a_short_grid_before_the_profile(tmp_path, capsys, monkeypatch):
+    # the span is known from the flags: no profile is built for a grid of
+    # fewer than three decades
+    def no_profile(*args, **kwargs):
+        raise AssertionError("check built a profile for a grid it cannot use")
+
+    monkeypatch.setattr(cli, "build_profile", no_profile)
+    rc = main([
+        "check", "--function", "1/(exp(z)+z)", "--rmin", "1", "--rmax", "16",
+        "--out", str(tmp_path),
+    ])
+    assert rc == 3
+    assert "at least three decades" in capsys.readouterr().err
+    assert not (tmp_path / "criteria.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # render
 # ---------------------------------------------------------------------------

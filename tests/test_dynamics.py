@@ -876,6 +876,65 @@ def test_ppm_renders_pole_pixels(tanz):
     assert bytes(_POLE_COLOR) in data
 
 
+def _masked_ppm(grid):
+    # whole-grid boolean-mask colouring, the reference for the banded one
+    res = grid.resolution
+    rgb = np.zeros((res, res, 3), dtype=np.uint8)
+    esc = grid.classes == OrbitClass.ESCAPING
+    if esc.any():
+        shade = 40 + (215 * np.minimum(grid.steps[esc], grid.budget)) // max(grid.budget, 1)
+        rgb[esc] = shade.astype(np.uint8)[:, None]
+    att = grid.classes == OrbitClass.ATTRACTED
+    if att.any():
+        idx = (grid.cycle_ids[att] - 1) % len(_PALETTE)
+        palette = np.array(_PALETTE, dtype=np.uint8)
+        rgb[att] = palette[idx]
+    rgb[grid.classes == OrbitClass.POLE_HIT] = np.array(_POLE_COLOR, dtype=np.uint8)
+    header = b"P6\n%d %d\n255\n" % (res, res)
+    return header + rgb.tobytes()
+
+
+@pytest.mark.parametrize("res", [300, 320])
+def test_ppm_bands_are_seamless(res):
+    # more than one band, the last one partial; all four classes, 20 cycle
+    # ids (the palette has 8) and step counts up to three budgets
+    assert res > max(1, dynamics._TILE_PIXELS // res)
+    rng = np.random.default_rng(res)
+    classes = rng.integers(0, 4, size=(res, res))
+    cyc = np.where(classes == OrbitClass.ATTRACTED, rng.integers(1, 21, size=(res, res)), 0)
+    steps = rng.integers(0, 3 * 16, size=(res, res)).astype(np.int32)
+    grid = _blank_grid(classes, cyc, steps=steps, budget=16)
+    assert set(np.unique(grid.classes)) == set(OrbitClass)
+    assert to_ppm(grid) == _masked_ppm(grid)
+
+
+def test_labelling_and_output_memory_is_bounded():
+    # beyond their results, the labelling, the image and the tables hold
+    # run- or band-sized temporaries: about 9 bytes per pixel at most,
+    # against 38 for whole-grid keys, roots, raster indices and ranks
+    res = 512
+    grid = classify_grid("z^2", (0j, 2.0), res, 64)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    peaks = {}
+    try:
+        for name, call in [("label_components", label_components), ("to_ppm", to_ppm),
+                           ("component_summaries", component_summaries),
+                           ("class_counts", dynamics.class_counts)]:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = call(grid)
+            peaks[name] = tracemalloc.get_traced_memory()[1] - base
+            if name == "label_components":
+                grid = out
+            del out
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert all(peak <= 16 * res * res for peak in peaks.values()), peaks
+
+
 def test_ppm_shade_clamps_at_budget():
     classes = np.full((1, 1), int(OrbitClass.ESCAPING))
     steps = np.full((1, 1), 99, dtype=np.int32)
