@@ -48,7 +48,13 @@ from .dynamics import (
 )
 from .expr import ParseError, has_poles, parse
 from .hyperbolic import trace_radius_recursion
-from .nevanlinna import InsufficientSpanError, RadiusGrid, build_profile, growth_summary
+from .nevanlinna import (
+    InsufficientSpanError,
+    RadiusGrid,
+    build_profile,
+    growth_grid,
+    growth_summary,
+)
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -228,6 +234,10 @@ def _out_dir(config: RunConfig) -> Path:
 def cmd_analyze(config: RunConfig) -> None:
     expr, source, name = _resolve_function(config)
     grid = _grid(config)
+    # before the profile, a tree with an essential singularity is refused
+    # (exit 2), then a grid on which no growth fit can pass (exit 3)
+    has_poles(expr)
+    growth_grid(grid)
     profile = build_profile(expr, grid)
     summary = growth_summary(profile)
     out = _out_dir(config)

@@ -203,38 +203,79 @@ def _ladder_exponents(d: float, closed: bool) -> list[float]:
     return exps
 
 
-def _search_log_L(expr, r: float, d: float, closed: bool) -> tuple[float, float]:
-    """Maximize log L(r^e) over ladder exponents e, with golden refinement.
+def _search_log_L_many(expr, radii, d: float, closed: bool) -> list[tuple[float, float]]:
+    """Maximize log L(r^e) over ladder exponents e, with golden refinement,
+    at every radius r of radii.
 
-    Returns (t, value) where t = r**e_best.  Every ladder circle gets a
-    bound from every 16th node of its circle scan (_log_min_subset_bound,
+    Returns (t, value) per radius, t = r**e_best.  Every ladder circle gets
+    a bound from every 16th node of its circle scan (_log_min_subset_bound,
     never below the refined log L), but is scanned in full and refined only
     while it can still win: circles go in descending order of their bound,
     and the walk stops at the first bound strictly below the best refined
     value.  Ties go to the lowest ladder index, so the winner is the
-    exhaustive ladder's argmax, bit for bit.  golden_min then refines the
-    exponent to 1e-4 within a ladder step of it; its best probe replaces
-    the winner only when strictly larger, so the ladder maximum is a floor.
+    exhaustive ladder's argmax, bit for bit.  One golden_min then refines
+    the exponents of all radii to 1e-4, each within a ladder step of its
+    winner; each round's probe circles r**e go through one _modulus_extrema
+    call, so their refinement levels share kernel calls.  A probe's best
+    value replaces the winner only when strictly larger, so the ladder
+    maximum is a floor.  Each bracket stops at its own width, so each
+    radius gets the result of its search alone (_search_log_L).
     """
     exps = _ladder_exponents(d, closed)
-    bounds = [_log_min_subset_bound(expr, r**e) for e in exps]
-    k, best_v = 0, -math.inf
-    for j in sorted(range(len(exps)), key=lambda j: (-bounds[j], j)):
-        if bounds[j] < best_v:
-            break
-        v = log_min_modulus(expr, r**exps[j])
-        if v > best_v or (v == best_v and j < k):
-            k, best_v = j, v
-    best_e = exps[k]
     edge = 0.0 if closed else _BOUNDARY_TOL
-    a = max(1.0 + edge, best_e - _LADDER_STEP)
-    b = min(d - edge, best_e + _LADDER_STEP)
-    if b > a:  # an open range narrower than 2e-9 leaves no bracket
-        e, v, _ = golden_min(lambda e: -log_min_modulus(expr, r ** float(e)),
-                             a, b, _EXPONENT_TOL)
-        if -float(v) > best_v:
-            best_e, best_v = float(e), -float(v)
-    return r**best_e, best_v
+    best, owner, lo, hi = [], [], [], []
+    for i, r in enumerate(radii):
+        bounds = [_log_min_subset_bound(expr, r**e) for e in exps]
+        k, best_v = 0, -math.inf
+        for j in sorted(range(len(exps)), key=lambda j: (-bounds[j], j)):
+            if bounds[j] < best_v:
+                break
+            v = log_min_modulus(expr, r**exps[j])
+            if v > best_v or (v == best_v and j < k):
+                k, best_v = j, v
+        best.append((exps[k], best_v))
+        a = max(1.0 + edge, exps[k] - _LADDER_STEP)
+        b = min(d - edge, exps[k] + _LADDER_STEP)
+        if b > a:  # an open range narrower than 2e-9 leaves no bracket
+            owner.append(i)
+            lo.append(a)
+            hi.append(b)
+    if owner:
+        base = [radii[i] for i in owner]
+
+        def fun(e):
+            # a closed bracket's exponent reads NaN: its circle is not probed
+            live = np.flatnonzero(~np.isnan(e)).tolist()
+            values = np.full(e.shape, math.nan)
+            extrema = _modulus_extrema(expr, [base[j] ** float(e[j]) for j in live])
+            values[live] = [-log_L for log_L, _ in extrema]
+            return values
+
+        e, v, _ = golden_min(fun, np.array(lo), np.array(hi), _EXPONENT_TOL)
+        for i, e_i, v_i in zip(owner, e.tolist(), v.tolist()):
+            if -v_i > best[i][1]:
+                best[i] = (e_i, -v_i)
+    return [(r**e, v) for r, (e, v) in zip(radii, best)]
+
+
+def _search_log_L(expr, r: float, d: float, closed: bool) -> tuple[float, float]:
+    """(t, log L(t)) of the ladder and golden search at the one radius r."""
+    return _search_log_L_many(expr, [r], d, closed)[0]
+
+
+def _searches(expr, samples, d: float, closed: bool):
+    """(sample, (t, value)) of the search at each sample's radius, in order.
+
+    The searches run in lockstep in chunks of 1, 2, 4, ... samples, so a
+    check that stops at its first failure pays for less than one chunk it
+    does not read.
+    """
+    start, size = 0, 1
+    while start < len(samples):
+        chunk = samples[start:start + size]
+        yield from zip(chunk, _search_log_L_many(expr, [s.r for s in chunk], d, closed))
+        start += size
+        size *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +346,8 @@ def check_main(profile: RadialProfile, params: CriterionParams) -> CriterionVerd
     expr = profile.function
 
     def steps():
-        for s in _tested(profile):
+        for s, (t, lhs) in _searches(expr, _tested(profile), params.d, closed=False):
             r = s.r
-            t, lhs = _search_log_L(expr, r, params.d, closed=False)
             rhs = params.alpha * s.T
             yield (lhs > rhs, r, Witness(r, t, lhs, rhs, lhs - rhs),
                    "no t in (r, r^d) lifts log L above alpha*T(r)")
@@ -332,8 +372,7 @@ def check_L_versus_M(profile: RadialProfile, d: float) -> CriterionVerdict:
         raise ValueError("search exponent d must exceed 1")
 
     def steps():
-        for s in _tested(profile):
-            t, lhs = _search_log_L(profile.function, s.r, d, closed=True)
+        for s, (t, lhs) in _searches(profile.function, _tested(profile), d, closed=True):
             rhs = d * s.log_M
             margin = lhs - rhs
             yield (margin >= -_BOUNDARY_TOL, s.r, Witness(s.r, t, lhs, rhs, max(margin, 0.0)),
@@ -350,8 +389,7 @@ def check_strong(profile: RadialProfile, d: float, D: float) -> CriterionVerdict
         raise ValueError("growth factor D must be positive")
 
     def steps():
-        for s in _tested(profile):
-            t, lhs = _search_log_L(profile.function, s.r, d, closed=True)
+        for s, (t, lhs) in _searches(profile.function, _tested(profile), d, closed=True):
             rhs = D * s.T
             yield (lhs > rhs, s.r, Witness(s.r, t, lhs, rhs, lhs - rhs),
                    "no t in [r, r^d] lifts log L above D*T(r)")

@@ -49,6 +49,10 @@ _SCAN_NODES = 4096
 _CALL_POINTS = _SCAN_NODES // 2 + 1  # at most a half-circle scan's points per lockstep call
 _SCAN_THETA = 2.0 * math.pi * np.arange(_SCAN_NODES) / _SCAN_NODES
 _SCAN_THETA.flags.writeable = False
+# e^{i theta} at the scan nodes: r times a slice of it is _circle(r, theta, half)
+# at those nodes, bit for bit, without a complex exp per circle
+_SCAN_UNIT = np.exp(1j * _SCAN_THETA)
+_SCAN_UNIT.flags.writeable = False
 _BOUND_STRIDE = 16  # a ladder circle's pruning bound reads every 16th scan node
 _ANGLE_TOL = 1e-10
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -292,14 +296,26 @@ def _logplus(f, z: np.ndarray) -> np.ndarray:
     return np.maximum(lm, 0.0)
 
 
-@lru_cache(maxsize=None)
-def _gauss_legendre():
-    """The 15-point Gauss-Legendre nodes and weights on [-1, 1].
+# np.polynomial.legendre.leggauss(15), written out bit for bit: leggauss
+# imports numpy.polynomial and sets up LAPACK, about 3 ms and 1.5 MiB per process
+_GL_NODES = np.array([
+    -0.9879925180204854, -0.9372733924007058, -0.8482065834104272, -0.7244177313601701,
+    -0.5709721726085388, -0.3941513470775634, -0.20119409399743451, 0.0,
+    0.20119409399743451, 0.3941513470775634, 0.5709721726085388, 0.7244177313601701,
+    0.8482065834104272, 0.9372733924007058, 0.9879925180204854,
+])
+_GL_WEIGHTS = np.array([
+    0.030753241996117203, 0.0703660474881084, 0.10715922046717141, 0.13957067792615444,
+    0.16626920581699398, 0.1861610000155622, 0.1984314853271116, 0.2025782419255613,
+    0.1984314853271116, 0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
+    0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
+])
+_GL_NODES.flags.writeable = _GL_WEIGHTS.flags.writeable = False
 
-    Made on first use: leggauss runs LAPACK, whose set-up adds about
-    0.7 MiB to the resident memory of a process that never integrates.
-    """
-    return np.polynomial.legendre.leggauss(15)
+
+def _gauss_legendre():
+    """The 15-point Gauss-Legendre nodes and weights on [-1, 1]."""
+    return _GL_NODES, _GL_WEIGHTS
 
 
 def _in_calls(fun, rows: int, per_row: int):
@@ -474,10 +490,13 @@ def characteristic(f, r: float) -> float:
 def golden_min(fun, a, b, tol: float):
     """Golden-section minima of fun on the brackets [a, b], in lockstep.
 
-    fun maps one abscissa per bracket to one value per bracket; steps run
-    until every bracket is at most tol wide.  NaN ranks as +inf and ties
-    move up.  Each bracket keeps its best probe so far, so the returned
-    (x, value) is its best probe, value == fun(x); probes counts calls.
+    fun maps one abscissa per bracket to one value per bracket.  Each
+    bracket steps until it is at most tol wide; after that its abscissa
+    reads NaN and its value is ignored, so fun can skip it.  NaN ranks as
+    +inf and ties move up.  Each bracket keeps its best probe so far, so
+    the returned (x, value) is its best probe, value == fun(x), and both
+    equal what the bracket gets alone; probes counts calls, two plus the
+    most steps any bracket takes.
     """
 
     def probe(x):
@@ -488,17 +507,23 @@ def golden_min(fun, a, b, tol: float):
     xd = d = a + _INVPHI * (b - a)
     fc, fd = probe(c), probe(d)
     probes = 2
-    while float(np.max(b - a)) > tol:
+    open_ = b - a > tol
+    while np.any(open_):
         left = fc < fd
-        b = np.where(left, d, b)
-        a = np.where(left, a, c)
+        lower, upper = open_ & left, open_ & ~left
+        b = np.where(lower, d, b)
+        a = np.where(upper, c, a)
         c = b - _INVPHI * (b - a)
         d = a + _INVPHI * (b - a)
-        x = np.where(left, c, d)
+        x = np.where(lower, c, np.where(upper, d, np.nan))
         fresh = probe(x)
         probes += 1
-        xc, xd = np.where(left, x, xd), np.where(left, xc, x)
-        fc, fd = np.where(left, fresh, fd), np.where(left, fc, fresh)
+        # a closed bracket keeps its two points
+        xc, xd = (np.where(lower, x, np.where(upper, xd, xc)),
+                  np.where(upper, x, np.where(lower, xc, xd)))
+        fc, fd = (np.where(lower, fresh, np.where(upper, fd, fc)),
+                  np.where(upper, fresh, np.where(lower, fc, fd)))
+        open_ = b - a > tol
     return np.where(fc < fd, xc, xd), np.minimum(fc, fd), probes
 
 
@@ -549,13 +574,19 @@ def _scan_samples(f: MeroExpr, r: float, stride: int):
     catalog confirms the pole; otherwise it reads NaN, which every caller
     drops.  A sample does not depend on the stride.
     """
-    half = _conjugate_symmetric(f)
-    theta = _SCAN_THETA[:_SCAN_NODES // 2 + 1:stride] if half else _SCAN_THETA[::stride]
-    lm = log_modulus(f, _circle(r, theta, half))
-    marker = np.isnan(lm) | np.isposinf(lm)
-    if marker.any() and _pole_on_circle(f, r):
+    if _conjugate_symmetric(f):
+        z = r * _SCAN_UNIT[:_SCAN_NODES // 2 + 1:stride]
+        z[-1] = -r
+    else:
+        z = r * _SCAN_UNIT[::stride]
+    lm = log_modulus(f, z)
+    marker = ~(lm < math.inf)   # NaN or +inf
+    if not marker.any():
+        return lm
+    if _pole_on_circle(f, r):
         return None
-    return np.where(marker, math.nan, lm)
+    lm[marker] = math.nan
+    return lm
 
 
 @lru_cache(maxsize=65536)
@@ -580,22 +611,26 @@ def _modulus_scan(f: MeroExpr, r: float):
     exact = np.empty(0)
     if lm is None:
         return (-math.inf, exact), (math.inf, exact)
-    node = np.arange(_SCAN_NODES)
-    if lm.size < _SCAN_NODES:
-        half = _SCAN_NODES // 2
-        lm = np.concatenate([lm, lm[half - 1:0:-1]])
-        node = np.minimum(node, _SCAN_NODES - node)
+    n = _SCAN_NODES
+    folded = lm.size < n
+    # the whole circle between one wrapped node either side: wrap[k + 1] is node k
+    wrap = np.empty(n + 2)
+    wrap[1:lm.size + 1] = lm
+    if folded:
+        wrap[lm.size + 1:n + 1] = lm[n // 2 - 1:0:-1]
+    wrap[0], wrap[n + 1] = wrap[n], wrap[1]
     sides = []
     for sign in (1.0, -1.0):
-        obj = sign * lm
+        obj = sign * wrap
         obj[np.isnan(obj)] = math.inf
-        if sign > 0 and np.isneginf(obj).any():
+        nodes = obj[1:n + 1]
+        if sign > 0 and np.isneginf(nodes).any():
             sides.append((-math.inf, exact))
             continue
-        neighbors = np.minimum(np.roll(obj, 1), np.roll(obj, -1))
-        local = np.flatnonzero(obj <= neighbors)
-        best = local[np.argsort(obj[local])][:8]
-        sides.append((sign * float(obj[best[0]]), _SCAN_THETA[np.unique(node[best])]))
+        local = np.flatnonzero(nodes <= np.minimum(obj[:n], obj[2:]))
+        best = local[np.argsort(nodes[local])][:8].tolist()
+        centers = sorted({min(k, n - k) for k in best} if folded else set(best))
+        sides.append((sign * float(nodes[best[0]]), _SCAN_THETA[centers]))
     return tuple(sides)
 
 
@@ -765,6 +800,22 @@ def _slope(x: np.ndarray, y: np.ndarray):
     resid = y - (ym + slope * (x - xm))
     sse = float(np.dot(resid, resid))
     return slope, math.sqrt(sse / n), math.sqrt(sse / ((n - 2) * denom))
+
+
+def growth_grid(grid: RadiusGrid) -> None:
+    """Refuse a grid on which no profile can pass growth_summary.
+
+    Raises InsufficientSpanError with growth_summary's message when grid
+    has fewer than 16 radii, or when its top radius, nudged up by
+    ratio^(1/2) (the most build_profile moves a circle), still spans less
+    than two decades from its first.  A grid that passes can still fail
+    growth_summary on samples with T = 0.
+    """
+    radii = grid.radii()
+    if radii.size < _MIN_SAMPLES:
+        raise InsufficientSpanError("need at least 16 samples with T > 0")
+    if radii[-1] * grid.ratio**0.5 / radii[0] < _MIN_SPAN * (1.0 - 1e-12):
+        raise InsufficientSpanError("grid must span at least two decades")
 
 
 def growth_summary(profile: RadialProfile) -> GrowthSummary:

@@ -76,6 +76,27 @@ def test_analyze_unknown_corpus(capsys):
     assert "nope" in capsys.readouterr().err
 
 
+def test_analyze_refuses_a_short_grid_before_the_profile(tmp_path, capsys, monkeypatch):
+    # no profile on a grid of fewer than 16 radii, or on one short of two
+    # decades even with its top circle nudged, passes the growth fit
+    def no_profile(*args, **kwargs):
+        raise AssertionError("analyze built a profile for a grid it cannot use")
+
+    monkeypatch.setattr(cli, "build_profile", no_profile)
+    for flags, message in (
+        (["--function", "1/(exp(z)+z)", "--rmin", "1", "--rmax", "50"], "at least two decades"),
+        (["--corpus", "expz", "--rmax", "1000", "--ratio", "2"], "at least 16 samples"),
+    ):
+        assert main(["analyze", *flags, "--out", str(tmp_path)]) == 3
+        assert message in capsys.readouterr().err
+    # a tree with an essential singularity is refused first
+    rc = main(["analyze", "--function", "exp(tan(z))", "--rmin", "1", "--rmax", "50",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not (tmp_path / "profile.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
@@ -540,6 +561,26 @@ def test_cli_leaves_out_scipy(tmp_path):
         log_mod, _ = log_polar(parse("canprod(3)"), np.array([0.5, 3 + 4j, -1e4 + 1j]))
         assert np.isfinite(log_mod).all(), log_mod
         assert "scipy.special" in sys.modules
+        """
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_leaves_out_lazy_numpy_modules(tmp_path):
+    # numpy imports numpy.ma on the first np.unique and numpy.polynomial on
+    # first use, each a few milliseconds and about 1.5 MiB: the corpus
+    # analyze and check run without either
+    code = textwrap.dedent(
+        f"""
+        import sys
+
+        from merolab.cli import main
+        assert main(["analyze", "--corpus", "expz", "--out", {str(tmp_path / "a")!r}]) == 0
+        assert main(["check", "--corpus", "expz", "--out", {str(tmp_path / "c")!r}]) == 0
+        lazy = (["numpy", "ma"], ["numpy", "polynomial"])
+        loaded = sorted(m for m in sys.modules if m.split(".")[:2] in lazy)
+        assert not loaded, loaded
         """
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

@@ -1,5 +1,6 @@
 import functools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ from merolab import (
     nevanlinna,
     parse,
 )
-from merolab.criteria import Witness, _ladder_exponents, _search_log_L, _verdict
+from merolab.criteria import Witness, _ladder_exponents, _search_log_L, _searches, _verdict
+from merolab.corpus import CORPUS
 from merolab.dynamics import absorbing_half_plane
 from merolab.nevanlinna import InsufficientSpanError, golden_min
 
@@ -601,3 +603,78 @@ def test_exceptional_set_monomial_full(zsq):
     report = exceptional_set(_profile(zsq), 0.3)
     assert report.intervals
     assert report.lower_log_density > 0.9
+
+
+# ---------------------------------------------------------------------------
+# the lockstep search across radii
+# ---------------------------------------------------------------------------
+
+
+def _search_alone(expr, r, d, closed):
+    """The search of one radius as it ran before the lockstep: the pruned
+    ladder, then one golden_min bracket probed circle by circle."""
+    exps = _ladder_exponents(d, closed)
+    bounds = [nevanlinna._log_min_subset_bound(expr, r**e) for e in exps]
+    k, best_v = 0, -math.inf
+    for j in sorted(range(len(exps)), key=lambda j: (-bounds[j], j)):
+        if bounds[j] < best_v:
+            break
+        v = log_min_modulus(expr, r**exps[j])
+        if v > best_v or (v == best_v and j < k):
+            k, best_v = j, v
+    best_e = exps[k]
+    edge = 0.0 if closed else 1e-9
+    a = max(1.0 + edge, best_e - 1.0 / 64.0)
+    b = min(d - edge, best_e + 1.0 / 64.0)
+    if b > a:
+        e, v, _ = golden_min(lambda e: -log_min_modulus(expr, r ** float(e)), a, b, 1e-4)
+        if -float(v) > best_v:
+            best_e, best_v = float(e), -float(v)
+    return r**best_e, best_v
+
+
+def _cold_circle_caches(monkeypatch):
+    for name in ("_modulus_scan", "_log_min_subset_bound"):
+        fresh = functools.lru_cache(maxsize=None)(getattr(nevanlinna, name).__wrapped__)
+        monkeypatch.setattr(nevanlinna, name, fresh)
+    monkeypatch.setattr("merolab.criteria._log_min_subset_bound", nevanlinna._log_min_subset_bound)
+    extrema = nevanlinna._modulus_extrema
+    fresh = nevanlinna._CircleCache(extrema.__wrapped__, extrema.maxsize)
+    monkeypatch.setattr(nevanlinna, "_modulus_extrema", fresh)
+    monkeypatch.setattr("merolab.criteria._modulus_extrema", fresh)
+
+
+# chunks of 1, 2, 4 and 8 radii: 3, 7 and 16 radii end on a chunk edge or one past it
+_LOCKSTEP_RADII = tuple(10.0 * 2.0 ** (k / 5.0) for k in range(16))
+
+
+@pytest.mark.parametrize("closed", [False, True])
+@pytest.mark.parametrize("source", sorted(set(CORPUS.values()) | {"1/(exp(z)-2)", "exp(z) + 0.5*i"}))
+def test_lockstep_search_equals_search_alone(monkeypatch, source, closed):
+    # at d = 1.25 the closed brackets at the ends of the range are half as wide
+    f, d = parse(source), 1.25
+    with monkeypatch.context() as patched:
+        _cold_circle_caches(patched)
+        alone = [_search_alone(f, r, d, closed) for r in _LOCKSTEP_RADII]
+    with monkeypatch.context() as patched:
+        # cold caches, so the probe circles of each round are evaluated
+        # together; the first chunks of 16 radii are those of 1, 3 and 7
+        _cold_circle_caches(patched)
+        for n in (16, 7, 3, 1):
+            samples = [SimpleNamespace(r=r) for r in _LOCKSTEP_RADII[:n]]
+            got = list(_searches(f, samples, d, closed))
+            assert [s for s, _ in got] == samples
+            assert [found for _, found in got] == alone[:n]
+
+
+@pytest.mark.parametrize("name", ["zsq", "expz", "canprod4"])
+def test_lockstep_search_without_brackets(name):
+    # d - 1 < 2e-9 opens no bracket in the open range, and every radius
+    # keeps its ladder winner
+    f = corpus_function(name)
+    d = 1.0 + 1e-10
+    samples = [SimpleNamespace(r=r) for r in _LOCKSTEP_RADII[:7]]
+    got = [found for _, found in _searches(f, samples, d, False)]
+    assert got == [_search_alone(f, s.r, d, False) for s in samples]
+    for r in _LOCKSTEP_RADII[:7]:
+        assert _search_log_L(f, r, d, False) == _search_alone(f, r, d, False)

@@ -47,12 +47,20 @@ from merolab.nevanlinna import (
     _modulus_scan,
     golden_min,
     grid_min,
+    growth_grid,
 )
 
 
 # ---------------------------------------------------------------------------
 # proximity / characteristic anchors
 # ---------------------------------------------------------------------------
+
+
+def test_gauss_legendre_constants_equal_leggauss():
+    x, w = nevanlinna._gauss_legendre()
+    want_x, want_w = np.polynomial.legendre.leggauss(15)
+    assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
+    assert np.array_equal(np.signbit(x), np.signbit(want_x))
 
 
 def test_proximity_exp_closed_form(expz):
@@ -307,6 +315,96 @@ def test_subset_bound_on_degenerate_circles(canprod4):
     # the scan minimum of canprod(4) at r = 16 sits on node 2048, which is -16
     # and one of the subset's nodes
     assert _log_min_subset_bound(canprod4, 16.0) == _scan_min(canprod4, 16.0)
+
+
+def _scan_samples_by_circle(f, r, stride):
+    """Reference: _scan_samples with each circle's points from _circle,
+    the pole markers replaced in a copy."""
+    theta = nevanlinna._SCAN_THETA
+    half = _conjugate_symmetric(f)
+    lm = nevanlinna.log_modulus(f, nevanlinna._circle(r, theta[:2049:stride] if half else theta[::stride],
+                                                      half))
+    marker = np.isnan(lm) | np.isposinf(lm)
+    if marker.any() and nevanlinna._pole_on_circle(f, r):
+        return None
+    return np.where(marker, math.nan, lm)
+
+
+@pytest.mark.parametrize("source", [*(str(corpus_function(n)) for n in corpus_names()),
+                                    "exp(z) + 0.5*i", "1/(z-1)", "z - 1"])
+def test_scan_samples_equal_those_of_the_circle(source):
+    f = parse(source)
+    for r in (0.5, 1.0, math.pi / 2, 10.0, 40.0, 160.0):
+        for stride in (1, 16):
+            got, want = nevanlinna._scan_samples(f, r, stride), _scan_samples_by_circle(f, r, stride)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_scan_samples_drop_markers_off_the_catalog(monkeypatch, expz):
+    # exp has no poles, so every marker reads NaN
+    kernel = nevanlinna.log_modulus
+
+    def marked(f, z):
+        lm = kernel(f, z)
+        lm[::7], lm[3::11] = math.nan, math.inf
+        return lm
+
+    monkeypatch.setattr(nevanlinna, "log_modulus", marked)
+    for stride in (1, 16):
+        got = nevanlinna._scan_samples(expz, 10.0, stride)
+        assert np.isnan(got).any() and not np.isinf(got).any()
+        assert np.array_equal(got, _scan_samples_by_circle(expz, 10.0, stride), equal_nan=True)
+
+
+def _scan_extrema_by_roll(lm):
+    """Reference: the extrema and centers of _modulus_scan from samples lm,
+    neighbours by np.roll, the folded centers by np.unique."""
+    exact = np.empty(0)
+    if lm is None:
+        return (-math.inf, exact), (math.inf, exact)
+    node = np.arange(4096)
+    if lm.size < 4096:
+        lm = np.concatenate([lm, lm[2047:0:-1]])
+        node = np.minimum(node, 4096 - node)
+    sides = []
+    for sign in (1.0, -1.0):
+        obj = sign * lm
+        obj[np.isnan(obj)] = math.inf
+        if sign > 0 and np.isneginf(obj).any():
+            sides.append((-math.inf, exact))
+            continue
+        neighbors = np.minimum(np.roll(obj, 1), np.roll(obj, -1))
+        local = np.flatnonzero(obj <= neighbors)
+        best = local[np.argsort(obj[local])][:8]
+        sides.append((sign * float(obj[best[0]]), nevanlinna._SCAN_THETA[np.unique(node[best])]))
+    return tuple(sides)
+
+
+def _scan_inputs(size):
+    rng = np.random.default_rng(size)
+    noisy = rng.normal(size=size)
+    tied = np.round(rng.normal(size=size), 1)
+    with_nan, with_neginf = noisy.copy(), noisy.copy()
+    with_nan[rng.integers(0, size, 40)] = math.nan
+    with_neginf[rng.integers(0, size, 3)] = -math.inf
+    wave = np.cos(7.0 * np.arange(size) / size)
+    yield from (noisy, tied, with_nan, with_neginf, wave, np.full(size, 2.5), np.zeros(size),
+                np.full(size, math.nan), np.where(np.arange(size) % 5, math.nan, noisy), None)
+
+
+@pytest.mark.parametrize("size", [2049, 4096])
+def test_modulus_scan_equals_the_roll_reference(monkeypatch, size):
+    # 2049 samples take the half route (mirrored, centers folded), 4096 the full
+    for lm in _scan_inputs(size):
+        monkeypatch.setattr(nevanlinna, "_scan_samples",
+                            lambda f, r, stride: None if lm is None else lm.copy())
+        got = _modulus_scan.__wrapped__(None, 1.0)
+        want = _scan_extrema_by_roll(None if lm is None else lm.copy())
+        for (value, centers), (want_value, want_centers) in zip(got, want):
+            assert value == want_value
+            assert np.array_equal(centers, want_centers)
 
 
 def _one_extremum(f, r, want_max):
@@ -645,6 +743,65 @@ def test_golden_min_on_a_constant_is_deterministic():
     assert np.all((b - tol <= first[0]) & (first[0] <= b))
 
 
+def _golden_min_all_steps(fun, a, b, tol):
+    """Reference: golden_min whose brackets all step until the widest is at
+    most tol wide; on one bracket that is golden_min's own rule."""
+
+    def probe(x):
+        v = fun(x)
+        return np.where(np.isnan(v), np.inf, v)
+
+    xc = c = b - nevanlinna._INVPHI * (b - a)
+    xd = d = a + nevanlinna._INVPHI * (b - a)
+    fc, fd = probe(c), probe(d)
+    probes = 2
+    while float(np.max(b - a)) > tol:
+        left = fc < fd
+        b = np.where(left, d, b)
+        a = np.where(left, a, c)
+        c = b - nevanlinna._INVPHI * (b - a)
+        d = a + nevanlinna._INVPHI * (b - a)
+        x = np.where(left, c, d)
+        fresh = probe(x)
+        probes += 1
+        xc, xd = np.where(left, x, xd), np.where(left, xc, x)
+        fc, fd = np.where(left, fresh, fd), np.where(left, fc, fresh)
+    return np.where(fc < fd, xc, xd), np.minimum(fc, fd), probes
+
+
+def test_golden_min_brackets_stop_at_their_own_width():
+    tol = 1e-4
+    # brackets of widths from under tol to 3: each takes its own steps
+    a = np.array([0.0, 0.3, -2.0, 5.0, 1.0, 2.0])
+    b = a + np.array([1.0, 0.01, 3.0, 0.5e-4, 0.5, 1.0 / 32.0])
+    seen = []
+
+    def fun(x):
+        seen.append(~np.isnan(x))
+        return np.cos(7.0 * x) + 0.1 * x
+
+    x, value, probes = golden_min(fun, a, b, tol)
+    seen = np.array(seen)
+    assert probes == len(seen)
+    for i in range(a.size):
+        alone = _golden_min_all_steps(lambda t: np.cos(7.0 * t) + 0.1 * t, a[i], b[i], tol)
+        assert (x[i], value[i]) == (float(alone[0]), float(alone[1]))
+        # the bracket's abscissa reads NaN once it is closed, never before
+        assert seen[:, i].tolist() == [True] * alone[2] + [False] * (probes - alone[2])
+        assert golden_min(lambda t: np.cos(7.0 * t) + 0.1 * t, a[i], b[i], tol)[2] == alone[2]
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-9])
+@pytest.mark.parametrize("width", [1.0, 2.0 / 64.0, 1.0 / 64.0 - 1e-9, 1e-5])
+def test_golden_min_on_one_bracket_takes_every_step(width, tol):
+    def fun(x):
+        return np.abs(np.sin(3.0 * x) - 0.2)
+
+    got = golden_min(fun, 1.0, 1.0 + width, tol)
+    want = _golden_min_all_steps(fun, 1.0, 1.0 + width, tol)
+    assert (float(got[0]), float(got[1]), got[2]) == (float(want[0]), float(want[1]), want[2])
+
+
 # ---------------------------------------------------------------------------
 # the nested-grid helper
 # ---------------------------------------------------------------------------
@@ -869,6 +1026,22 @@ def test_growth_summary_needs_span(expz):
     short = build_profile(expz, RadiusGrid(1.0, 20.0))
     with pytest.raises(InsufficientSpanError):
         growth_summary(short)
+
+
+def test_growth_grid_refuses_what_no_profile_can_pass():
+    for grid, message in ((RadiusGrid(1.0, 50.0), "two decades"),
+                          (RadiusGrid(1.0, 1000.0, 2.0), "16 samples")):
+        with pytest.raises(InsufficientSpanError, match=message):
+            growth_grid(grid)
+    growth_grid(RadiusGrid(1.0, 100.0))
+    # the top circle of this grid, 98.5, lies on a pole: the profile nudges
+    # it to 100.2, past two decades, so the grid alone is not refused
+    grid = RadiusGrid(1.0, 98.0, 1.31)
+    top = float(grid.radii()[-1])
+    growth_grid(grid)
+    profile = build_profile(f"exp(z) + 1/(z - {top!r})", grid)
+    assert top < 99.9 < profile.samples[-1].r and profile.samples[-1].perturbed_from == top
+    growth_summary(profile)
 
 
 def test_first_fundamental_offset(expz):
