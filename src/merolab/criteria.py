@@ -219,7 +219,7 @@ def _search_log_L_many(expr, radii, d: float, closed: bool) -> list[tuple[float,
     call, so their refinement levels share kernel calls.  A probe's best
     value replaces the winner only when strictly larger, so the ladder
     maximum is a floor.  Each bracket stops at its own width, so each
-    radius gets the result of its search alone (_search_log_L).
+    radius gets the result of its search alone.
     """
     exps = _ladder_exponents(d, closed)
     edge = 0.0 if closed else _BOUNDARY_TOL
@@ -256,11 +256,6 @@ def _search_log_L_many(expr, radii, d: float, closed: bool) -> list[tuple[float,
             if -v_i > best[i][1]:
                 best[i] = (e_i, -v_i)
     return [(r**e, v) for r, (e, v) in zip(radii, best)]
-
-
-def _search_log_L(expr, r: float, d: float, closed: bool) -> tuple[float, float]:
-    """(t, log L(t)) of the ladder and golden search at the one radius r."""
-    return _search_log_L_many(expr, [r], d, closed)[0]
 
 
 def _searches(expr, samples, d: float, closed: bool):
@@ -535,7 +530,7 @@ def check_growth_chain(profile: RadialProfile, m: int, eps: float) -> ChainRepor
         return ChainReport(False, False, r, (), note)
     mid = math.exp((mu - eps) * m * lx)
     low = math.exp((lam + 2.0 * eps) * lx)
-    top = _modulus_extrema.one(profile.function, r**m)[1]
+    top = _modulus_extrema(profile.function, [r**m])[0][1]
     tail_lhs = math.exp((lam + eps) * lx)
     tail_rhs = profile.samples[-1].log_M
     links = (

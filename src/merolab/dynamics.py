@@ -40,7 +40,6 @@ import math
 from dataclasses import asdict, dataclass, replace
 from enum import IntEnum
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -207,11 +206,23 @@ def _exp_term(node):
     return None if term is None else (a * term[0], *term[1:])
 
 
-@lru_cache(maxsize=256)
-def _absorbing_half_plane(expr):
+def absorbing_half_plane(f):
+    """Certified escape region of f as (u, s), or None.
+
+    For f = z + c + sum_k a_k exp(alpha_k z + d_k) with c != 0, u = c/|c|
+    and every beta_k = -alpha_k / conj(u) real and positive, |h| <= 3|c|/4
+    on H_s = {Re(conj(u) z) > s}, so f moves every point of H_s at least
+    |c|/4 further along u: H_s is forward-invariant and every orbit that
+    enters it tends to infinity.  s is the largest of the per-term
+    thresholds that hold each of the n terms to 3|c|/(4n); for one term it
+    is the smallest such s (log(4/3) for z + 1 + exp(-z)).  The form is
+    recognised structurally (summands through Add, Sub and Neg; constant
+    factors through Neg, Mul and Div; linear exponents) in a few
+    microseconds, afresh for each orbit grid; any other map gives None.
+    """
     c = slope = 0j
     terms = []
-    for sign, node in _summands(expr.root):
+    for sign, node in _summands(as_expr(f).root):
         coeffs = polynomial_coefficients(node)
         if coeffs is None:
             term = _exp_term(node)
@@ -246,23 +257,6 @@ def _absorbing_half_plane(expr):
     if not all(map(math.isfinite, bounds)):
         return None
     return u, max(bounds)
-
-
-def absorbing_half_plane(f):
-    """Certified escape region of f as (u, s), or None.
-
-    For f = z + c + sum_k a_k exp(alpha_k z + d_k) with c != 0, u = c/|c|
-    and every beta_k = -alpha_k / conj(u) real and positive, |h| <= 3|c|/4
-    on H_s = {Re(conj(u) z) > s}, so f moves every point of H_s at least
-    |c|/4 further along u: H_s is forward-invariant and every orbit that
-    enters it tends to infinity.  s is the largest of the per-term
-    thresholds that hold each of the n terms to 3|c|/(4n); for one term it
-    is the smallest such s (log(4/3) for z + 1 + exp(-z)).  The form is
-    recognised structurally (summands through Add, Sub and Neg; constant
-    factors through Neg, Mul and Div; linear exponents), once per map; any
-    other map gives None.
-    """
-    return _absorbing_half_plane(as_expr(f))
 
 
 def _canonical_rep(points) -> complex:
@@ -437,7 +431,7 @@ def _classify_tiles(expr, n, tiles, budget, r_esc, with_final):
     cyc = np.zeros(n, dtype=np.int32)
     final = np.empty(n, dtype=np.complex128) if with_final else None
     meromorphic = has_poles(expr)
-    plane = _absorbing_half_plane(expr)
+    plane = absorbing_half_plane(expr)
     spans = []
     entries = []
     certified = 0

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .evaluate import _horner, log_polar
+from .evaluate import _horner, _poly_derivative, log_polar
 from .nodes import (
     Add,
     CanonicalProduct,
@@ -325,7 +325,7 @@ def _poly_roots(coeffs):
                 break
         else:
             clusters.append([r])
-    deriv = tuple((k + 1) * c for k, c in enumerate(coeffs[1:]))
+    deriv = _poly_derivative(coeffs)
     locs = []
     for cl in clusters:
         loc = complex(np.mean(np.array(cl)))

@@ -200,7 +200,7 @@ class GrowthSummary:
 
 
 # ---------------------------------------------------------------------------
-# per-circle caches of the lockstep routines
+# the per-circle cache of a lockstep routine
 # ---------------------------------------------------------------------------
 
 
@@ -211,7 +211,9 @@ class _CircleCache:
     the missing ones (each once, in order of first appearance) to one call
     of fun, and returns every radius's value in order.  Past maxsize the
     oldest circles go.  As with lru_cache, __wrapped__ is fun, uncached;
-    hits and misses count circles.
+    hits and misses count circles.  Only _modulus_extrema keeps one: a
+    check revisits its circles (check_strong repeats the closed search of
+    check_L_versus_M), while a circle's quadrature is rarely asked twice.
     """
 
     def __init__(self, fun, maxsize: int):
@@ -220,14 +222,6 @@ class _CircleCache:
         self.maxsize = maxsize
         self.values = OrderedDict()
         self.hits = self.misses = 0
-
-    def one(self, f, r):
-        """The value at the one circle (f, r): a lookup on a hit, else fun(f, [r])."""
-        v = self.values.get((f, r))
-        if v is None:
-            return self(f, [r])[0]
-        self.hits += 1
-        return v
 
     def __call__(self, f, radii):
         values = self.values
@@ -313,11 +307,6 @@ _GL_WEIGHTS = np.array([
 _GL_NODES.flags.writeable = _GL_WEIGHTS.flags.writeable = False
 
 
-def _gauss_legendre():
-    """The 15-point Gauss-Legendre nodes and weights on [-1, 1]."""
-    return _GL_NODES, _GL_WEIGHTS
-
-
 def _in_calls(fun, rows: int, per_row: int):
     """The (rows, per_row) values of fun(s) over consecutive row slices s of
     at most _CALL_POINTS points (one row at least).
@@ -344,14 +333,12 @@ def _panel_level(f, r: np.ndarray, left: np.ndarray, width: float):
     does not depend on the other rows of the level, nor on the BLAS build: a
     BLAS product g @ w rounds a row differently with its place in the block.
     """
-    x, w = _gauss_legendre()
-    offsets = 0.5 * width * (1.0 + x)
+    offsets = 0.5 * width * (1.0 + _GL_NODES)
     g = _in_calls(lambda s: _logplus(f, _circle(r[s, None], left[s, None] + offsets, False)),
-                  left.size, x.size)
-    return g, (g * w).sum(axis=1) * (width / (4.0 * math.pi))
+                  left.size, _GL_NODES.size)
+    return g, (g * _GL_WEIGHTS).sum(axis=1) * (width / (4.0 * math.pi))
 
 
-@partial(_CircleCache, maxsize=4096)
 def _proximity_detail(f: MeroExpr, radii):
     """(value, nodes, converged) of the adaptive circle average on each circle
     of radii, all circles in lockstep.
@@ -379,7 +366,7 @@ def _proximity_detail(f: MeroExpr, radii):
     halves plus the open panels' last estimates, and converged is False.
     Each circle's result equals the one it gets alone.
     """
-    x, _ = _gauss_legendre()
+    x = _GL_NODES
     centre = x.size // 2
     gap = 0.5 * (1.0 + x[0])   # a panel edge's distance to its nearest node, in widths
     width = 2.0 * math.pi / _QUAD_PANELS
@@ -448,11 +435,12 @@ def proximity(f, r: float) -> float:
     sampling rule, an arc of log+ |f| > 0 that falls between the first
     comparison's nodes (about 2e-3 rad apart) goes unseen.  Past the 2^20
     cap on evaluated nodes the best estimate stands (RadialSample flags
-    it).  build_profile and characteristic share its cache.
+    it).  Nothing is cached: each call runs the quadrature afresh, and
+    build_profile runs all its circles through one lockstep quadrature.
     """
     if not r > 0:
         raise ValueError("radius must be positive")
-    return _proximity_detail.one(as_expr(f), float(r))[0]
+    return _proximity_detail(as_expr(f), [float(r)])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +466,7 @@ def counting(f, r: float) -> float:
 
 
 def characteristic(f, r: float) -> float:
-    """T(r, f) = m(r, f) + N(r, f), m from the per-circle proximity cache."""
+    """T(r, f) = m(r, f) + N(r, f)."""
     return proximity(f, r) + counting(f, r)
 
 
@@ -589,9 +577,8 @@ def _scan_samples(f: MeroExpr, r: float, stride: int):
     return lm
 
 
-@lru_cache(maxsize=65536)
 def _modulus_scan(f: MeroExpr, r: float):
-    """Cached coarse 4096-node scan of |z| = r: the min and max (value, centers).
+    """The coarse 4096-node scan of |z| = r: the min and max (value, centers).
 
     The samples are _scan_samples(f, r, 1).  For a function with real
     coefficients these are nodes 0 to 2048, on [0, pi], the axis ones at
@@ -605,7 +592,8 @@ def _modulus_scan(f: MeroExpr, r: float):
     centers holds the angles of its eight best local brackets, one scan step
     either side of each.  Refinement (grid_min in _modulus_extrema) can
     only improve on the scan, so the values bound log L from above and
-    log M from below.
+    log M from below.  Only _modulus_extrema calls it, and its cache
+    holds the result of each circle's scan and refinement.
     """
     lm = _scan_samples(f, r, 1)
     exact = np.empty(0)
@@ -698,14 +686,14 @@ def log_min_modulus(f, r: float) -> float:
     """
     if not r > 0:
         raise ValueError("radius must be positive")
-    return _modulus_extrema.one(as_expr(f), float(r))[0]
+    return _modulus_extrema(as_expr(f), [float(r)])[0][0]
 
 
 def log_max_modulus(f, r: float) -> float:
     """log M(r, f); +inf when a cataloged pole sits on the circle."""
     if not r > 0:
         raise ValueError("radius must be positive")
-    return _modulus_extrema.one(as_expr(f), float(r))[1]
+    return _modulus_extrema(as_expr(f), [float(r)])[0][1]
 
 
 def min_modulus(f, r: float) -> float:

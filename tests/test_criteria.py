@@ -28,7 +28,7 @@ from merolab import (
     nevanlinna,
     parse,
 )
-from merolab.criteria import Witness, _ladder_exponents, _search_log_L, _searches, _verdict
+from merolab.criteria import Witness, _ladder_exponents, _search_log_L_many, _searches, _verdict
 from merolab.corpus import CORPUS
 from merolab.dynamics import absorbing_half_plane
 from merolab.nevanlinna import InsufficientSpanError, golden_min
@@ -191,7 +191,7 @@ def _circle_by_circle_checks(f, grid, alpha, d, D, functionals):
     def main():
         for r in tested:
             T = functionals[r][0]
-            t, lhs = _search_log_L(f, r, d, closed=False)
+            t, lhs = _search_log_L_many(f, [r], d, closed=False)[0]
             yield (lhs > alpha * T, r, Witness(r, t, lhs, alpha * T, lhs - alpha * T),
                    "no t in (r, r^d) lifts log L above alpha*T(r)")
             grown = characteristic(f, r**d)
@@ -200,14 +200,14 @@ def _circle_by_circle_checks(f, grid, alpha, d, D, functionals):
 
     def versus():
         for r in tested:
-            t, lhs = _search_log_L(f, r, d, closed=True)
+            t, lhs = _search_log_L_many(f, [r], d, closed=True)[0]
             rhs = d * functionals[r][2]
             yield (lhs - rhs >= -1e-9, r, Witness(r, t, lhs, rhs, max(lhs - rhs, 0.0)),
                    "no t in [r, r^d] lifts log L to d*log M(r)")
 
     def strong():
         for r in tested:
-            t, lhs = _search_log_L(f, r, d, closed=True)
+            t, lhs = _search_log_L_many(f, [r], d, closed=True)[0]
             rhs = D * functionals[r][0]
             yield (lhs > rhs, r, Witness(r, t, lhs, rhs, lhs - rhs),
                    "no t in [r, r^d] lifts log L above D*T(r)")
@@ -225,13 +225,12 @@ def _grid_checks(profile, alpha, d, D):
 def test_grid_checks_equal_circle_by_circle_functionals(monkeypatch, name):
     f = corpus_function(name)
     got = _grid_checks(_profile(f), 0.5, 2.0, 4.0)
-    # T, log L and log M of each grid circle from cold caches, one circle
-    # at a time; the searches off the grid then run on the shared caches
+    # T, log L and log M of each grid circle from a cold cache, one circle
+    # at a time; the searches off the grid then run on the shared cache
     functionals = {}
     with monkeypatch.context() as patched:
-        for cache in ("_proximity_detail", "_modulus_extrema"):
-            cached = getattr(nevanlinna, cache)
-            patched.setattr(nevanlinna, cache, nevanlinna._CircleCache(cached.__wrapped__, cached.maxsize))
+        cached = nevanlinna._modulus_extrema
+        patched.setattr(nevanlinna, "_modulus_extrema", nevanlinna._CircleCache(cached.__wrapped__, cached.maxsize))
         for r in _GRID.radii():
             r = float(r)
             functionals[r] = (characteristic(f, r), log_min_modulus(f, r), log_max_modulus(f, r))
@@ -283,7 +282,7 @@ def _exhaustive_search(expr, r, d, closed):
 def test_pruned_search_equals_exhaustive_ladder(name, closed):
     f = corpus_function(name)
     for r in _SEARCH_RADII:
-        assert _search_log_L(f, r, 2.0, closed) == _exhaustive_search(f, r, 2.0, closed)
+        assert _search_log_L_many(f, [r], 2.0, closed)[0] == _exhaustive_search(f, r, 2.0, closed)
 
 
 @pytest.mark.parametrize("closed", [False, True])
@@ -292,7 +291,7 @@ def test_pruned_search_equals_exhaustive_ladder_with_poles(source, closed):
     # poles on the ladder circles, and a complex constant (full-circle nodes)
     f = parse(source)
     for r in _SEARCH_RADII:
-        assert _search_log_L(f, r, 2.0, closed) == _exhaustive_search(f, r, 2.0, closed)
+        assert _search_log_L_many(f, [r], 2.0, closed)[0] == _exhaustive_search(f, r, 2.0, closed)
 
 
 def test_pruned_search_kernel_point_budget(monkeypatch, canprod4):
@@ -305,14 +304,12 @@ def test_pruned_search_kernel_point_budget(monkeypatch, canprod4):
 
     monkeypatch.setattr(nevanlinna, "log_modulus", counted)
     # cold caches, so every circle is evaluated here
-    fresh = functools.lru_cache(maxsize=None)(nevanlinna._modulus_scan.__wrapped__)
-    monkeypatch.setattr(nevanlinna, "_modulus_scan", fresh)
     extrema = nevanlinna._modulus_extrema
     monkeypatch.setattr(nevanlinna, "_modulus_extrema",
                         nevanlinna._CircleCache(extrema.__wrapped__, extrema.maxsize))
     fresh = functools.lru_cache(maxsize=None)(nevanlinna._log_min_subset_bound.__wrapped__)
     monkeypatch.setattr("merolab.criteria._log_min_subset_bound", fresh)
-    _search_log_L(canprod4, 40.0, 2.0, False)
+    _search_log_L_many(canprod4, [40.0], 2.0, False)
     # 164,703 points when every ladder circle paid a full 4096-node scan
     assert sum(points) <= 50_000
 
@@ -320,7 +317,7 @@ def test_pruned_search_kernel_point_budget(monkeypatch, canprod4):
 @pytest.mark.parametrize("closed", [False, True])
 def test_pruned_search_ties_go_to_first_exponent(closed):
     const = parse("2")
-    t, value = _search_log_L(const, 10.0, 2.0, closed)
+    t, value = _search_log_L_many(const, [10.0], 2.0, closed)[0]
     assert (t, value) == _exhaustive_search(const, 10.0, 2.0, closed)
     assert t == 10.0 ** _ladder_exponents(2.0, closed)[0]
     assert value == log_min_modulus(const, 10.0)
@@ -345,9 +342,34 @@ def test_pruned_search_refines_few_circles(monkeypatch, name, closed):
         fresh = nevanlinna._CircleCache(extrema.__wrapped__, extrema.maxsize)
         monkeypatch.setattr(nevanlinna, "_modulus_extrema", fresh)
         refined.clear()
-        _search_log_L(f, r, 2.0, closed)
+        _search_log_L_many(f, [r], 2.0, closed)
         # the exhaustive ladder refines 76-78 circles here
         assert 0 < len(refined) <= 20
+
+
+@pytest.mark.parametrize("name", ["lacunary2", "canprod4"])
+def test_a_check_scans_each_circle_once(monkeypatch, name):
+    # the three searching checks on one profile scan each circle off the
+    # grid once: every scan is a miss of the refinement cache, and
+    # check_strong reads check_L_versus_M's closed search from that cache
+    profile = _profile(corpus_function(name))
+    extrema = nevanlinna._modulus_extrema
+    fresh = nevanlinna._CircleCache(extrema.__wrapped__, extrema.maxsize)
+    monkeypatch.setattr(nevanlinna, "_modulus_extrema", fresh)
+    monkeypatch.setattr("merolab.criteria._modulus_extrema", fresh)
+    scan = nevanlinna._modulus_scan
+    scans = []
+
+    def counted(f, r):
+        scans.append(r)
+        return scan(f, r)
+
+    monkeypatch.setattr(nevanlinna, "_modulus_scan", counted)
+    check_main(profile, CriterionParams(0.5, 2.0, 4.0))
+    check_L_versus_M(profile, 2.0)
+    check_strong(profile, 2.0, 4.0)
+    assert len(scans) == fresh.misses > 0
+    assert fresh.hits > 0
 
 
 @pytest.mark.parametrize("name", ["zsq", "expz", "canprod4"])
@@ -356,7 +378,7 @@ def test_search_in_open_range_below_the_exponent_edge(name):
     # witness must still lie strictly inside (r, r^d)
     f = corpus_function(name)
     r, d = 10.0, 1.0 + 1e-10
-    t, value = _search_log_L(f, r, d, False)
+    t, value = _search_log_L_many(f, [r], d, False)[0]
     assert r < t < r**d
     assert value == log_min_modulus(f, t)
 
@@ -634,10 +656,9 @@ def _search_alone(expr, r, d, closed):
 
 
 def _cold_circle_caches(monkeypatch):
-    for name in ("_modulus_scan", "_log_min_subset_bound"):
-        fresh = functools.lru_cache(maxsize=None)(getattr(nevanlinna, name).__wrapped__)
-        monkeypatch.setattr(nevanlinna, name, fresh)
-    monkeypatch.setattr("merolab.criteria._log_min_subset_bound", nevanlinna._log_min_subset_bound)
+    fresh = functools.lru_cache(maxsize=None)(nevanlinna._log_min_subset_bound.__wrapped__)
+    monkeypatch.setattr(nevanlinna, "_log_min_subset_bound", fresh)
+    monkeypatch.setattr("merolab.criteria._log_min_subset_bound", fresh)
     extrema = nevanlinna._modulus_extrema
     fresh = nevanlinna._CircleCache(extrema.__wrapped__, extrema.maxsize)
     monkeypatch.setattr(nevanlinna, "_modulus_extrema", fresh)
@@ -677,4 +698,4 @@ def test_lockstep_search_without_brackets(name):
     got = [found for _, found in _searches(f, samples, d, False)]
     assert got == [_search_alone(f, s.r, d, False) for s in samples]
     for r in _LOCKSTEP_RADII[:7]:
-        assert _search_log_L(f, r, d, False) == _search_alone(f, r, d, False)
+        assert _search_log_L_many(f, [r], d, False)[0] == _search_alone(f, r, d, False)

@@ -1,4 +1,3 @@
-import functools
 import math
 from unittest import mock
 
@@ -57,7 +56,7 @@ from merolab.nevanlinna import (
 
 
 def test_gauss_legendre_constants_equal_leggauss():
-    x, w = nevanlinna._gauss_legendre()
+    x, w = nevanlinna._GL_NODES, nevanlinna._GL_WEIGHTS
     want_x, want_w = np.polynomial.legendre.leggauss(15)
     assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
     assert np.array_equal(np.signbit(x), np.signbit(want_x))
@@ -150,7 +149,7 @@ def test_proximity_stops_at_its_node_cap(monkeypatch, tanz):
     r = 8.724061861322067
     full = proximity(tanz, r)
     monkeypatch.setattr(nevanlinna, "_QUAD_CAP", 3000)
-    m, nodes, converged = nevanlinna._proximity_detail.__wrapped__(tanz, [r])[0]
+    m, nodes, converged = nevanlinna._proximity_detail(tanz, [r])[0]
     assert not converged and nodes <= 3000
     assert m == pytest.approx(full, rel=1e-5)
 
@@ -400,7 +399,7 @@ def test_modulus_scan_equals_the_roll_reference(monkeypatch, size):
     for lm in _scan_inputs(size):
         monkeypatch.setattr(nevanlinna, "_scan_samples",
                             lambda f, r, stride: None if lm is None else lm.copy())
-        got = _modulus_scan.__wrapped__(None, 1.0)
+        got = _modulus_scan(None, 1.0)
         want = _scan_extrema_by_roll(None if lm is None else lm.copy())
         for (value, centers), (want_value, want_centers) in zip(got, want):
             assert value == want_value
@@ -481,8 +480,8 @@ def test_circle_route(monkeypatch, source, half):
         return log_modulus(g, z)
 
     monkeypatch.setattr(nevanlinna, "log_modulus", recorded)
-    nevanlinna._modulus_scan.__wrapped__(f, 2.5)
-    nevanlinna._proximity_detail.__wrapped__(f, [2.5])
+    nevanlinna._modulus_scan(f, 2.5)
+    nevanlinna._proximity_detail(f, [2.5])
     assert bool(np.concatenate(points).imag.min() >= 0.0) is half
 
 
@@ -493,9 +492,8 @@ def test_a_real_zero_on_the_circle_reads_minus_inf(canprod4):
 
 def _full_circle(f, r):
     """(m, converged, log L, log M) from the full-circle route, forced for any f."""
-    with mock.patch.object(nevanlinna, "_conjugate_symmetric", lambda f: False), \
-            mock.patch.object(nevanlinna, "_modulus_scan", nevanlinna._modulus_scan.__wrapped__):
-        m, _, converged = nevanlinna._proximity_detail.__wrapped__(f, [r])[0]
+    with mock.patch.object(nevanlinna, "_conjugate_symmetric", lambda f: False):
+        m, _, converged = nevanlinna._proximity_detail(f, [r])[0]
         return m, converged, *nevanlinna._modulus_extrema.__wrapped__(f, [r])[0]
 
 
@@ -536,19 +534,31 @@ def test_half_circle_matches_the_full_circle(tree, radius):
             assert abs(half - full) <= 1e-12 * max(1.0, abs(full))
 
 
-def _cold(monkeypatch, name):
-    """Give the nevanlinna cache `name` a fresh, empty cache of its kind."""
-    cached = getattr(nevanlinna, name)
-    if isinstance(cached, nevanlinna._CircleCache):
-        fresh = nevanlinna._CircleCache(cached.__wrapped__, cached.maxsize)
-    else:
-        fresh = functools.lru_cache(maxsize=None)(cached.__wrapped__)
-    monkeypatch.setattr(nevanlinna, name, fresh)
+def _cold(monkeypatch):
+    """Give _modulus_extrema a fresh, empty circle cache."""
+    cached = nevanlinna._modulus_extrema
+    fresh = nevanlinna._CircleCache(cached.__wrapped__, cached.maxsize)
+    monkeypatch.setattr(nevanlinna, "_modulus_extrema", fresh)
+    return fresh
+
+
+def _counted(monkeypatch, module, name, size=lambda *args: 1):
+    """Wrap module.name so that each call adds size(*args) to the returned list."""
+    fun = getattr(module, name)
+    counts = []
+
+    def counted(*args):
+        counts.append(size(*args))
+        return fun(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return counts
 
 
 def test_profile_scans_and_refines_each_circle_once(monkeypatch, lacunary2):
-    for name in ("_modulus_scan", "_modulus_extrema", "_proximity_detail"):
-        _cold(monkeypatch, name)
+    extrema = _cold(monkeypatch)
+    scans = _counted(monkeypatch, nevanlinna, "_modulus_scan")
+    quadratures = _counted(monkeypatch, nevanlinna, "_proximity_detail", lambda f, radii: len(radii))
     refine = nevanlinna.grid_min
     refinements = []
 
@@ -558,10 +568,7 @@ def test_profile_scans_and_refines_each_circle_once(monkeypatch, lacunary2):
 
     monkeypatch.setattr(nevanlinna, "grid_min", counted_refine)
     profile = build_profile(lacunary2, RadiusGrid(1.0, 4.0, 2.0 ** 0.5))
-    scans = nevanlinna._modulus_scan.cache_info().misses
-    quadratures = nevanlinna._proximity_detail.misses
-    refined = nevanlinna._modulus_extrema.misses
-    assert len(profile.samples) == scans == quadratures == refined == 5
+    assert len(profile.samples) == len(scans) == sum(quadratures) == extrema.misses == 5
     # every circle's brackets enter the one lockstep pass, once, in circle order
     brackets = [np.concatenate([lo, hi]) for (_, lo), (_, hi)
                 in (nevanlinna._modulus_scan(lacunary2, s.r) for s in profile.samples)]
@@ -569,12 +576,9 @@ def test_profile_scans_and_refines_each_circle_once(monkeypatch, lacunary2):
     assert np.array_equal(refinements[0][1], np.concatenate(brackets))
 
 
-def test_profile_and_characteristic_share_one_quadrature(monkeypatch, expz):
-    _cold(monkeypatch, "_proximity_detail")
+def test_profile_and_characteristic_agree_on_T(expz):
     sample = build_profile(expz, RadiusGrid(2.0, 4.0, 2.0)).samples[0]
     assert characteristic(expz, 2.0) == sample.T
-    cache = nevanlinna._proximity_detail
-    assert (cache.misses, cache.hits) == (2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +589,7 @@ def test_profile_and_characteristic_share_one_quadrature(monkeypatch, expz):
 def _lockstep_and_alone(f, radii):
     """The uncached quadrature and refinement of the circles radii, once all
     in lockstep and once one circle at a time."""
-    quadrature = nevanlinna._proximity_detail.__wrapped__
+    quadrature = nevanlinna._proximity_detail
     refinement = nevanlinna._modulus_extrema.__wrapped__
     together = quadrature(f, radii), refinement(f, radii)
     alone = [quadrature(f, [r])[0] for r in radii], [refinement(f, [r])[0] for r in radii]
@@ -613,8 +617,7 @@ def test_lockstep_circles_equal_circles_alone_on_both_routes(source, radii):
 
 def test_lockstep_profile_equals_circles_alone_with_nudged_radii(monkeypatch):
     f = parse("1/(exp(z)-2)")
-    for name in ("_modulus_extrema", "_proximity_detail"):
-        _cold(monkeypatch, name)
+    _cold(monkeypatch)
     # the grid starts on the pole log 2, so its first circle is nudged
     samples = build_profile(f, RadiusGrid(math.log(2.0), 16.0, 2.0 ** 0.125)).samples
     assert any(s.perturbed_from is not None for s in samples)
@@ -644,8 +647,7 @@ def test_lockstep_circles_equal_circles_alone_for_real_trees(tree, radii):
 def test_profile_kernel_calls(monkeypatch, lacunary2):
     # the default analyze grid: 81 circles.  The lockstep makes 196 calls
     # here, 81 of them scans; 1,468 when each circle ran its own levels
-    for name in ("_modulus_scan", "_modulus_extrema", "_proximity_detail"):
-        _cold(monkeypatch, name)
+    _cold(monkeypatch)
     kernel = nevanlinna.log_modulus
     calls = []
 
@@ -883,7 +885,9 @@ def test_a_refined_circle_makes_at_most_seven_kernel_calls(monkeypatch, name):
         return log_modulus(g, z)
 
     for r in (0.5, 3.0, 40.0):
-        nevanlinna._modulus_scan(f, r)
+        # the scan is taken beforehand, so only the refinement's calls count
+        scan = nevanlinna._modulus_scan(f, r)
+        monkeypatch.setattr(nevanlinna, "_modulus_scan", lambda g, t: scan)
         monkeypatch.setattr(nevanlinna, "log_modulus", recorded)
         calls.clear()
         nevanlinna._modulus_extrema.__wrapped__(f, [r])
