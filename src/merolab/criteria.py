@@ -4,7 +4,9 @@ Each check evaluates one sufficient condition for the absence of
 unbounded invariant-domain behaviour on a profile (build_profile) and
 returns a verdict carrying numeric witnesses.  A grid circle's T, log L
 and log M come from its sample; only circles off the grid (the t search,
-r^d, 2r, r^m) are evaluated, from the profile's function.  Verdicts
+r^d, 2r, r^m) are evaluated, from the profile's function, and the
+profile keeps each one's extrema and ladder bound for the other checks
+(RadialProfile.extrema and ladder_bound).  Verdicts
 assert inequalities at the sampled radii, never limits.  "All
 sufficiently large r" means all samples whose grid radius is at least 10.
 
@@ -34,9 +36,6 @@ from .nevanlinna import (
     characteristic,
     golden_min,
     growth_summary,
-    log_min_modulus,
-    _log_min_subset_bound,
-    _modulus_extrema,
 )
 
 _WARMUP = 10.0
@@ -203,19 +202,20 @@ def _ladder_exponents(d: float, closed: bool) -> list[float]:
     return exps
 
 
-def _search_log_L_many(expr, radii, d: float, closed: bool) -> list[tuple[float, float]]:
+def _search_log_L_many(profile: RadialProfile, radii, d: float, closed: bool) -> list[tuple[float, float]]:
     """Maximize log L(r^e) over ladder exponents e, with golden refinement,
-    at every radius r of radii.
+    at every radius r of radii, on the circles of profile's function.
 
-    Returns (t, value) per radius, t = r**e_best.  Every ladder circle gets
-    a bound from every 16th node of its circle scan (_log_min_subset_bound,
+    Returns (t, value) per radius, t = r**e_best.  Every circle is read
+    through profile, which evaluates it once.  Every ladder circle gets
+    a bound from every 16th node of its circle scan (profile.ladder_bound,
     never below the refined log L), but is scanned in full and refined only
     while it can still win: circles go in descending order of their bound,
     and the walk stops at the first bound strictly below the best refined
     value.  Ties go to the lowest ladder index, so the winner is the
     exhaustive ladder's argmax, bit for bit.  One golden_min then refines
     the exponents of all radii to 1e-4, each within a ladder step of its
-    winner; each round's probe circles r**e go through one _modulus_extrema
+    winner; each round's probe circles r**e go through one profile.extrema
     call, so their refinement levels share kernel calls.  A probe's best
     value replaces the winner only when strictly larger, so the ladder
     maximum is a floor.  Each bracket stops at its own width, so each
@@ -225,12 +225,12 @@ def _search_log_L_many(expr, radii, d: float, closed: bool) -> list[tuple[float,
     edge = 0.0 if closed else _BOUNDARY_TOL
     best, owner, lo, hi = [], [], [], []
     for i, r in enumerate(radii):
-        bounds = [_log_min_subset_bound(expr, r**e) for e in exps]
+        bounds = [profile.ladder_bound(r**e) for e in exps]
         k, best_v = 0, -math.inf
         for j in sorted(range(len(exps)), key=lambda j: (-bounds[j], j)):
             if bounds[j] < best_v:
                 break
-            v = log_min_modulus(expr, r**exps[j])
+            v = profile.extrema([r**exps[j]])[0][0]
             if v > best_v or (v == best_v and j < k):
                 k, best_v = j, v
         best.append((exps[k], best_v))
@@ -247,7 +247,7 @@ def _search_log_L_many(expr, radii, d: float, closed: bool) -> list[tuple[float,
             # a closed bracket's exponent reads NaN: its circle is not probed
             live = np.flatnonzero(~np.isnan(e)).tolist()
             values = np.full(e.shape, math.nan)
-            extrema = _modulus_extrema(expr, [base[j] ** float(e[j]) for j in live])
+            extrema = profile.extrema([base[j] ** float(e[j]) for j in live])
             values[live] = [-log_L for log_L, _ in extrema]
             return values
 
@@ -258,7 +258,7 @@ def _search_log_L_many(expr, radii, d: float, closed: bool) -> list[tuple[float,
     return [(r**e, v) for r, (e, v) in zip(radii, best)]
 
 
-def _searches(expr, samples, d: float, closed: bool):
+def _searches(profile: RadialProfile, samples, d: float, closed: bool):
     """(sample, (t, value)) of the search at each sample's radius, in order.
 
     The searches run in lockstep in chunks of 1, 2, 4, ... samples, so a
@@ -268,7 +268,7 @@ def _searches(expr, samples, d: float, closed: bool):
     start, size = 0, 1
     while start < len(samples):
         chunk = samples[start:start + size]
-        yield from zip(chunk, _search_log_L_many(expr, [s.r for s in chunk], d, closed))
+        yield from zip(chunk, _search_log_L_many(profile, [s.r for s in chunk], d, closed))
         start += size
         size *= 2
 
@@ -336,18 +336,18 @@ def check_main(profile: RadialProfile, params: CriterionParams) -> CriterionVerd
     ladder would pick), and then refines the exponent around that
     winner.  The search itself never looks at alpha, so a verdict that
     holds at some alpha holds at every smaller alpha with identical
-    witnesses.
+    witnesses.  T(r^d) is the sample's own T when r^d is a grid circle.
     """
-    expr = profile.function
+    T = {s.r: s.T for s in profile.samples}
 
     def steps():
-        for s, (t, lhs) in _searches(expr, _tested(profile), params.d, closed=False):
+        for s, (t, lhs) in _searches(profile, _tested(profile), params.d, closed=False):
             r = s.r
             rhs = params.alpha * s.T
             yield (lhs > rhs, r, Witness(r, t, lhs, rhs, lhs - rhs),
                    "no t in (r, r^d) lifts log L above alpha*T(r)")
             top = r**params.d
-            grown = characteristic(expr, top)
+            grown = T[top] if top in T else characteristic(profile.function, top)
             need = params.D * s.T
             yield (grown >= need, r, Witness(r, top, grown, need, grown - need),
                    "characteristic at r^d fell below D*T(r)")
@@ -367,7 +367,7 @@ def check_L_versus_M(profile: RadialProfile, d: float) -> CriterionVerdict:
         raise ValueError("search exponent d must exceed 1")
 
     def steps():
-        for s, (t, lhs) in _searches(profile.function, _tested(profile), d, closed=True):
+        for s, (t, lhs) in _searches(profile, _tested(profile), d, closed=True):
             rhs = d * s.log_M
             margin = lhs - rhs
             yield (margin >= -_BOUNDARY_TOL, s.r, Witness(s.r, t, lhs, rhs, max(margin, 0.0)),
@@ -384,7 +384,7 @@ def check_strong(profile: RadialProfile, d: float, D: float) -> CriterionVerdict
         raise ValueError("growth factor D must be positive")
 
     def steps():
-        for s, (t, lhs) in _searches(profile.function, _tested(profile), d, closed=True):
+        for s, (t, lhs) in _searches(profile, _tested(profile), d, closed=True):
             rhs = D * s.T
             yield (lhs > rhs, s.r, Witness(s.r, t, lhs, rhs, lhs - rhs),
                    "no t in [r, r^d] lifts log L above D*T(r)")
@@ -425,8 +425,9 @@ def check_entire_conditions(profile: RadialProfile) -> list[CriterionVerdict]:
         log M(r^m) from the full circle scan and refinement.
     (4) the lower-order estimate exceeds 0.05.
 
-    The circles 2r of (1) and r^m of (3) each go through the circle
-    refinement in lockstep, as the profile's circles do.
+    The circles 2r of (1) and r^m of (3) off the grid each go through the
+    circle refinement in lockstep, as the profile's circles do; those on
+    the grid read their samples.
 
     Raises NotEntireError when has_poles does not prove the tree
     pole-free, wherever its poles would lie; no catalog is built.
@@ -443,7 +444,7 @@ def check_entire_conditions(profile: RadialProfile) -> list[CriterionVerdict]:
         if any(s.log_M <= 0.0 for s in window):
             yield False, window[0].r, None, "log M not positive on the trailing decade"
             return
-        doubled = _modulus_extrema(expr, [2.0 * s.r for s in window])
+        doubled = profile.extrema([2.0 * s.r for s in window])
         ratios = [log_M / s.log_M for s, (_, log_M) in zip(window, doubled)]
         for s, c in zip(window, ratios):
             yield True, s.r, Witness(s.r, 2.0 * s.r, c, 1.0, c - 1.0), ""
@@ -475,7 +476,7 @@ def check_entire_conditions(profile: RadialProfile) -> list[CriterionVerdict]:
             r_hi = min(top, _POWER_CAP ** (1.0 / m))
             powers[m] = [s for s in samples if 10.0 <= s.r <= r_hi and s.r >= r_hi / 10.0]
         circles = [s.r**m for m, bases in powers.items() if len(bases) >= 2 for s in bases]
-        log_M = {r: hi for r, (_, hi) in zip(circles, _modulus_extrema(expr, circles))}
+        log_M = {r: hi for r, (_, hi) in zip(circles, profile.extrema(circles))}
         for m, bases in powers.items():
             if len(bases) < 2:
                 yield False, top, None, "fewer than two usable base radii for power %d" % m
@@ -530,7 +531,7 @@ def check_growth_chain(profile: RadialProfile, m: int, eps: float) -> ChainRepor
         return ChainReport(False, False, r, (), note)
     mid = math.exp((mu - eps) * m * lx)
     low = math.exp((lam + 2.0 * eps) * lx)
-    top = _modulus_extrema(profile.function, [r**m])[0][1]
+    top = profile.extrema([r**m])[0][1]
     tail_lhs = math.exp((lam + eps) * lx)
     tail_rhs = profile.samples[-1].log_M
     links = (

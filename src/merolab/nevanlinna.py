@@ -14,9 +14,8 @@ m uses the standard 1/(2pi) circle-average normalization.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
-from dataclasses import asdict, dataclass
-from functools import lru_cache, partial
+from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -156,10 +155,20 @@ class RadialSample:
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Samples of function on a geometric radius grid; build_profile is the only constructor."""
+    """Samples of function on a geometric radius grid, and the circles read off it.
+
+    build_profile samples the grid; RadialProfile((), f) holds no samples,
+    only the circles of f that its methods are asked for.  Every circle
+    that a check reads goes through extrema and ladder_bound, which
+    evaluate each circle once per profile: the extrema start from the
+    samples' own circles, so a check never rescans a grid circle.  Two
+    profiles share no circle, and a command builds at most one.
+    """
 
     samples: tuple
     function: MeroExpr
+    _extrema: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _bounds: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         base = [s.grid_radius for s in self.samples]
@@ -169,6 +178,26 @@ class RadialProfile:
         ratios = [b / a for a, b in zip(base, base[1:])]
         if ratios and max(ratios) - min(ratios) > 1e-12 * max(ratios):
             raise ValueError("grid ratio must be constant")
+        self._extrema.update((s.r, (s.log_L, s.log_M)) for s in self.samples)
+
+    def extrema(self, radii) -> list:
+        """(log L, log M) of function on each circle of radii, in order.
+
+        The circles not met before, each once in order of first
+        appearance, go through one _modulus_extrema call, in lockstep.
+        """
+        known = self._extrema
+        new = list(dict.fromkeys(r for r in radii if r not in known))
+        if new:
+            known.update(zip(new, _modulus_extrema(self.function, new)))
+        return [known[r] for r in radii]
+
+    def ladder_bound(self, r: float) -> float:
+        """_log_min_subset_bound of function at radius r, evaluated once."""
+        bounds = self._bounds
+        if r not in bounds:
+            bounds[r] = _log_min_subset_bound(self.function, r)
+        return bounds[r]
 
     def radii(self) -> np.ndarray:
         return np.array([s.r for s in self.samples])
@@ -197,47 +226,6 @@ class GrowthSummary:
             raise ValueError("need 0 <= lower order <= order")
         if not 0 <= self.deficiency <= 1:
             raise ValueError("deficiency must lie in [0, 1]")
-
-
-# ---------------------------------------------------------------------------
-# the per-circle cache of a lockstep routine
-# ---------------------------------------------------------------------------
-
-
-class _CircleCache:
-    """A cache by circle (f, r) around a lockstep routine fun(f, radii).
-
-    fun returns one value per radius.  A call looks every radius up, hands
-    the missing ones (each once, in order of first appearance) to one call
-    of fun, and returns every radius's value in order.  Past maxsize the
-    oldest circles go.  As with lru_cache, __wrapped__ is fun, uncached;
-    hits and misses count circles.  Only _modulus_extrema keeps one: a
-    check revisits its circles (check_strong repeats the closed search of
-    check_L_versus_M), while a circle's quadrature is rarely asked twice.
-    """
-
-    def __init__(self, fun, maxsize: int):
-        self.__wrapped__ = fun
-        self.__doc__ = fun.__doc__
-        self.maxsize = maxsize
-        self.values = OrderedDict()
-        self.hits = self.misses = 0
-
-    def __call__(self, f, radii):
-        values = self.values
-        got = [values.get((f, r)) for r in radii]
-        if None not in got:
-            self.hits += len(got)
-            return got
-        missing = list(dict.fromkeys(r for r, v in zip(radii, got) if v is None))
-        fresh = dict(zip(missing, self.__wrapped__(f, missing)))
-        self.hits += len(got) - len(missing)
-        self.misses += len(missing)
-        for r, v in fresh.items():
-            values[f, r] = v
-        while len(values) > self.maxsize:
-            values.popitem(last=False)
-        return [fresh[r] if v is None else v for r, v in zip(radii, got)]
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +580,8 @@ def _modulus_scan(f: MeroExpr, r: float):
     centers holds the angles of its eight best local brackets, one scan step
     either side of each.  Refinement (grid_min in _modulus_extrema) can
     only improve on the scan, so the values bound log L from above and
-    log M from below.  Only _modulus_extrema calls it, and its cache
-    holds the result of each circle's scan and refinement.
+    log M from below.  Only _modulus_extrema calls it; a profile's
+    extrema keep the result of each circle's scan and refinement.
     """
     lm = _scan_samples(f, r, 1)
     exact = np.empty(0)
@@ -622,7 +610,6 @@ def _modulus_scan(f: MeroExpr, r: float):
     return tuple(sides)
 
 
-@partial(_CircleCache, maxsize=65536)
 def _modulus_extrema(f: MeroExpr, radii):
     """(log L, log M) over each circle |z| = r of radii, all circles in lockstep.
 
@@ -656,7 +643,6 @@ def _modulus_extrema(f: MeroExpr, radii):
     return [(lo, -hi) for lo, hi in best.reshape(-1, 2).tolist()]
 
 
-@lru_cache(maxsize=65536)
 def _log_min_subset_bound(f: MeroExpr, r: float) -> float:
     """Upper bound on log L(r, f) from _scan_samples(f, r, 16).
 
@@ -667,7 +653,8 @@ def _log_min_subset_bound(f: MeroExpr, r: float) -> float:
     _modulus_scan(f, r)[0][0], which is never below log_min_modulus.  The
     scan's marker rule holds: a confirmed pole on the circle gives -inf,
     and any other marker is dropped.  A criteria search prunes its ladder
-    with it at a sixteenth of the scan's kernel points.
+    with it at a sixteenth of the scan's kernel points, each circle once
+    per profile (RadialProfile.ladder_bound); nothing is cached here.
     """
     lm = _scan_samples(f, r, _BOUND_STRIDE)
     return -math.inf if lm is None else float(np.fmin.reduce(lm, initial=math.inf))
@@ -682,7 +669,10 @@ def log_min_modulus(f, r: float) -> float:
     zero on the real axis reads -inf: canprod(4) at r = 16 does.  A zero
     on the circle off the real axis, between nodes, reads finite and very
     negative.  (With a complex constant the node at angle pi is
-    -r + 1.2e-16 r i, so a zero at -r reads finite too.)
+    -r + 1.2e-16 r i, so a zero at -r reads finite too.)  Nothing is
+    cached: each call scans and refines its circle afresh, as
+    log_max_modulus does; the checks read their circles through a
+    profile (RadialProfile.extrema), which keeps them.
     """
     if not r > 0:
         raise ValueError("radius must be positive")

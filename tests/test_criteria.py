@@ -31,7 +31,7 @@ from merolab import (
 from merolab.criteria import Witness, _ladder_exponents, _search_log_L_many, _searches, _verdict
 from merolab.corpus import CORPUS
 from merolab.dynamics import absorbing_half_plane
-from merolab.nevanlinna import InsufficientSpanError, golden_min
+from merolab.nevanlinna import InsufficientSpanError, RadialProfile, golden_min
 
 _GRID = RadiusGrid(1.0, 1000.0)
 _SHORT = RadiusGrid(10.0, 100.0)
@@ -171,7 +171,9 @@ def test_main_enlarging_d_preserves_success(zsq):
 
 def _circle_by_circle_checks(f, grid, alpha, d, D, functionals):
     """The four grid checks as built from T, log L and log M recomputed at
-    each grid radius r by functionals(r), the circle searches as they are."""
+    each grid radius r by functionals(r), the circle searches as they are,
+    all on one profile without samples."""
+    circles = RadialProfile((), f)
     radii = [float(r) for r in grid.radii()]
     tested = [r for r in radii if r >= 10.0 * (1.0 - 1e-12)]
     n_dec = int(math.floor(math.log10(radii[-1] / radii[0]) + 1e-9))
@@ -191,7 +193,7 @@ def _circle_by_circle_checks(f, grid, alpha, d, D, functionals):
     def main():
         for r in tested:
             T = functionals[r][0]
-            t, lhs = _search_log_L_many(f, [r], d, closed=False)[0]
+            t, lhs = _search_log_L_many(circles, [r], d, closed=False)[0]
             yield (lhs > alpha * T, r, Witness(r, t, lhs, alpha * T, lhs - alpha * T),
                    "no t in (r, r^d) lifts log L above alpha*T(r)")
             grown = characteristic(f, r**d)
@@ -200,14 +202,14 @@ def _circle_by_circle_checks(f, grid, alpha, d, D, functionals):
 
     def versus():
         for r in tested:
-            t, lhs = _search_log_L_many(f, [r], d, closed=True)[0]
+            t, lhs = _search_log_L_many(circles, [r], d, closed=True)[0]
             rhs = d * functionals[r][2]
             yield (lhs - rhs >= -1e-9, r, Witness(r, t, lhs, rhs, max(lhs - rhs, 0.0)),
                    "no t in [r, r^d] lifts log L to d*log M(r)")
 
     def strong():
         for r in tested:
-            t, lhs = _search_log_L_many(f, [r], d, closed=True)[0]
+            t, lhs = _search_log_L_many(circles, [r], d, closed=True)[0]
             rhs = D * functionals[r][0]
             yield (lhs > rhs, r, Witness(r, t, lhs, rhs, lhs - rhs),
                    "no t in [r, r^d] lifts log L above D*T(r)")
@@ -222,18 +224,14 @@ def _grid_checks(profile, alpha, d, D):
 
 
 @pytest.mark.parametrize("name", corpus_names())
-def test_grid_checks_equal_circle_by_circle_functionals(monkeypatch, name):
+def test_grid_checks_equal_circle_by_circle_functionals(name):
     f = corpus_function(name)
     got = _grid_checks(_profile(f), 0.5, 2.0, 4.0)
-    # T, log L and log M of each grid circle from a cold cache, one circle
-    # at a time; the searches off the grid then run on the shared cache
+    # T, log L and log M of each grid circle, one circle at a time
     functionals = {}
-    with monkeypatch.context() as patched:
-        cached = nevanlinna._modulus_extrema
-        patched.setattr(nevanlinna, "_modulus_extrema", nevanlinna._CircleCache(cached.__wrapped__, cached.maxsize))
-        for r in _GRID.radii():
-            r = float(r)
-            functionals[r] = (characteristic(f, r), log_min_modulus(f, r), log_max_modulus(f, r))
+    for r in _GRID.radii():
+        r = float(r)
+        functionals[r] = (characteristic(f, r), *nevanlinna._modulus_extrema(f, [r])[0])
     assert got == _circle_by_circle_checks(f, _GRID, 0.5, 2.0, 4.0, functionals)
 
 
@@ -261,17 +259,28 @@ def test_grid_checks_read_the_nudged_circle():
 _SEARCH_RADII = (10.0, 40.0, 160.0)
 
 
+@functools.lru_cache(maxsize=None)
+def _log_L(expr, r):
+    """log_min_modulus, kept by circle: the search references revisit circles."""
+    return log_min_modulus(expr, r)
+
+
+def _search(expr, r, d, closed):
+    """The search at radius r on a fresh profile of expr without samples."""
+    return _search_log_L_many(RadialProfile((), expr), [r], d, closed)[0]
+
+
 def _exhaustive_search(expr, r, d, closed):
     """Reference: refine every ladder circle, argmax, golden exponent phase."""
     exps = _ladder_exponents(d, closed)
-    vals = [log_min_modulus(expr, r**e) for e in exps]
+    vals = [_log_L(expr, r**e) for e in exps]
     k = int(np.argmax(vals))
     best_e, best_v = exps[k], vals[k]
     edge = 0.0 if closed else 1e-9
     a = max(1.0 + edge, best_e - 1.0 / 64.0)
     b = min(d - edge, best_e + 1.0 / 64.0)
     if b > a:
-        e, v, _ = golden_min(lambda e: -log_min_modulus(expr, r ** float(e)), a, b, 1e-4)
+        e, v, _ = golden_min(lambda e: -_log_L(expr, r ** float(e)), a, b, 1e-4)
         if -float(v) > best_v:
             best_e, best_v = float(e), -float(v)
     return r**best_e, best_v
@@ -282,7 +291,7 @@ def _exhaustive_search(expr, r, d, closed):
 def test_pruned_search_equals_exhaustive_ladder(name, closed):
     f = corpus_function(name)
     for r in _SEARCH_RADII:
-        assert _search_log_L_many(f, [r], 2.0, closed)[0] == _exhaustive_search(f, r, 2.0, closed)
+        assert _search(f, r, 2.0, closed) == _exhaustive_search(f, r, 2.0, closed)
 
 
 @pytest.mark.parametrize("closed", [False, True])
@@ -291,7 +300,7 @@ def test_pruned_search_equals_exhaustive_ladder_with_poles(source, closed):
     # poles on the ladder circles, and a complex constant (full-circle nodes)
     f = parse(source)
     for r in _SEARCH_RADII:
-        assert _search_log_L_many(f, [r], 2.0, closed)[0] == _exhaustive_search(f, r, 2.0, closed)
+        assert _search(f, r, 2.0, closed) == _exhaustive_search(f, r, 2.0, closed)
 
 
 def test_pruned_search_kernel_point_budget(monkeypatch, canprod4):
@@ -303,13 +312,8 @@ def test_pruned_search_kernel_point_budget(monkeypatch, canprod4):
         return kernel(g, z)
 
     monkeypatch.setattr(nevanlinna, "log_modulus", counted)
-    # cold caches, so every circle is evaluated here
-    extrema = nevanlinna._modulus_extrema
-    monkeypatch.setattr(nevanlinna, "_modulus_extrema",
-                        nevanlinna._CircleCache(extrema.__wrapped__, extrema.maxsize))
-    fresh = functools.lru_cache(maxsize=None)(nevanlinna._log_min_subset_bound.__wrapped__)
-    monkeypatch.setattr("merolab.criteria._log_min_subset_bound", fresh)
-    _search_log_L_many(canprod4, [40.0], 2.0, False)
+    # a fresh profile, so every circle is evaluated here
+    _search(canprod4, 40.0, 2.0, False)
     # 164,703 points when every ladder circle paid a full 4096-node scan
     assert sum(points) <= 50_000
 
@@ -317,7 +321,7 @@ def test_pruned_search_kernel_point_budget(monkeypatch, canprod4):
 @pytest.mark.parametrize("closed", [False, True])
 def test_pruned_search_ties_go_to_first_exponent(closed):
     const = parse("2")
-    t, value = _search_log_L_many(const, [10.0], 2.0, closed)[0]
+    t, value = _search(const, 10.0, 2.0, closed)
     assert (t, value) == _exhaustive_search(const, 10.0, 2.0, closed)
     assert t == 10.0 ** _ladder_exponents(2.0, closed)[0]
     assert value == log_min_modulus(const, 10.0)
@@ -337,12 +341,9 @@ def test_pruned_search_refines_few_circles(monkeypatch, name, closed):
     # _modulus_extrema refines each circle in one grid_min pass
     monkeypatch.setattr(nevanlinna, "grid_min", counted)
     for r in _SEARCH_RADII:
-        # a cold refinement cache, so every refined circle is counted once
-        extrema = nevanlinna._modulus_extrema
-        fresh = nevanlinna._CircleCache(extrema.__wrapped__, extrema.maxsize)
-        monkeypatch.setattr(nevanlinna, "_modulus_extrema", fresh)
+        # a fresh profile, so every refined circle is counted once
         refined.clear()
-        _search_log_L_many(f, [r], 2.0, closed)
+        _search(f, r, 2.0, closed)
         # the exhaustive ladder refines 76-78 circles here
         assert 0 < len(refined) <= 20
 
@@ -350,13 +351,10 @@ def test_pruned_search_refines_few_circles(monkeypatch, name, closed):
 @pytest.mark.parametrize("name", ["lacunary2", "canprod4"])
 def test_a_check_scans_each_circle_once(monkeypatch, name):
     # the three searching checks on one profile scan each circle off the
-    # grid once: every scan is a miss of the refinement cache, and
-    # check_strong reads check_L_versus_M's closed search from that cache
-    profile = _profile(corpus_function(name))
-    extrema = nevanlinna._modulus_extrema
-    fresh = nevanlinna._CircleCache(extrema.__wrapped__, extrema.maxsize)
-    monkeypatch.setattr(nevanlinna, "_modulus_extrema", fresh)
-    monkeypatch.setattr("merolab.criteria._modulus_extrema", fresh)
+    # grid once, and the profile keeps it: check_strong reads
+    # check_L_versus_M's closed search from there
+    grid = _profile(corpus_function(name))
+    profile = RadialProfile(grid.samples, grid.function)  # a fresh memo: the samples only
     scan = nevanlinna._modulus_scan
     scans = []
 
@@ -364,12 +362,63 @@ def test_a_check_scans_each_circle_once(monkeypatch, name):
         scans.append(r)
         return scan(f, r)
 
+    extrema = RadialProfile.extrema
+    asked = []
+
+    def asking(self, radii):
+        asked.extend(radii)
+        return extrema(self, radii)
+
     monkeypatch.setattr(nevanlinna, "_modulus_scan", counted)
+    monkeypatch.setattr(RadialProfile, "extrema", asking)
     check_main(profile, CriterionParams(0.5, 2.0, 4.0))
     check_L_versus_M(profile, 2.0)
     check_strong(profile, 2.0, 4.0)
-    assert len(scans) == fresh.misses > 0
-    assert fresh.hits > 0
+    off_grid = set(profile._extrema) - {s.r for s in profile.samples}
+    assert sorted(scans) == sorted(off_grid) and scans
+    assert len(asked) > len(scans)
+
+
+def test_two_profiles_share_no_circle(monkeypatch, canprod4):
+    # a profile keeps its own circles: a second profile of the same
+    # function scans every circle of the search again
+    samples = build_profile(canprod4, RadiusGrid(10.0, 40.0, 2.0)).samples
+    scans = []
+    scan = nevanlinna._modulus_scan
+    monkeypatch.setattr(nevanlinna, "_modulus_scan", lambda f, r: scans.append(r) or scan(f, r))
+    first = check_L_versus_M(RadialProfile(samples, canprod4), 2.0)
+    scanned, scans[:] = scans[:], []
+    assert check_L_versus_M(RadialProfile(samples, canprod4), 2.0) == first
+    assert scans == scanned and scans
+
+
+def test_entire_conditions_never_rescan_a_grid_circle(monkeypatch, expz):
+    # at ratio 2 the doubled circles 2r of the trailing decade are grid
+    # circles but the last: each of those reads its sample
+    profile = build_profile(expz, RadiusGrid(1.0, 2.0**15, 2.0))
+    grid = {s.r for s in profile.samples}
+    scans = []
+    scan = nevanlinna._modulus_scan
+    monkeypatch.setattr(nevanlinna, "_modulus_scan", lambda f, r: scans.append(r) or scan(f, r))
+    check_entire_conditions(profile)
+    doubled = {2.0 * r for r in grid if r >= 2.0**15 / 10.0}
+    assert doubled & grid == {2.0**13, 2.0**14, 2.0**15}
+    assert scans and not grid & set(scans)
+    assert 2.0**16 in scans
+
+
+def test_main_reads_T_of_grid_circles_from_the_samples(monkeypatch, fatou):
+    # at the default grid and d = 2 some circles r^d are grid circles;
+    # their T is the sample's, and only circles off the grid take a quadrature
+    profile = _profile(fatou)
+    grid = {s.r for s in profile.samples}
+    asked = []
+    monkeypatch.setattr("merolab.criteria.characteristic",
+                        lambda f, r: asked.append(r) or characteristic(f, r))
+    v = check_main(profile, CriterionParams(0.5, 2.0, 4.0))
+    tops = {w.t for w in v.witnesses if w.t == w.r**2.0}
+    assert tops & grid
+    assert asked and not grid & set(asked)
 
 
 @pytest.mark.parametrize("name", ["zsq", "expz", "canprod4"])
@@ -378,7 +427,7 @@ def test_search_in_open_range_below_the_exponent_edge(name):
     # witness must still lie strictly inside (r, r^d)
     f = corpus_function(name)
     r, d = 10.0, 1.0 + 1e-10
-    t, value = _search_log_L_many(f, [r], d, False)[0]
+    t, value = _search(f, r, d, False)
     assert r < t < r**d
     assert value == log_min_modulus(f, t)
 
@@ -641,7 +690,7 @@ def _search_alone(expr, r, d, closed):
     for j in sorted(range(len(exps)), key=lambda j: (-bounds[j], j)):
         if bounds[j] < best_v:
             break
-        v = log_min_modulus(expr, r**exps[j])
+        v = _log_L(expr, r**exps[j])
         if v > best_v or (v == best_v and j < k):
             k, best_v = j, v
     best_e = exps[k]
@@ -649,20 +698,10 @@ def _search_alone(expr, r, d, closed):
     a = max(1.0 + edge, best_e - 1.0 / 64.0)
     b = min(d - edge, best_e + 1.0 / 64.0)
     if b > a:
-        e, v, _ = golden_min(lambda e: -log_min_modulus(expr, r ** float(e)), a, b, 1e-4)
+        e, v, _ = golden_min(lambda e: -_log_L(expr, r ** float(e)), a, b, 1e-4)
         if -float(v) > best_v:
             best_e, best_v = float(e), -float(v)
     return r**best_e, best_v
-
-
-def _cold_circle_caches(monkeypatch):
-    fresh = functools.lru_cache(maxsize=None)(nevanlinna._log_min_subset_bound.__wrapped__)
-    monkeypatch.setattr(nevanlinna, "_log_min_subset_bound", fresh)
-    monkeypatch.setattr("merolab.criteria._log_min_subset_bound", fresh)
-    extrema = nevanlinna._modulus_extrema
-    fresh = nevanlinna._CircleCache(extrema.__wrapped__, extrema.maxsize)
-    monkeypatch.setattr(nevanlinna, "_modulus_extrema", fresh)
-    monkeypatch.setattr("merolab.criteria._modulus_extrema", fresh)
 
 
 # chunks of 1, 2, 4 and 8 radii: 3, 7 and 16 radii end on a chunk edge or one past it
@@ -671,21 +710,18 @@ _LOCKSTEP_RADII = tuple(10.0 * 2.0 ** (k / 5.0) for k in range(16))
 
 @pytest.mark.parametrize("closed", [False, True])
 @pytest.mark.parametrize("source", sorted(set(CORPUS.values()) | {"1/(exp(z)-2)", "exp(z) + 0.5*i"}))
-def test_lockstep_search_equals_search_alone(monkeypatch, source, closed):
+def test_lockstep_search_equals_search_alone(source, closed):
     # at d = 1.25 the closed brackets at the ends of the range are half as wide
     f, d = parse(source), 1.25
-    with monkeypatch.context() as patched:
-        _cold_circle_caches(patched)
-        alone = [_search_alone(f, r, d, closed) for r in _LOCKSTEP_RADII]
-    with monkeypatch.context() as patched:
-        # cold caches, so the probe circles of each round are evaluated
-        # together; the first chunks of 16 radii are those of 1, 3 and 7
-        _cold_circle_caches(patched)
-        for n in (16, 7, 3, 1):
-            samples = [SimpleNamespace(r=r) for r in _LOCKSTEP_RADII[:n]]
-            got = list(_searches(f, samples, d, closed))
-            assert [s for s, _ in got] == samples
-            assert [found for _, found in got] == alone[:n]
+    alone = [_search_alone(f, r, d, closed) for r in _LOCKSTEP_RADII]
+    # a fresh profile, so the probe circles of each round are evaluated
+    # together; the first chunks of 16 radii are those of 1, 3 and 7
+    circles = RadialProfile((), f)
+    for n in (16, 7, 3, 1):
+        samples = [SimpleNamespace(r=r) for r in _LOCKSTEP_RADII[:n]]
+        got = list(_searches(circles, samples, d, closed))
+        assert [s for s, _ in got] == samples
+        assert [found for _, found in got] == alone[:n]
 
 
 @pytest.mark.parametrize("name", ["zsq", "expz", "canprod4"])
@@ -695,7 +731,7 @@ def test_lockstep_search_without_brackets(name):
     f = corpus_function(name)
     d = 1.0 + 1e-10
     samples = [SimpleNamespace(r=r) for r in _LOCKSTEP_RADII[:7]]
-    got = [found for _, found in _searches(f, samples, d, False)]
+    got = [found for _, found in _searches(RadialProfile((), f), samples, d, False)]
     assert got == [_search_alone(f, s.r, d, False) for s in samples]
     for r in _LOCKSTEP_RADII[:7]:
-        assert _search_log_L_many(f, [r], d, False)[0] == _search_alone(f, r, d, False)
+        assert _search(f, r, d, False) == _search_alone(f, r, d, False)

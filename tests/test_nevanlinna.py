@@ -494,7 +494,7 @@ def _full_circle(f, r):
     """(m, converged, log L, log M) from the full-circle route, forced for any f."""
     with mock.patch.object(nevanlinna, "_conjugate_symmetric", lambda f: False):
         m, _, converged = nevanlinna._proximity_detail(f, [r])[0]
-        return m, converged, *nevanlinna._modulus_extrema.__wrapped__(f, [r])[0]
+        return m, converged, *nevanlinna._modulus_extrema(f, [r])[0]
 
 
 _LEAF = st.one_of(st.just(Var()), st.integers(-20, 20).map(lambda k: Const(complex(k / 7))))
@@ -534,14 +534,6 @@ def test_half_circle_matches_the_full_circle(tree, radius):
             assert abs(half - full) <= 1e-12 * max(1.0, abs(full))
 
 
-def _cold(monkeypatch):
-    """Give _modulus_extrema a fresh, empty circle cache."""
-    cached = nevanlinna._modulus_extrema
-    fresh = nevanlinna._CircleCache(cached.__wrapped__, cached.maxsize)
-    monkeypatch.setattr(nevanlinna, "_modulus_extrema", fresh)
-    return fresh
-
-
 def _counted(monkeypatch, module, name, size=lambda *args: 1):
     """Wrap module.name so that each call adds size(*args) to the returned list."""
     fun = getattr(module, name)
@@ -556,7 +548,7 @@ def _counted(monkeypatch, module, name, size=lambda *args: 1):
 
 
 def test_profile_scans_and_refines_each_circle_once(monkeypatch, lacunary2):
-    extrema = _cold(monkeypatch)
+    extrema = _counted(monkeypatch, nevanlinna, "_modulus_extrema", lambda f, radii: len(radii))
     scans = _counted(monkeypatch, nevanlinna, "_modulus_scan")
     quadratures = _counted(monkeypatch, nevanlinna, "_proximity_detail", lambda f, radii: len(radii))
     refine = nevanlinna.grid_min
@@ -568,7 +560,7 @@ def test_profile_scans_and_refines_each_circle_once(monkeypatch, lacunary2):
 
     monkeypatch.setattr(nevanlinna, "grid_min", counted_refine)
     profile = build_profile(lacunary2, RadiusGrid(1.0, 4.0, 2.0 ** 0.5))
-    assert len(profile.samples) == len(scans) == sum(quadratures) == extrema.misses == 5
+    assert len(profile.samples) == len(scans) == sum(quadratures) == sum(extrema) == 5
     # every circle's brackets enter the one lockstep pass, once, in circle order
     brackets = [np.concatenate([lo, hi]) for (_, lo), (_, hi)
                 in (nevanlinna._modulus_scan(lacunary2, s.r) for s in profile.samples)]
@@ -587,10 +579,10 @@ def test_profile_and_characteristic_agree_on_T(expz):
 
 
 def _lockstep_and_alone(f, radii):
-    """The uncached quadrature and refinement of the circles radii, once all
-    in lockstep and once one circle at a time."""
+    """The quadrature and refinement of the circles radii, once all in
+    lockstep and once one circle at a time."""
     quadrature = nevanlinna._proximity_detail
-    refinement = nevanlinna._modulus_extrema.__wrapped__
+    refinement = nevanlinna._modulus_extrema
     together = quadrature(f, radii), refinement(f, radii)
     alone = [quadrature(f, [r])[0] for r in radii], [refinement(f, [r])[0] for r in radii]
     return together, alone
@@ -615,9 +607,8 @@ def test_lockstep_circles_equal_circles_alone_on_both_routes(source, radii):
     assert together == alone
 
 
-def test_lockstep_profile_equals_circles_alone_with_nudged_radii(monkeypatch):
+def test_lockstep_profile_equals_circles_alone_with_nudged_radii():
     f = parse("1/(exp(z)-2)")
-    _cold(monkeypatch)
     # the grid starts on the pole log 2, so its first circle is nudged
     samples = build_profile(f, RadiusGrid(math.log(2.0), 16.0, 2.0 ** 0.125)).samples
     assert any(s.perturbed_from is not None for s in samples)
@@ -647,7 +638,6 @@ def test_lockstep_circles_equal_circles_alone_for_real_trees(tree, radii):
 def test_profile_kernel_calls(monkeypatch, lacunary2):
     # the default analyze grid: 81 circles.  The lockstep makes 196 calls
     # here, 81 of them scans; 1,468 when each circle ran its own levels
-    _cold(monkeypatch)
     kernel = nevanlinna.log_modulus
     calls = []
 
@@ -890,7 +880,7 @@ def test_a_refined_circle_makes_at_most_seven_kernel_calls(monkeypatch, name):
         monkeypatch.setattr(nevanlinna, "_modulus_scan", lambda g, t: scan)
         monkeypatch.setattr(nevanlinna, "log_modulus", recorded)
         calls.clear()
-        nevanlinna._modulus_extrema.__wrapped__(f, [r])
+        nevanlinna._modulus_extrema(f, [r])
         monkeypatch.undo()
         assert len(calls) <= 7
         assert all(size > 16 for size in calls)
